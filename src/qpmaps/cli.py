@@ -88,6 +88,8 @@ def _parse_x0(text: str, n: int) -> list[float]:
             values.append(float(Fraction(p)))
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"--x0[{i}]: not a number: {p!r}") from None
+        except OverflowError:
+            raise DocumentError(f"--x0[{i}]: {p!r} is outside the double range") from None
     return values
 
 
@@ -226,6 +228,9 @@ def cmd_solve(args) -> int:
 def cmd_iterate(args) -> int:
     qp = load_map(args.map_file)
     x0 = _parse_x0(args.x0, qp.n)
+    if args.steps < 0:
+        _err("--steps must be nonnegative")
+        return EXIT_INPUT
     out = _Output(args.out)
     try:
         traj = iterate(qp, x0, args.steps)
@@ -306,6 +311,9 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     if args.samples < 0:
         _err("--samples must be nonnegative")
+        return EXIT_INPUT
+    if not args.tol >= 0.0:
+        _err(f"--tol must be a nonnegative number, got {args.tol!r}")
         return EXIT_INPUT
     if args.samples == 0:
         _err("warning: no samples requested; the pass is vacuous")

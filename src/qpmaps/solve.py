@@ -4,23 +4,23 @@ Every symplectic QP map evolves each variable pair geometrically:
 
     x_i(t) = x_i(0) * k_i**t,      x_{s+i}(t) = x_{s+i}(0) * k_i**(-t)
 
-with positive multipliers k_i determined by the initial state. The
-multipliers are computed through the solver change of variables (see
-:func:`qpmaps.transform.solver_qmt`), under which the first s coordinates
-become the conserved pair products and the rest evolve by the constant
-factor k_i per step. All arithmetic is carried in log space: k_i**t
+with positive multipliers read off the initial state: log k_i = phi_i(x0)
+for i <= s. The solver change of variables (see
+:func:`qpmaps.transform.solver_qmt`) is the constructive proof: under it
+the first s coordinates become the conserved pair products and the rest
+evolve by the constant factor k_i per step. The test suite checks that
+route against phi. All arithmetic is carried in log space: k_i**t
 overflows double precision quickly, log_k_i * t does not.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import QPMap, as_state, iterate
+from .core import QPMap, as_state, iterate, phi
 from .errors import NotSymplectic, NumericOverflow
-from .linalg import mat_mul, to_float_matrix
 from .symplectic import check_conditions
-from .transform import pull_state, solver_qmt
 
 #: |log k_i| at or below this is classified as a constant pair.
 CONSTANT_TOLERANCE = 1e-12
@@ -37,6 +37,15 @@ class ClosedFormSolution:
     log_k: np.ndarray
     invariants_I: np.ndarray
 
+    @cached_property
+    def log_x0(self) -> np.ndarray:
+        return np.log(self.x0)
+
+    @cached_property
+    def log_rate(self) -> np.ndarray:
+        """Per-step log increment of every coordinate: (log_k, -log_k)."""
+        return np.concatenate([self.log_k, -self.log_k])
+
 
 @dataclass(frozen=True)
 class PairAsymptotics:
@@ -51,16 +60,15 @@ class PairAsymptotics:
 def solve_closed_form(qp: QPMap, x0) -> ClosedFormSolution:
     """Construct the closed-form solution of a symplectic map from x0.
 
-    The multipliers come from the transformed system: with C the solver
-    transformation and y(0) = pull_state(C, x0),
+    The multipliers are the first s log-increments at the start,
+    log_k_i = phi_i(x0) = lam_i + sum_j A[i][j] * prod_k x0_k**B[j][k],
+    and the conserved products are I_i = x0_i * x0_{s+i}. The solver QMT
+    route to the same multipliers is the paper's constructive proof; the
+    test suite keeps it as an oracle.
 
-        log_k_i = lam_i + sum_j A[i][j] * prod_{q<=s} y_q(0)**B'[j][q]
-
-    where B' = B.C. (Equivalently log_k_i = phi_i(x0); the equality of the
-    two routes is asserted by the test suite.)
-
-    Raises NotSymplectic (carrying the classification report) or
-    NonPositiveState.
+    Raises NotSymplectic (carrying the classification report),
+    NonPositiveState, or NumericOverflow naming the first pair whose
+    log_k_i or I_i is not finite.
     """
     report = check_conditions(qp)
     if not report.is_symplectic:
@@ -68,12 +76,24 @@ def solve_closed_form(qp: QPMap, x0) -> ClosedFormSolution:
                             report=report)
     s = report.s
     x = as_state(x0, qp.n)
-    t = solver_qmt(s)
-    y0 = pull_state(t, x)
-    b_prime = to_float_matrix(mat_mul(qp.B, t.C))[:, :s]
-    q0 = np.exp(b_prime @ np.log(y0[:s]))
-    log_k = qp.lam_f[:s] + qp.A_f[:s, :] @ q0
-    return ClosedFormSolution(s=s, x0=x, log_k=log_k, invariants_I=x[:s] * x[s:])
+    log_k = phi(qp, x)[:s]
+    with np.errstate(over="ignore"):
+        invariants = x[:s] * x[s:]
+    finite = np.isfinite(log_k) & np.isfinite(invariants)
+    if not finite.all():
+        i = int(np.argmin(finite)) + 1
+        raise NumericOverflow(
+            f"pair {i}: log k_{i} = {log_k[i - 1]:g}, I_{i} = {invariants[i - 1]:g};"
+            " the closed form needs both finite"
+        )
+    return ClosedFormSolution(s=s, x0=x, log_k=log_k, invariants_I=invariants)
+
+
+def _out_of_range(t: int) -> NumericOverflow:
+    return NumericOverflow(
+        f"closed-form state at t={t} leaves the representable positive range",
+        time_index=t,
+    )
 
 
 def eval_solution(sol: ClosedFormSolution, t: int) -> np.ndarray:
@@ -82,15 +102,10 @@ def eval_solution(sol: ClosedFormSolution, t: int) -> np.ndarray:
     Raises NumericOverflow when |t * log_k_i| leaves the double exponent
     range in either direction.
     """
-    ln0 = np.log(sol.x0)
-    drift = t * sol.log_k
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(np.concatenate([ln0[: sol.s] + drift, ln0[sol.s:] - drift]))
-    if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
-        raise NumericOverflow(
-            f"closed-form state at t={t} leaves the representable positive range",
-            time_index=t,
-        )
+        out = np.exp(sol.log_x0 + t * sol.log_rate)
+    if not ((out > 0.0) & (out < np.inf)).all():
+        raise _out_of_range(t)
     return out
 
 
@@ -112,10 +127,13 @@ def classify_asymptotics(sol: ClosedFormSolution) -> list[PairAsymptotics]:
 def verify_solution(qp: QPMap, sol: ClosedFormSolution, steps: int) -> float:
     """Max log-space deviation between iteration and the closed form over
     t = 0..steps. Callers choose steps small enough to avoid overflow;
-    NumericOverflow propagates."""
-    traj = iterate(qp, sol.x0, steps)
-    worst = 0.0
-    for k, state in enumerate(traj.states):
-        predicted = eval_solution(sol, k)
-        worst = max(worst, float(np.max(np.abs(np.log(state) - np.log(predicted)))))
-    return worst
+    NumericOverflow from iteration propagates, and the closed form raises
+    it at the first t that leaves the range."""
+    states = iterate(qp, sol.x0, steps).as_array()
+    times = np.arange(steps + 1)[:, None]
+    with np.errstate(over="ignore", under="ignore"):
+        predicted = np.exp(sol.log_x0 + times * sol.log_rate)
+    in_range = ((predicted > 0.0) & (predicted < np.inf)).all(axis=1)
+    if not in_range.all():
+        raise _out_of_range(int(np.argmin(in_range)))
+    return float(np.abs(np.log(states) - np.log(predicted)).max())

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpmaps import QPMap, new_qp_map, relaxed_qp_map, step
+from qpmaps import QPMap, new_qp_map, pull_state, relaxed_qp_map, solver_qmt, step
+from qpmaps.linalg import mat_mul, to_float_matrix
 
 
 def dim2_map() -> QPMap:
@@ -63,6 +64,21 @@ def quasimonomial_oracle(b_rows, x) -> np.ndarray:
             value *= xk ** float(e)
         out.append(value)
     return np.array(out)
+
+
+def solver_qmt_log_multipliers(qp: QPMap, x0) -> np.ndarray:
+    """log k_i by the constructive route: pass to the solver variables
+    y = pull_state(C, x0), where the first s coordinates are the conserved
+    pair products, and evaluate the transformed map's increments there,
+
+        log_k_i = lam_i + sum_j A[i][j] * prod_{q<=s} y_q**B'[j][q],  B' = B.C
+    """
+    s = qp.n // 2
+    t = solver_qmt(s)
+    y0 = pull_state(t, x0)
+    b_prime = to_float_matrix(mat_mul(qp.B, t.C))[:, :s]
+    q0 = np.exp(b_prime @ np.log(y0[:s]))
+    return qp.lam_f[:s] + qp.A_f[:s, :] @ q0
 
 
 def fd_jacobian(qp: QPMap, x, rel_step: float = 1e-6) -> np.ndarray:

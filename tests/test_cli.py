@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qpmaps.cli import main
 from qpmaps.documents import map_to_document, save_map, save_qmt
 from qpmaps import new_qmt, new_qp_map
+from qpmaps.sampling import random_symplectic_map
 
 from helpers import dim2_map, dim2_variant, dim4_map, trivial_lv_map
 
@@ -159,6 +161,23 @@ class TestSolve:
         assert main(["solve", dim2_file, "--x0", "1,zebra", "--t-max", "3"]) == 2
         assert main(["solve", dim2_file, "--x0", "1,1,1", "--t-max", "3"]) == 2
 
+    def test_x0_outside_double_range_exit_2(self, dim2_file, capsys):
+        assert main(["solve", dim2_file, "--x0", "1,1e400", "--t-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("--x0[1]: '1e400'")
+        assert captured.err.count("\n") == 1
+
+    def test_nonfinite_multiplier_exit_2_no_csv(self, tmp_path, capsys):
+        path = tmp_path / "wide.qpmap.json"
+        save_map(random_symplectic_map(np.random.default_rng(5), 4, 4), path)
+        assert main(["solve", str(path), "--x0", "1e200,1e200,1e200,1e200",
+                     "--t-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pair 1: log k_1 = nan")
+        assert captured.err.count("\n") == 1
+
     def test_t_min_above_t_max_exit_2(self, dim2_file):
         assert main(["solve", dim2_file, "--x0", "1,1", "--t-max", "1",
                      "--t-min", "2"]) == 2
@@ -196,6 +215,12 @@ class TestIterate:
                      "--out", str(out_path)]) == 0
         _, rows = read_csv(out_path)
         assert len(rows) == 1
+
+    def test_negative_steps_exit_2(self, dim2_file, capsys):
+        assert main(["iterate", dim2_file, "--x0", "1,1", "--steps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--steps must be nonnegative\n"
 
     def test_matches_solve(self, dim2_file, tmp_path):
         solve_csv = tmp_path / "sol.csv"
@@ -359,6 +384,14 @@ class TestVerify:
         assert first != second  # different samples
         assert main(["verify", dim2_file, "--seed", "1"]) == 0
         assert capsys.readouterr().out == first  # reproducible report
+
+    @pytest.mark.parametrize("tol", ["nan", "-0.5"])
+    def test_invalid_tolerance_exit_2(self, dim2_file, tol, capsys):
+        assert main(["verify", dim2_file, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err.startswith("--tol must be a nonnegative number")
+        assert captured.err.count("\n") == 1
 
     def test_loose_tolerance_lets_variant_pass(self, variant_file):
         assert main(["verify", variant_file, "--tol", "1e9"]) == 0

@@ -9,6 +9,7 @@ from qpmaps import (
     NumericOverflow,
     classify_asymptotics,
     eval_solution,
+    iterate,
     new_qp_map,
     phi,
     solve_closed_form,
@@ -16,8 +17,9 @@ from qpmaps import (
     verify_solution,
 )
 from qpmaps.sampling import random_state, random_symplectic_map
+from qpmaps.solve import ClosedFormSolution
 
-from helpers import dim2_map, dim2_variant, dim4_map
+from helpers import dim2_map, dim2_variant, dim4_map, solver_qmt_log_multipliers
 
 
 def fixed_point_map():
@@ -67,6 +69,26 @@ class TestSolveClosedForm:
             x0 = random_state(rng, n)
             sol = solve_closed_form(qp, x0)
             assert np.max(np.abs(sol.log_k - phi(qp, x0)[: n // 2])) <= 1e-12
+
+    def test_multiplier_equals_solver_qmt_route(self):
+        rng = np.random.default_rng(73)
+        for n in (2, 4, 6, 8):
+            for _ in range(10):
+                qp = random_symplectic_map(rng, n)
+                x0 = random_state(rng, n)
+                sol = solve_closed_form(qp, x0)
+                assert np.max(np.abs(sol.log_k - solver_qmt_log_multipliers(qp, x0))) <= 1e-12
+
+    def test_nonfinite_multiplier_raises_overflow(self):
+        qp = random_symplectic_map(np.random.default_rng(5), 4, 4)
+        with pytest.raises(NumericOverflow, match=r"^pair 1: log k_1 = nan"):
+            solve_closed_form(qp, (1e200,) * 4)
+
+    def test_nonfinite_invariant_raises_overflow(self):
+        # q = 1/(x_1 x_2) underflows to 0, so log k_1 = -1, but I_1 = 1e400
+        qp = new_qp_map((-1, 1), ((1,), (-1,)), ((-1, -1),))
+        with pytest.raises(NumericOverflow, match=r"^pair 1: log k_1 = -1, I_1 = inf"):
+            solve_closed_form(qp, [1e200, 1e200])
 
 
 class TestEvalSolution:
@@ -137,8 +159,6 @@ class TestClassifyAsymptotics:
         assert kinds_of(sol2) == ["split", "constant"]
 
     def test_near_constant_note(self):
-        from qpmaps.solve import ClosedFormSolution
-
         sol = ClosedFormSolution(
             s=1,
             x0=np.array([1.0, 1.0]),
@@ -152,6 +172,21 @@ class TestClassifyAsymptotics:
 
 def kinds_of(sol):
     return [pa.kind for pa in classify_asymptotics(sol)]
+
+
+def verify_by_steps(qp, sol, steps):
+    """The per-step verification loop: iterate, then evaluate the closed form
+    at each t on its own, x0 * exp(+-t log k)."""
+    ln0 = np.log(sol.x0)
+    worst = 0.0
+    for t, state in enumerate(iterate(qp, sol.x0, steps)):
+        drift = t * sol.log_k
+        with np.errstate(over="ignore", under="ignore"):
+            predicted = np.exp(np.concatenate([ln0[: sol.s] + drift, ln0[sol.s:] - drift]))
+        if not np.all(np.isfinite(predicted)) or np.any(predicted <= 0.0):
+            raise NumericOverflow(f"t={t}", time_index=t)
+        worst = max(worst, float(np.max(np.abs(np.log(state) - np.log(predicted)))))
+    return worst
 
 
 class TestVerifySolution:
@@ -173,3 +208,29 @@ class TestVerifySolution:
             x0 = random_state(rng, n)
             sol = solve_closed_form(qp, x0)
             assert verify_solution(qp, sol, 30) <= 1e-8
+
+    def test_matches_per_step_loop(self):
+        rng = np.random.default_rng(79)
+        for n in (2, 4, 6, 8):
+            for _ in range(10):
+                qp = random_symplectic_map(rng, n)
+                sol = solve_closed_form(qp, random_state(rng, n))
+                steps = int(rng.integers(0, 101))
+                assert abs(verify_solution(qp, sol, steps)
+                           - verify_by_steps(qp, sol, steps)) <= 1e-15
+
+    def test_dim2_overflow_from_unit_start(self):
+        # log k = 3, so x_1(t) = exp(3t) leaves the double range near t = 237
+        sol = solve_closed_form(dim2_map(), [1, 1])
+        with pytest.raises(NumericOverflow):
+            verify_solution(dim2_map(), sol, 300)
+
+    def test_closed_form_overflow_names_first_time(self):
+        # iteration of the fixed point stays at (1, 1); a closed form with
+        # log k = 100 leaves the range at t = 8 (exp(800) overflows)
+        sol = ClosedFormSolution(s=1, x0=np.array([1.0, 1.0]), log_k=np.array([100.0]),
+                                 invariants_I=np.array([1.0]))
+        for verify in (verify_solution, verify_by_steps):
+            with pytest.raises(NumericOverflow) as exc:
+                verify(fixed_point_map(), sol, 20)
+            assert exc.value.time_index == 8

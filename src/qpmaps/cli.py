@@ -235,6 +235,8 @@ def cmd_iterate(args) -> int:
     try:
         traj = iterate(qp, x0, args.steps)
     except NumericOverflow as exc:
+        if exc.partial is None:  # a map entry outside the double range
+            raise
         traj = exc.partial
         last_valid = traj.t0 + len(traj) - 1
         _err(f"warning: overflow at t={exc.time_index}; truncating"

@@ -73,15 +73,15 @@ class QPMap:
 
     @cached_property
     def lam_f(self) -> np.ndarray:
-        return to_float_vector(self.lam)
+        return to_float_vector(self.lam, "lambda")
 
     @cached_property
     def A_f(self) -> np.ndarray:
-        return to_float_matrix(self.A)
+        return to_float_matrix(self.A, "A")
 
     @cached_property
     def B_f(self) -> np.ndarray:
-        return to_float_matrix(self.B)
+        return to_float_matrix(self.B, "B")
 
 
 def new_qp_map(lam, A, B) -> QPMap:
@@ -177,11 +177,15 @@ def iterate(qp: QPMap, x0, steps: int, t0: int = 0) -> Trajectory:
     """Forward trajectory of steps+1 states starting at x0.
 
     On overflow the raised NumericOverflow carries the failing time index
-    and the partial trajectory computed so far.
+    and the partial trajectory computed so far. A map entry outside the
+    double range raises NumericOverflow naming it, before any step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     x = as_state(x0, qp.n)
+    # Convert the map up front: an entry outside the double range is an
+    # input error (NumericOverflow naming it), not an overflow at step 1.
+    qp.lam_f, qp.A_f, qp.B_f
     states = [x]
     for k in range(steps):
         try:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .core import QPMap, new_qp_map, relaxed_qp_map, strictness_violations
 from .errors import DocumentError, QPError
+from .linalg import rational
 from .transform import QMT, new_qmt
 
 
@@ -19,24 +20,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(value, where: str) -> Fraction:
-    """Parse a JSON value ("p/q" / "p" string, or plain integer) exactly."""
-    if isinstance(value, bool):
-        raise DocumentError(f"{where}: expected a rational string, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise DocumentError(
-            f"{where}: floats are not accepted; use a rational string like \"1/2\""
-        )
-    if isinstance(value, str):
-        text = value.strip().replace("−", "-")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise DocumentError(f"{where}: zero denominator") from None
-        except ValueError:
-            raise DocumentError(f"{where}: not a rational literal: {value!r}") from None
-    raise DocumentError(f"{where}: expected a rational string, got {type(value).__name__}")
+    """Parse a JSON value ("p/q" / "p" string, or plain integer) exactly with
+    :func:`qpmaps.linalg.rational`; its errors become DocumentError at ``where``."""
+    try:
+        return rational(value)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 def _expect_positive_int(doc: dict, key: str) -> int:

@@ -2,15 +2,22 @@
 
 Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
 operations here are exact: no pivot tolerance, no float intermediates.
+The O(n^3) kernels (``mat_mul``, ``mat_vec``, ``rank``, ``inverse``) clear
+denominators once per row or column and then work on Python integers:
+products are integer dot products, and elimination is fraction-free
+(Bareiss, Math. Comp. 22, 1968), dividing exactly by the previous pivot.
+``Fraction`` objects appear only at the boundary, one per result entry.
 Floats enter only through the explicit ``to_float_*`` converters used by
 the dynamic (trajectory) side of the package.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, NumericOverflow, SingularMatrix
 
 Rational = Fraction
 RVector = tuple[Fraction, ...]
@@ -26,7 +33,9 @@ def rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise TypeError("bool is not a rational value")
+        raise TypeError("expected a rational string or integer, got a boolean")
+    if isinstance(value, float):
+        raise TypeError('floats are not accepted; use a rational string like "1/2"')
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -37,7 +46,7 @@ def rational(value) -> Fraction:
             raise ValueError("zero denominator") from None
         except ValueError:
             raise ValueError(f"not a rational literal: {value!r}") from None
-    raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
+    raise TypeError(f"expected a rational string or integer, got {type(value).__name__}")
 
 
 def rvector(entries) -> RVector:
@@ -67,12 +76,19 @@ def diagonal(entries) -> RMatrix:
     return tuple(tuple(d[i] if i == j else zero for j in range(len(d))) for i in range(len(d)))
 
 
+def _cleared(row) -> tuple[list[int], int]:
+    """A rational row as (integer numerators, lcm of its denominators)."""
+    d = lcm(*(e.denominator for e in row))
+    return [e.numerator * (d // e.denominator) for e in row], d
+
+
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
-    cols = range(len(y[0]))
+    cols = [_cleared(col) for col in zip(*y)]
     return tuple(
-        tuple(sum(row[k] * y[k][j] for k in range(len(y))) for j in cols) for row in x
+        tuple(Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols)
+        for r, dr in map(_cleared, x)
     )
 
 
@@ -80,7 +96,8 @@ def mat_vec(m: RMatrix, v) -> RVector:
     v = rvector(v)
     if len(m[0]) != len(v):
         raise DimensionMismatch(f"cannot apply {len(m)}x{len(m[0])} to vector of length {len(v)}")
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    c, dc = _cleared(v)
+    return tuple(Fraction(sum(map(mul, r, c)), dr * dc) for r, dr in map(_cleared, m))
 
 
 def augment_column(col, m: RMatrix) -> RMatrix:
@@ -104,56 +121,76 @@ def zero_column_indices(m: RMatrix) -> tuple[int, ...]:
 
 
 def rank(m: RMatrix) -> int:
-    """Exact rank by Gaussian elimination over the rationals."""
-    rows = [list(r) for r in m]
-    n_rows, n_cols = len(rows), len(rows[0])
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+    """Exact rank by fraction-free (Bareiss) elimination of the cleared rows.
+
+    Scaling a row by its denominator lcm leaves the rank unchanged. Each
+    step pivots on the first column that is nonzero in some remaining row
+    and drops that column; every entry stays a minor of the cleared matrix,
+    so the division by the previous pivot is exact.
+    """
+    rows = [_cleared(row)[0] for row in m]
+    r, prev = 0, 1
+    for _ in range(len(m[0])):
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
+            rows = [row[1:] for row in rows]
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(r + 1, n_rows):
-            f = rows[i][c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows.pop(pivot)
+        p, tail = top[0], top[1:]
+        rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)] for row in rows]
+        prev = p
         r += 1
-        if r == n_rows:
+        if not rows:
             break
     return r
 
 
 def inverse(m: RMatrix) -> RMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises SingularMatrix."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination; raises SingularMatrix.
+
+    Eliminates [D.C | I] with D = diag(d_i), d_i the denominator lcm of row
+    i, so every entry is an integer. The left block ends as det.I with det
+    the last pivot, and C^-1 = (D.C)^-1 . D gives C^-1[i][j] = R[i][j] * d_j / det.
+    """
     n = len(m)
     if len(m[0]) != n:
         raise DimensionMismatch(f"inverse requires a square matrix, got {n}x{len(m[0])}")
-    work = [list(row) for row in m]
-    out = [list(row) for row in identity(n)]
+    cleared = [_cleared(row) for row in m]
+    work = [r + [int(i == j) for j in range(n)] for i, (r, _) in enumerate(cleared)]
+    prev = 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
             raise SingularMatrix("matrix is singular")
         work[c], work[pivot] = work[pivot], work[c]
-        out[c], out[pivot] = out[pivot], out[c]
-        inv = 1 / work[c][c]
-        work[c] = [e * inv for e in work[c]]
-        out[c] = [e * inv for e in out[c]]
+        top = work[c]
+        p = top[c]
         for i in range(n):
-            if i == c:
-                continue
-            f = work[i][c]
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-                out[i] = [a - f * b for a, b in zip(out[i], out[c])]
-    return tuple(tuple(row) for row in out)
+            if i != c:
+                row = work[i]
+                f = row[c]
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+    return tuple(
+        tuple(Fraction(e * d, prev) for e, (_, d) in zip(row[n:], cleared)) for row in work
+    )
 
 
-def to_float_vector(v) -> np.ndarray:
-    return np.array([float(e) for e in v], dtype=float)
+def _to_float(e: Fraction, where: str) -> float:
+    try:
+        return float(e)
+    except OverflowError:
+        raise NumericOverflow(f"{where} is outside the double range") from None
 
 
-def to_float_matrix(m: RMatrix) -> np.ndarray:
-    return np.array([[float(e) for e in row] for row in m], dtype=float)
+def to_float_vector(v, name: str) -> np.ndarray:
+    """Float copy of the rational vector ``name``; NumericOverflow names an
+    entry (e.g. ``lambda[0]``) whose magnitude exceeds the double range."""
+    return np.array([_to_float(e, f"{name}[{i}]") for i, e in enumerate(v)], dtype=float)
+
+
+def to_float_matrix(m: RMatrix, name: str) -> np.ndarray:
+    """Float copy of the rational matrix ``name``; NumericOverflow names an
+    entry (e.g. ``A[1][0]``) whose magnitude exceeds the double range."""
+    return np.array([[_to_float(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)]
+                     for i, row in enumerate(m)], dtype=float)

@@ -99,9 +99,12 @@ def _out_of_range(t: int) -> NumericOverflow:
 def eval_solution(sol: ClosedFormSolution, t: int) -> np.ndarray:
     """State at any integer time t (negative allowed), in log space.
 
-    Raises NumericOverflow when |t * log_k_i| leaves the double exponent
-    range in either direction.
+    t = 0 returns a copy of x0 itself: exp(log(x)) can differ from x in
+    the last bit. Raises NumericOverflow when |t * log_k_i| leaves the
+    double exponent range in either direction.
     """
+    if t == 0:
+        return sol.x0.copy()
     with np.errstate(over="ignore", under="ignore"):
         out = np.exp(sol.log_x0 + t * sol.log_rate)
     if not ((out > 0.0) & (out < np.inf)).all():
@@ -126,13 +129,15 @@ def classify_asymptotics(sol: ClosedFormSolution) -> list[PairAsymptotics]:
 
 def verify_solution(qp: QPMap, sol: ClosedFormSolution, steps: int) -> float:
     """Max log-space deviation between iteration and the closed form over
-    t = 0..steps. Callers choose steps small enough to avoid overflow;
-    NumericOverflow from iteration propagates, and the closed form raises
-    it at the first t that leaves the range."""
+    t = 0..steps, with the closed form at t = 0 taken as x0 exactly.
+    Callers choose steps small enough to avoid overflow; NumericOverflow
+    from iteration propagates, and the closed form raises it at the first
+    t that leaves the range."""
     states = iterate(qp, sol.x0, steps).as_array()
     times = np.arange(steps + 1)[:, None]
     with np.errstate(over="ignore", under="ignore"):
         predicted = np.exp(sol.log_x0 + times * sol.log_rate)
+    predicted[0] = sol.x0
     in_range = ((predicted > 0.0) & (predicted < np.inf)).all(axis=1)
     if not in_range.all():
         raise _out_of_range(int(np.argmin(in_range)))

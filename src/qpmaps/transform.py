@@ -52,11 +52,11 @@ class QMT:
 
     @cached_property
     def C_f(self) -> np.ndarray:
-        return to_float_matrix(self.C)
+        return to_float_matrix(self.C, "C")
 
     @cached_property
     def C_inv_f(self) -> np.ndarray:
-        return to_float_matrix(self.C_inv)
+        return to_float_matrix(self.C_inv, "C_inv")
 
 
 def new_qmt(C) -> QMT:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 
 from qpmaps import QPMap, new_qp_map, pull_state, relaxed_qp_map, solver_qmt, step
-from qpmaps.linalg import mat_mul, to_float_matrix
+from qpmaps.errors import SingularMatrix
+from qpmaps.linalg import identity, mat_mul, to_float_matrix
 
 
 def dim2_map() -> QPMap:
@@ -76,9 +77,63 @@ def solver_qmt_log_multipliers(qp: QPMap, x0) -> np.ndarray:
     s = qp.n // 2
     t = solver_qmt(s)
     y0 = pull_state(t, x0)
-    b_prime = to_float_matrix(mat_mul(qp.B, t.C))[:, :s]
+    b_prime = to_float_matrix(mat_mul(qp.B, t.C), "B.C")[:, :s]
     q0 = np.exp(b_prime @ np.log(y0[:s]))
     return qp.lam_f[:s] + qp.A_f[:s, :] @ q0
+
+
+def mat_mul_oracle(x, y):
+    """Rational matrix product by the Fraction triple loop."""
+    cols = range(len(y[0]))
+    return tuple(
+        tuple(sum(row[k] * y[k][j] for k in range(len(y))) for j in cols) for row in x
+    )
+
+
+def rank_oracle(m) -> int:
+    """Exact rank by Gaussian elimination over Fractions."""
+    rows = [list(r) for r in m]
+    n_rows, n_cols = len(rows), len(rows[0])
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(r + 1, n_rows):
+            f = rows[i][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
+def inverse_oracle(m):
+    """Exact inverse by Gauss-Jordan elimination over Fractions."""
+    n = len(m)
+    work = [list(row) for row in m]
+    out = [list(row) for row in identity(n)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular")
+        work[c], work[pivot] = work[pivot], work[c]
+        out[c], out[pivot] = out[pivot], out[c]
+        inv = 1 / work[c][c]
+        work[c] = [e * inv for e in work[c]]
+        out[c] = [e * inv for e in out[c]]
+        for i in range(n):
+            if i == c:
+                continue
+            f = work[i][c]
+            if f:
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+                out[i] = [a - f * b for a, b in zip(out[i], out[c])]
+    return tuple(tuple(row) for row in out)
 
 
 def fd_jacobian(qp: QPMap, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -33,6 +33,25 @@ def dim4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def huge_lambda_file(tmp_path):
+    """dim2 with lambda = (10**400, -10**400): exact and symplectic, but its
+    lambda has no double value."""
+    path = tmp_path / "huge.qpmap.json"
+    doc = map_to_document(dim2_map())
+    doc["lambda"] = ["1e400", "-1e400"]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_one_line_exit_2(code, capsys, start):
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(start)
+    assert captured.err.count("\n") == 1
+
+
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -178,6 +197,19 @@ class TestSolve:
         assert captured.err.startswith("pair 1: log k_1 = nan")
         assert captured.err.count("\n") == 1
 
+    def test_lambda_outside_double_range_exit_2(self, huge_lambda_file, capsys):
+        code = main(["solve", huge_lambda_file, "--x0", "1,1", "--t-max", "3"])
+        assert_one_line_exit_2(code, capsys, "lambda[0] is outside the double range")
+
+    def test_t_zero_row_is_x0(self, dim2_file, tmp_path):
+        # exp(log(x)) != x for this x, so a row computed in log space is off by one ulp
+        x = 1.8980895299200673
+        out_path = tmp_path / "sol.csv"
+        assert main(["solve", dim2_file, "--x0", f"{x!r},{x!r}", "--t-max", "1",
+                     "--t-min", "-1", "--out", str(out_path)]) == 0
+        _, rows = read_csv(out_path)
+        assert rows[1] == [0, x, x]
+
     def test_t_min_above_t_max_exit_2(self, dim2_file):
         assert main(["solve", dim2_file, "--x0", "1,1", "--t-max", "1",
                      "--t-min", "2"]) == 2
@@ -248,6 +280,11 @@ class TestIterate:
         err = capsys.readouterr().err
         assert "overflow" in err
         assert "last valid t=" in err
+
+    @pytest.mark.parametrize("steps", ["0", "3"])
+    def test_lambda_outside_double_range_exit_2(self, huge_lambda_file, steps, capsys):
+        code = main(["iterate", huge_lambda_file, "--x0", "1,1", "--steps", steps])
+        assert_one_line_exit_2(code, capsys, "lambda[0] is outside the double range")
 
     def test_deterministic_output(self, dim4_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -392,6 +429,10 @@ class TestVerify:
         assert "FAIL" not in captured.out
         assert captured.err.startswith("--tol must be a nonnegative number")
         assert captured.err.count("\n") == 1
+
+    def test_lambda_outside_double_range_exit_2(self, huge_lambda_file, capsys):
+        code = main(["verify", huge_lambda_file, "--samples", "3"])
+        assert_one_line_exit_2(code, capsys, "lambda[0] is outside the double range")
 
     def test_loose_tolerance_lets_variant_pass(self, variant_file):
         assert main(["verify", variant_file, "--tol", "1e9"]) == 0

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qpmaps import DocumentError, new_qmt, relaxed_qp_map
 from qpmaps.documents import (
@@ -18,6 +20,7 @@ from qpmaps.documents import (
     save_qmt,
     trajectory_csv,
 )
+from qpmaps.linalg import rational
 from qpmaps.sampling import random_classification_map, random_qmt
 
 from helpers import dim2_map, dim4_map
@@ -45,6 +48,19 @@ class TestRationalStrings:
             parse_rational(0.5, "lambda[0]")
         with pytest.raises(DocumentError, match="boolean"):
             parse_rational(True, "lambda[0]")
+        with pytest.raises(DocumentError, match=r"A\[0\]\[0\]: expected a rational string"):
+            parse_rational(None, "A[0][0]")
+
+    @given(value=st.one_of(st.fractions().map(str), st.integers(),
+                           st.text("0123456789/-−. _x", max_size=8)))
+    def test_parse_agrees_with_linalg_rational(self, value):
+        try:
+            expected = rational(value)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(DocumentError, match=re.escape(f"x[3]: {exc}")):
+                parse_rational(value, "x[3]")
+        else:
+            assert parse_rational(value, "x[3]") == expected
 
 
 class TestMapDocuments:

@@ -19,7 +19,7 @@ from qpmaps.linalg import (
     zero_row_indices,
 )
 
-from helpers import rank_by_minors
+from helpers import inverse_oracle, mat_mul_oracle, rank_by_minors, rank_oracle
 
 
 def test_rational_coercions():
@@ -108,8 +108,10 @@ def test_inverse_random_exact():
     rng = np.random.default_rng(11)
     produced = 0
     while produced < 40:
-        n = int(rng.integers(1, 5))
-        m = rmatrix([[int(e) for e in rng.integers(-3, 4, size=n)] for _ in range(n)])
+        n = int(rng.integers(1, 9))
+        m = rmatrix([[Fraction(int(p), int(q)) for p, q in
+                      zip(rng.integers(-3, 4, size=n), rng.integers(1, 13, size=n))]
+                     for _ in range(n)])
         try:
             m_inv = inverse(m)
         except SingularMatrix:
@@ -117,6 +119,89 @@ def test_inverse_random_exact():
         assert mat_mul(m, m_inv) == identity(n)
         assert mat_mul(m_inv, m) == identity(n)
         produced += 1
+
+
+# The integer kernels against the Fraction loops they replaced (tests/helpers.py):
+# equal entries, and every entry a Fraction, so the results are bit-identical.
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+zero_heavy = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_rationals)  # ~2/3 zeros
+dims = st.integers(1, 6)
+
+
+@st.composite
+def rational_matrices(draw, n_rows=None, n_cols=None):
+    """Dense or zero-heavy rational matrices, any shape including 1xk and kx1."""
+    n_rows = draw(dims) if n_rows is None else n_rows
+    n_cols = draw(dims) if n_cols is None else n_cols
+    entries = draw(st.sampled_from([small_rationals, zero_heavy]))
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    return rmatrix(draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
+
+
+@st.composite
+def thin_products(draw, n_rows=None, n_cols=None):
+    """Products (n_rows x k)(k x n_cols) with k below both sizes: rank-deficient."""
+    n_rows = draw(st.integers(2, 6)) if n_rows is None else n_rows
+    n_cols = draw(st.integers(2, 6)) if n_cols is None else n_cols
+    k = draw(st.integers(1, min(n_rows, n_cols) - 1))
+    return mat_mul_oracle(draw(rational_matrices(n_rows, k)), draw(rational_matrices(k, n_cols)))
+
+
+any_matrices = st.one_of(rational_matrices(), thin_products())
+
+
+@st.composite
+def square_matrices(draw):
+    """Invertible-looking, zero-heavy and singular squares, rows negated at random
+    so that pivots of either sign occur."""
+    n = draw(st.integers(1, 6))
+    singular = n > 1 and draw(st.integers(0, 2)) == 0
+    m = draw(thin_products(n, n) if singular else rational_matrices(n, n))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return tuple(tuple(s * e for e in row) for s, row in zip(signs, m))
+
+
+def assert_identical(got, expected):
+    assert got == expected
+    assert all(type(e) is Fraction for row in got for e in row)
+
+
+@given(data=st.data(), x=any_matrices)
+def test_mat_mul_equals_fraction_loop(data, x):
+    y = data.draw(rational_matrices(len(x[0])))
+    assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
+
+
+@given(data=st.data(), m=any_matrices)
+def test_mat_vec_equals_fraction_loop(data, m):
+    v = data.draw(st.lists(zero_heavy, min_size=len(m[0]), max_size=len(m[0])))
+    expected = tuple(row[0] for row in mat_mul_oracle(m, tuple((e,) for e in v)))
+    assert_identical((mat_vec(m, v),), (expected,))
+
+
+@given(m=st.one_of(any_matrices, square_matrices()))
+def test_rank_equals_gauss_elimination(m):
+    assert rank(m) == rank_oracle(m)
+
+
+@given(m=square_matrices())
+def test_inverse_equals_gauss_jordan(m):
+    try:
+        expected = inverse_oracle(m)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            inverse(m)
+        return
+    assert_identical(inverse(m), expected)
+
+
+def test_negative_pivots():
+    m = rmatrix([[-3, 1, 0], [2, "-5/7", 1], [0, 4, "-1/2"]])
+    assert_identical(inverse(m), inverse_oracle(m))
+    assert rank(m) == 3
+    assert inverse(rmatrix([["-2/3"]])) == rmatrix([["-3/2"]])
+    assert rank(rmatrix([[0, -2], [0, 1]])) == 1
 
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)

@@ -96,6 +96,15 @@ class TestEvalSolution:
         sol = solve_closed_form(dim2_map(), [1.37, 1 / 1.37])
         assert np.array_equal(eval_solution(sol, 0), sol.x0)
 
+    def test_t_zero_is_exactly_x0_over_draws(self):
+        # 10,000 coordinates uniform in [0.5, 2]; for some, exp(log(x)) != x
+        rng = np.random.default_rng(2024)
+        x0 = rng.uniform(0.5, 2.0, size=10_000)
+        assert (np.exp(np.log(x0)) != x0).any()
+        sol = ClosedFormSolution(s=5_000, x0=x0, log_k=rng.uniform(-3, 3, size=5_000),
+                                 invariants_I=x0[:5_000] * x0[5_000:])
+        assert np.array_equal(eval_solution(sol, 0), x0)
+
     def test_backward_time_inverts_step(self):
         sol = solve_closed_form(dim2_map(), [1, 1])
         past = eval_solution(sol, -1)
@@ -218,6 +227,15 @@ class TestVerifySolution:
                 steps = int(rng.integers(0, 101))
                 assert abs(verify_solution(qp, sol, steps)
                            - verify_by_steps(qp, sol, steps)) <= 1e-15
+
+    def test_t_zero_row_is_exactly_x0(self):
+        # with steps=0 only row 0 is compared: iteration and closed form both give x0
+        rng = np.random.default_rng(2025)
+        qp = dim2_map()
+        for x0 in rng.uniform(0.5, 2.0, size=(5_000, 2)):
+            sol = ClosedFormSolution(s=1, x0=x0, log_k=phi(qp, x0)[:1],
+                                     invariants_I=x0[:1] * x0[1:])
+            assert verify_solution(qp, sol, 0) == 0.0
 
     def test_dim2_overflow_from_unit_start(self):
         # log k = 3, so x_1(t) = exp(3t) leaves the double range near t = 237

@@ -16,7 +16,6 @@ from .core import (
     new_qp_map,
     phi,
     quasimonomials,
-    relaxed_qp_map,
     step,
     strictness_violations,
 )
@@ -33,7 +32,6 @@ from .errors import (
     ZeroColumnOfA,
     ZeroRowOfB,
 )
-from .linalg import Rational
 from .solve import (
     ClosedFormSolution,
     PairAsymptotics,
@@ -71,11 +69,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QPMap", "Trajectory", "as_state", "iterate", "jacobian", "new_qp_map",
-    "phi", "quasimonomials", "relaxed_qp_map", "step", "strictness_violations",
+    "phi", "quasimonomials", "step", "strictness_violations",
     "DegenerateResult", "DimensionMismatch", "DocumentError", "NonPositiveState",
     "NotSymplectic", "NumericOverflow", "OddDimension", "QPError",
     "SingularMatrix", "ZeroColumnOfA", "ZeroRowOfB",
-    "Rational",
     "ClosedFormSolution", "PairAsymptotics", "classify_asymptotics",
     "eval_solution", "solve_closed_form", "verify_solution",
     "ConditionVerdict", "ConservedProduct", "RankReport", "SymplecticReport",

@@ -12,7 +12,6 @@ standard error so stdout stays parseable. Errors always go to stderr.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .documents import (
     load_map,
     load_qmt,
     map_to_document,
+    parse_rational,
     trajectory_csv,
 )
 from .errors import (
@@ -34,12 +34,7 @@ from .errors import (
 from .linalg import diagonal, is_zero
 from .sampling import random_state
 from .solve import classify_asymptotics, eval_solution, solve_closed_form, verify_solution
-from .symplectic import (
-    check_conditions,
-    check_pattern,
-    rank_bounds,
-    skew_matrix,
-)
+from .symplectic import check_conditions, check_pattern, rank_bounds, symplectic_residual
 from .transform import apply_qmt, class_invariant, lv_canonical, new_qmt, solver_qmt
 
 EXIT_OK = 0
@@ -85,9 +80,7 @@ def _parse_x0(text: str, n: int) -> list[float]:
     values = []
     for i, p in enumerate(parts):
         try:
-            values.append(float(Fraction(p)))
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"--x0[{i}]: not a number: {p!r}") from None
+            values.append(float(parse_rational(p, f"--x0[{i}]")))
         except OverflowError:
             raise DocumentError(f"--x0[{i}]: {p!r} is outside the double range") from None
     return values
@@ -248,11 +241,7 @@ def cmd_iterate(args) -> int:
 def cmd_transform(args) -> int:
     qp = load_map(args.map_file)
     if args.scale is not None:
-        try:
-            mu = Fraction(args.scale.strip().replace("−", "-"))
-        except (ValueError, ZeroDivisionError):
-            _err(f"--scale: not a rational: {args.scale!r}")
-            return EXIT_INPUT
+        mu = parse_rational(args.scale, "--scale")
         if mu == 0:
             _err("--scale must be nonzero")
             return EXIT_INPUT
@@ -323,14 +312,13 @@ def cmd_verify(args) -> int:
         return EXIT_OK
 
     rng = np.random.default_rng(args.seed)
-    s_mat = skew_matrix(qp.n // 2)
-    max_resid = 0.0
-    max_det = 0.0
-    for _ in range(args.samples):
-        x = random_state(rng, qp.n)
-        jac = jacobian(qp, x)
-        max_resid = max(max_resid, float(np.max(np.abs(jac.T @ s_mat @ jac - s_mat))))
-        max_det = max(max_det, abs(float(np.linalg.det(jac)) - 1.0))
+    # Chunks bound memory for any --samples: no Jacobian array exceeds 2**16 floats.
+    chunk = max(1, 2**16 // (qp.n * max(qp.n, qp.m)))
+    max_resid = max_det = 0.0
+    for start in range(0, args.samples, chunk):
+        x = random_state(rng, (min(chunk, args.samples - start), qp.n))
+        max_resid = max(max_resid, symplectic_residual(qp, x))
+        max_det = max(max_det, float(np.abs(np.linalg.det(jacobian(qp, x)) - 1.0).max()))
     print(f"sampled {args.samples} states log-uniformly in [0.5, 2]^{qp.n} (seed {args.seed})")
     print(f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}")
     print(f"max |det(K) - 1|: {max_det:.3e}")

@@ -102,22 +102,25 @@ def new_qp_map(lam, A, B) -> QPMap:
     return qp
 
 
-def relaxed_qp_map(lam, A, B) -> QPMap:
-    """Construction with dimension checks only (zero patterns allowed)."""
-    return QPMap(lam, A, B)
-
-
 def strictness_violations(qp: QPMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (zero columns of A, zero rows of B); both empty for strict maps."""
     return zero_column_indices(qp.A), zero_row_indices(qp.B)
 
 
+def first_nonpositive_row(x: np.ndarray) -> int | None:
+    """Index of the first row of x (a single state is row 0) with a component
+    that is not finite and strictly positive; None when there is none."""
+    ok = (x > 0.0) & (x < np.inf)
+    return None if ok.all() else int(np.argmin(ok.all(axis=-1).reshape(-1)))
+
+
 def as_state(x, n: int) -> np.ndarray:
-    """Coerce to a strictly positive float state vector of length n."""
+    """Coerce to a strictly positive float state of length n, shape (n,),
+    or to a stack of such states, one per row, shape (k, n)."""
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (n,):
-        raise DimensionMismatch(f"state must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+        raise DimensionMismatch(f"state must have shape ({n},) or (k, {n}), got {arr.shape}")
+    if first_nonpositive_row(arr) is not None:
         raise NonPositiveState("state components must be finite and strictly positive")
     return arr
 
@@ -146,27 +149,35 @@ class Trajectory:
         return np.stack(self.states)
 
 
+def rowwise_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ v for v = x or for each row v of a stack x, each row on its own,
+    so a state in a stack gives bit for bit what it gives alone."""
+    return (m @ x[..., None])[..., 0]
+
+
 def quasimonomials(qp: QPMap, x) -> np.ndarray:
-    """The m quasimonomial values q_j = prod_k x_k**B[j][k], evaluated as exp(B @ ln x)."""
+    """The m quasimonomial values q_j = prod_k x_k**B[j][k], evaluated as
+    exp(B @ ln x); one row of values per row of a stack of states."""
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp(qp.B_f @ np.log(x))
+        return np.exp(rowwise_matvec(qp.B_f, np.log(x)))
 
 
 def phi(qp: QPMap, x) -> np.ndarray:
     """Per-coordinate log-increment of one step: phi_i = lam_i + (A @ q(x))_i."""
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return qp.lam_f + qp.A_f @ np.exp(qp.B_f @ np.log(x))
+        return qp.lam_f + rowwise_matvec(qp.A_f, np.exp(rowwise_matvec(qp.B_f, np.log(x))))
 
 
 def step(qp: QPMap, x) -> np.ndarray:
-    """One forward step x_i * exp(phi_i(x)); raises NumericOverflow if the
-    result leaves the strictly-positive finite double range."""
+    """One forward step x_i * exp(phi_i(x)), of each row of a stack too; raises
+    NumericOverflow if a result leaves the strictly-positive finite double range."""
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = x * np.exp(qp.lam_f + qp.A_f @ np.exp(qp.B_f @ np.log(x)))
-    if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
+        q = np.exp(rowwise_matvec(qp.B_f, np.log(x)))
+        out = x * np.exp(qp.lam_f + rowwise_matvec(qp.A_f, q))
+    if first_nonpositive_row(out) is not None:
         raise NumericOverflow(
             "step left the representable positive range (exponent overflow or underflow)"
         )
@@ -174,7 +185,7 @@ def step(qp: QPMap, x) -> np.ndarray:
 
 
 def iterate(qp: QPMap, x0, steps: int, t0: int = 0) -> Trajectory:
-    """Forward trajectory of steps+1 states starting at x0.
+    """Forward trajectory of steps+1 states (or stacks) starting at x0.
 
     On overflow the raised NumericOverflow carries the failing time index
     and the partial trajectory computed so far. A map entry outside the
@@ -202,14 +213,14 @@ def iterate(qp: QPMap, x0, steps: int, t0: int = 0) -> Trajectory:
 
 
 def jacobian(qp: QPMap, x) -> np.ndarray:
-    """Exact-formula Jacobian of one step.
+    """Exact-formula Jacobian of one step: n x n, or (k, n, n) for k states.
 
     L[i][j] = (delta_ij + x_i * dphi_i/dx_j) * exp(phi_i), with
     dphi_i/dx_j = sum_p A[i][p] * B[p][j] * q_p(x) / x_j.
     """
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        q = np.exp(qp.B_f @ np.log(x))
-        ph = qp.lam_f + qp.A_f @ q
-        d = qp.A_f @ (q[:, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
-        return (np.eye(qp.n) + (x[:, None] / x[None, :]) * d) * np.exp(ph)[:, None]
+        q = np.exp(rowwise_matvec(qp.B_f, np.log(x)))
+        ph = qp.lam_f + rowwise_matvec(qp.A_f, q)
+        d = qp.A_f @ (q[..., :, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
+        return (np.eye(qp.n) + (x[..., :, None] / x[..., None, :]) * d) * np.exp(ph)[..., :, None]

@@ -9,7 +9,7 @@ strict QP form; such documents parse into relaxed maps.
 import json
 from fractions import Fraction
 
-from .core import QPMap, new_qp_map, relaxed_qp_map, strictness_violations
+from .core import QPMap, new_qp_map, strictness_violations
 from .errors import DocumentError, QPError
 from .linalg import rational
 from .transform import QMT, new_qmt
@@ -87,7 +87,7 @@ def map_from_document(doc) -> QPMap:
     b = _parse_matrix(doc, "B", m, n)
     relaxed = bool(doc.get("relaxed", False))
     try:
-        return relaxed_qp_map(lam, a, b) if relaxed else new_qp_map(lam, a, b)
+        return QPMap(lam, a, b) if relaxed else new_qp_map(lam, a, b)
     except QPError as exc:
         raise DocumentError(str(exc)) from exc
 

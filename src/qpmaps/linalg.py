@@ -11,6 +11,7 @@ Floats enter only through the explicit ``to_float_*`` converters used by
 the dynamic (trajectory) side of the package.
 """
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -19,14 +20,22 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericOverflow, SingularMatrix
 
-Rational = Fraction
 RVector = tuple[Fraction, ...]
 RMatrix = tuple[RVector, ...]
+
+#: Largest |exponent| in a literal such as "1e400": Python's default int(str)
+#: digit limit. Without it "1e1000000" builds a 3.3-million-bit integer.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
 
 
 def rational(value) -> Fraction:
     """Coerce an int, string or Fraction to an exact rational.
 
+    A string is an optional sign ("-", "+" or U+2212), then "p/q" or a
+    decimal with optional exponent ("3", "1/2", "1.5", ".5", "2e-3",
+    "1.5E+2"), as fractions.Fraction reads it (from Python 3.11, with "_"
+    between digits); |exponent| > MAX_EXPONENT raises ValueError first.
     Floats are rejected on purpose: silently converting a binary float to
     a fraction would contaminate the exact layer.
     """
@@ -40,6 +49,10 @@ def rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip().replace("−", "-")
+        exponent = _EXPONENT.search(text)
+        # 5 significant digits exceed MAX_EXPONENT, so a long exponent is never converted
+        if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:
             return Fraction(text)
         except ZeroDivisionError:

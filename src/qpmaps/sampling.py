@@ -34,8 +34,9 @@ def random_rational(rng, numerators=_NUMERATORS, denominators=_DENOMINATORS,
     return Fraction(sign * int(rng.choice(numerators)), int(rng.choice(denominators)))
 
 
-def random_state(rng, n: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    """A state sampled log-uniformly in [lo, hi]^n."""
+def random_state(rng, n: int | tuple[int, int], lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
+    """A state sampled log-uniformly in [lo, hi]^n; n = (k, n) gives a stack
+    of k states, the same numbers as k single draws in turn."""
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
 
 

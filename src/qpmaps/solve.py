@@ -9,8 +9,8 @@ for i <= s. The solver change of variables (see
 :func:`qpmaps.transform.solver_qmt`) is the constructive proof: under it
 the first s coordinates become the conserved pair products and the rest
 evolve by the constant factor k_i per step. The test suite checks that
-route against phi. All arithmetic is carried in log space: k_i**t
-overflows double precision quickly, log_k_i * t does not.
+route against phi. A state is evaluated as x(0) * exp(t * log_rate) with
+log_rate = (log k, -log k); exp(0) = 1 makes t = 0 give x(0) exactly.
 """
 
 from dataclasses import dataclass
@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import QPMap, as_state, iterate, phi
-from .errors import NotSymplectic, NumericOverflow
+from .core import QPMap, as_state, first_nonpositive_row, iterate, phi
+from .errors import DimensionMismatch, NotSymplectic, NumericOverflow
 from .symplectic import check_conditions
 
 #: |log k_i| at or below this is classified as a constant pair.
@@ -36,10 +36,6 @@ class ClosedFormSolution:
     x0: np.ndarray
     log_k: np.ndarray
     invariants_I: np.ndarray
-
-    @cached_property
-    def log_x0(self) -> np.ndarray:
-        return np.log(self.x0)
 
     @cached_property
     def log_rate(self) -> np.ndarray:
@@ -67,8 +63,8 @@ def solve_closed_form(qp: QPMap, x0) -> ClosedFormSolution:
     test suite keeps it as an oracle.
 
     Raises NotSymplectic (carrying the classification report),
-    NonPositiveState, or NumericOverflow naming the first pair whose
-    log_k_i or I_i is not finite.
+    NonPositiveState, DimensionMismatch for a stack of states, or
+    NumericOverflow naming the first pair whose log_k_i or I_i is not finite.
     """
     report = check_conditions(qp)
     if not report.is_symplectic:
@@ -76,6 +72,8 @@ def solve_closed_form(qp: QPMap, x0) -> ClosedFormSolution:
                             report=report)
     s = report.s
     x = as_state(x0, qp.n)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"x0 must be one state of shape ({qp.n},), got {x.shape}")
     log_k = phi(qp, x)[:s]
     with np.errstate(over="ignore"):
         invariants = x[:s] * x[s:]
@@ -89,26 +87,20 @@ def solve_closed_form(qp: QPMap, x0) -> ClosedFormSolution:
     return ClosedFormSolution(s=s, x0=x, log_k=log_k, invariants_I=invariants)
 
 
-def _out_of_range(t: int) -> NumericOverflow:
-    return NumericOverflow(
-        f"closed-form state at t={t} leaves the representable positive range",
-        time_index=t,
-    )
+def eval_solution(sol: ClosedFormSolution, t: int | np.ndarray) -> np.ndarray:
+    """State at integer time t (negative allowed): x0 * exp(t * log_rate).
 
-
-def eval_solution(sol: ClosedFormSolution, t: int) -> np.ndarray:
-    """State at any integer time t (negative allowed), in log space.
-
-    t = 0 returns a copy of x0 itself: exp(log(x)) can differ from x in
-    the last bit. Raises NumericOverflow when |t * log_k_i| leaves the
-    double exponent range in either direction.
+    exp(0) is exactly 1, so t = 0 gives x0 bit for bit. A column of times,
+    shape (k, 1), gives one state per row. Raises NumericOverflow naming the
+    first time where exp(t * log_rate) or the state leaves the positive range.
     """
-    if t == 0:
-        return sol.x0.copy()
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(sol.log_x0 + t * sol.log_rate)
-    if not ((out > 0.0) & (out < np.inf)).all():
-        raise _out_of_range(t)
+        out = sol.x0 * np.exp(t * sol.log_rate)
+    row = first_nonpositive_row(out)
+    if row is not None:
+        t = int(np.ravel(t)[row])
+        raise NumericOverflow(f"closed-form state at t={t} leaves the representable"
+                              " positive range", time_index=t)
     return out
 
 
@@ -129,16 +121,9 @@ def classify_asymptotics(sol: ClosedFormSolution) -> list[PairAsymptotics]:
 
 def verify_solution(qp: QPMap, sol: ClosedFormSolution, steps: int) -> float:
     """Max log-space deviation between iteration and the closed form over
-    t = 0..steps, with the closed form at t = 0 taken as x0 exactly.
-    Callers choose steps small enough to avoid overflow; NumericOverflow
-    from iteration propagates, and the closed form raises it at the first
-    t that leaves the range."""
+    t = 0..steps. Callers choose steps small enough to avoid overflow;
+    NumericOverflow from iteration propagates, and the closed form raises
+    it at the first t that leaves the range."""
     states = iterate(qp, sol.x0, steps).as_array()
-    times = np.arange(steps + 1)[:, None]
-    with np.errstate(over="ignore", under="ignore"):
-        predicted = np.exp(sol.log_x0 + times * sol.log_rate)
-    predicted[0] = sol.x0
-    in_range = ((predicted > 0.0) & (predicted < np.inf)).all(axis=1)
-    if not in_range.all():
-        raise _out_of_range(int(np.argmin(in_range)))
+    predicted = eval_solution(sol, np.arange(steps + 1)[:, None])
     return float(np.abs(np.log(states) - np.log(predicted)).max())

@@ -97,9 +97,10 @@ class ConservedProduct:
     i: int  # 1-based pair index
     s: int
 
-    def value_at(self, x) -> float:
+    def value_at(self, x):
+        """The product at a state (a float), or at each row of a stack."""
         x = as_state(x, 2 * self.s)
-        return float(x[self.i - 1] * x[self.s + self.i - 1])
+        return x[..., self.i - 1] * x[..., self.s + self.i - 1]
 
 
 def check_conditions(qp: QPMap) -> SymplecticReport:
@@ -294,12 +295,13 @@ def skew_matrix(s: int) -> np.ndarray:
 
 
 def symplectic_residual(qp: QPMap, x) -> float:
-    """Max-abs entry of K^T S K - S for the Jacobian K at x (0 iff symplectic at x)."""
+    """Max-abs entry of K^T S K - S for the Jacobian K at x (0 iff symplectic
+    at x); for a stack of states, the max over its rows."""
     if qp.n % 2:
         raise OddDimension(f"symplectic residual requires even dimension, got n={qp.n}")
     L = jacobian(qp, x)
     S = skew_matrix(qp.n // 2)
-    return float(np.max(np.abs(L.T @ S @ L - S)))
+    return float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
 
 
 def symplectic_product_block(qp: QPMap, x) -> np.ndarray:
@@ -308,13 +310,14 @@ def symplectic_product_block(qp: QPMap, x) -> np.ndarray:
 
     Entry (i, j) is sum_k (L[s+k][s+i]*L[k][j] - L[k][s+i]*L[s+k][j]); it is
     the lower-left block of K^T S K and serves as an independent oracle for
-    the exact classifiers.
+    the exact classifiers. A stack of states gives a stack of blocks.
     """
     if qp.n % 2:
         raise OddDimension(f"product block requires even dimension, got n={qp.n}")
     s = qp.n // 2
     L = jacobian(qp, x)
-    return L[s:, s:].T @ L[:s, :s] - L[:s, s:].T @ L[s:, :s]
+    return (L[..., s:, s:].swapaxes(-1, -2) @ L[..., :s, :s]
+            - L[..., :s, s:].swapaxes(-1, -2) @ L[..., s:, :s])
 
 
 def rank_bounds(qp: QPMap) -> RankReport:

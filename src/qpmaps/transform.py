@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import QPMap, as_state, relaxed_qp_map
+from .core import QPMap, as_state, rowwise_matvec
 from .errors import DegenerateResult, DimensionMismatch
 from .linalg import (
     RMatrix,
@@ -105,7 +105,7 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
     lam2 = mat_vec(t.C_inv, qp.lam)
     a2 = mat_mul(t.C_inv, qp.A)
     b2 = mat_mul(qp.B, t.C)
-    result = relaxed_qp_map(lam2, a2, b2)
+    result = QPMap(lam2, a2, b2)
     if strict:
         zero_cols = zero_column_indices(a2)
         zero_rows = zero_row_indices(b2)
@@ -125,15 +125,15 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
 
 
 def push_state(t: QMT, y) -> np.ndarray:
-    """Map transformed coordinates to original ones: x_i = prod_j y_j**C[i][j]."""
+    """Map transformed coordinates to original ones, row by row: x_i = prod_j y_j**C[i][j]."""
     y = as_state(y, t.n)
-    return np.exp(t.C_f @ np.log(y))
+    return np.exp(rowwise_matvec(t.C_f, np.log(y)))
 
 
 def pull_state(t: QMT, x) -> np.ndarray:
-    """Map original coordinates to transformed ones: y_j = prod_i x_i**C_inv[j][i]."""
+    """Map original coordinates to transformed ones, row by row: y_j = prod_i x_i**C_inv[j][i]."""
     x = as_state(x, t.n)
-    return np.exp(t.C_inv_f @ np.log(x))
+    return np.exp(rowwise_matvec(t.C_inv_f, np.log(x)))
 
 
 def class_invariant(qp: QPMap) -> RMatrix:
@@ -157,7 +157,7 @@ def lv_canonical(qp: QPMap) -> QPMap:
     lam_c = tuple(row[0] for row in mc)
     a_c = tuple(row[1:] for row in mc)
     b_c = identity(qp.m)
-    result = relaxed_qp_map(lam_c, a_c, b_c)
+    result = QPMap(lam_c, a_c, b_c)
     zero_cols = zero_column_indices(a_c)
     if zero_cols:
         raise DegenerateResult(

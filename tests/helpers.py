@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpmaps import QPMap, new_qp_map, pull_state, relaxed_qp_map, solver_qmt, step
+from qpmaps import QPMap, jacobian, new_qp_map, pull_state, skew_matrix, solver_qmt, step
 from qpmaps.errors import SingularMatrix
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
+from qpmaps.sampling import random_state
 
 
 def dim2_map() -> QPMap:
@@ -52,7 +53,7 @@ def trivial_lv_map(n: int) -> QPMap:
     lam = (zero,) * n
     a = ((zero,) * n,) * n
     b = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    return relaxed_qp_map(lam, a, b)
+    return QPMap(lam, a, b)
 
 
 def quasimonomial_oracle(b_rows, x) -> np.ndarray:
@@ -182,3 +183,22 @@ def relative_gap(a, b, floor: float = 1.0) -> float:
     b = np.asarray(b, dtype=float)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def verify_report_oracle(qp: QPMap, samples: int, seed: int, tol: float) -> str:
+    """The report of `qpmap verify`, computed one sample at a time: draw a
+    state, form its Jacobian K, and take |K^T.S.K - S| and |det K - 1|."""
+    rng = np.random.default_rng(seed)
+    s_mat = skew_matrix(qp.n // 2)
+    max_resid = 0.0
+    max_det = 0.0
+    for _ in range(samples):
+        x = random_state(rng, qp.n)
+        jac = jacobian(qp, x)
+        max_resid = max(max_resid, float(np.max(np.abs(jac.T @ s_mat @ jac - s_mat))))
+        max_det = max(max_det, abs(float(np.linalg.det(jac)) - 1.0))
+    ok = max_resid <= tol and max_det <= tol
+    return (f"sampled {samples} states log-uniformly in [0.5, 2]^{qp.n} (seed {seed})\n"
+            f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}\n"
+            f"max |det(K) - 1|: {max_det:.3e}\n"
+            f"{'PASS' if ok else 'FAIL'} (tolerance {tol:g})\n")

@@ -6,10 +6,10 @@ import pytest
 
 from qpmaps.cli import main
 from qpmaps.documents import map_to_document, save_map, save_qmt
-from qpmaps import new_qmt, new_qp_map
-from qpmaps.sampling import random_symplectic_map
+from qpmaps import check_conditions, new_qmt, new_qp_map
+from qpmaps.sampling import random_symplectic_map, random_valid_map
 
-from helpers import dim2_map, dim2_variant, dim4_map, trivial_lv_map
+from helpers import dim2_map, dim2_variant, dim4_map, trivial_lv_map, verify_report_oracle
 
 
 @pytest.fixture
@@ -108,6 +108,25 @@ class TestCheck:
         path.write_text("{]")
         assert main(["check", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_witness_list_reports_exact_remainder(self, tmp_path, capsys):
+        qp = random_valid_map(np.random.default_rng(3), 6, 6)
+        path = tmp_path / "generic.qpmap.json"
+        save_map(qp, path)
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        expected = [f"    ... and {len(cond.witnesses) - 5} more"
+                    for _, cond in check_conditions(qp).conditions() if len(cond.witnesses) > 5]
+        assert expected  # the map has a condition with more than five witnesses
+        assert [line for line in out.splitlines() if line.startswith("    ... and")] == expected
+
+    def test_exponent_beyond_bound_exit_2(self, tmp_path, capsys):
+        doc = map_to_document(dim2_map())
+        doc["A"][0][0] = "1e1000000"
+        path = tmp_path / "huge_exponent.qpmap.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path)])
+        assert_one_line_exit_2(code, capsys, f"{path}: A[0][0]: exponent of '1e1000000' exceeds")
 
     def test_classifier_disagreement_exit_3(self, dim2_file, capsys, monkeypatch):
         # Unreachable for correct classifiers; forced here to pin the exit code.
@@ -338,6 +357,11 @@ class TestTransform:
     def test_scale_zero_exit_2(self, dim2_file, capsys):
         assert main(["transform", dim2_file, "--scale", "0"]) == 2
 
+    @pytest.mark.parametrize("scale", ["abc", "1/0", "0", "1e99999"])
+    def test_bad_scale_one_line_exit_2(self, dim2_file, scale, capsys):
+        code = main(["transform", dim2_file, "--scale", scale])
+        assert_one_line_exit_2(code, capsys, "--scale")
+
     def test_degenerate_input_writes_relaxed_doc(self, tmp_path, capsys):
         path = tmp_path / "relaxed.qpmap.json"
         save_map(trivial_lv_map(2), path)
@@ -439,3 +463,42 @@ class TestVerify:
 
     def test_dim4_pass(self, dim4_file):
         assert main(["verify", dim4_file]) == 0
+
+    def test_negative_samples_exit_2(self, dim2_file, capsys):
+        code = main(["verify", dim2_file, "--samples", "-1"])
+        assert_one_line_exit_2(code, capsys, "--samples must be nonnegative")
+
+    @pytest.mark.parametrize("make_map", [dim2_map, dim2_variant, lambda: dim4_map(1, 1),
+                                          lambda: random_symplectic_map(
+                                              np.random.default_rng(8), 8, 12)])
+    def test_report_matches_per_sample_oracle(self, make_map, tmp_path, capsys):
+        qp = make_map()
+        path = tmp_path / "map.qpmap.json"
+        save_map(qp, path)
+        for samples, seed in ((5000, 42), (7, 1)):
+            main(["verify", str(path), "--samples", str(samples), "--seed", str(seed)])
+            assert capsys.readouterr().out == verify_report_oracle(qp, samples, seed, 1e-9)
+
+    @pytest.mark.parametrize("make_map", [dim2_map, lambda: random_symplectic_map(
+        np.random.default_rng(9), 16, 16)])
+    def test_jacobian_stacks_are_bounded(self, make_map, tmp_path, capsys, monkeypatch):
+        import qpmaps.cli as cli
+        import qpmaps.symplectic as symplectic
+
+        qp = make_map()
+        path = tmp_path / "map.qpmap.json"
+        save_map(qp, path)
+        sizes = []
+        real_jacobian = symplectic.jacobian
+
+        def recorded(qp, x):
+            sizes.append(len(x))
+            return real_jacobian(qp, x)
+
+        monkeypatch.setattr(cli, "jacobian", recorded)
+        monkeypatch.setattr(symplectic, "jacobian", recorded)
+        samples = 40_000 if qp.n == 2 else 600
+        assert main(["verify", str(path), "--samples", str(samples)]) == 0
+        capsys.readouterr()
+        assert max(sizes) <= 2**16 // qp.n**2
+        assert sum(sizes) == 2 * samples  # residual and determinant each see every sample

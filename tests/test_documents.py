@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpmaps import DocumentError, new_qmt, relaxed_qp_map
+from qpmaps import DocumentError, QPMap, new_qmt
 from qpmaps.documents import (
     format_float,
     format_rational,
@@ -83,13 +83,13 @@ class TestMapDocuments:
             assert map_from_document(map_to_document(qp)) == qp
 
     def test_relaxed_round_trip(self):
-        qp = relaxed_qp_map((0, 0), ((0,), (0,)), ((1, 1),))
+        qp = QPMap((0, 0), ((0,), (0,)), ((1, 1),))
         doc = map_to_document(qp)
         assert doc["relaxed"] is True
         assert map_from_document(doc) == qp
 
     def test_strict_document_rejects_zero_column(self):
-        doc = map_to_document(relaxed_qp_map((0, 0), ((0,), (0,)), ((1, 1),)))
+        doc = map_to_document(QPMap((0, 0), ((0,), (0,)), ((1, 1),)))
         del doc["relaxed"]
         with pytest.raises(DocumentError, match="column 0 of A"):
             map_from_document(doc)

@@ -42,6 +42,24 @@ def test_rational_rejects_floats_and_bad_strings():
         rational("one half")
 
 
+def test_rational_decimal_and_exponent_literals():
+    assert rational("1.5") == Fraction(3, 2)
+    assert rational(".5") == Fraction(1, 2)
+    assert rational("2e-3") == Fraction(1, 500)
+    assert rational("1.5E+2") == 150
+    assert rational(" 1.5e3 ") == 1500
+    assert rational("1e400") == 10**400
+    assert rational("-1e-4300") == Fraction(-1, 10**4300)
+    assert rational("1e0004300") == 10**4300  # leading zeros do not count
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1e1000000", "-2.5E+1000000",
+                                  "1e1_000_000", "1e" + "9" * 5000])
+def test_rational_rejects_exponents_beyond_the_bound(text):
+    with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+        rational(text)
+
+
 def test_rmatrix_rejects_ragged_and_empty():
     with pytest.raises(DimensionMismatch):
         rmatrix([[1, 2], [3]])

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -252,3 +253,22 @@ class TestVerifySolution:
             with pytest.raises(NumericOverflow) as exc:
                 verify(fixed_point_map(), sol, 20)
             assert exc.value.time_index == 8
+
+
+def test_closed_form_error_is_the_rounding_of_t_log_k():
+    # Against a 50-digit x0 * exp(t * log k): the relative error is the
+    # rounding of the product t * log k (at most |t log k| * 2**-53) plus a
+    # few ulps of exp and of the product with x0.
+    rng = np.random.default_rng(5)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for _ in range(2_000):
+            x0 = rng.uniform(0.5, 2.0, size=2)
+            log_k = rng.uniform(-7.0, 7.0, size=1)
+            t_max = min(100, int(700 // abs(log_k[0])))
+            t = int(rng.integers(-t_max, t_max + 1))
+            sol = ClosedFormSolution(s=1, x0=x0, log_k=log_k, invariants_I=x0[:1] * x0[1:])
+            for x, xi, rate in zip(eval_solution(sol, t), x0, sol.log_rate):
+                exact = Decimal(xi) * (Decimal(t) * Decimal(rate)).exp()
+                error = abs((Decimal(x) - exact) / exact)
+                assert error <= (abs(t * rate) + 4) * 2.0**-53

@@ -7,6 +7,8 @@ from qpmaps import (
     DegenerateResult,
     DimensionMismatch,
     NumericOverflow,
+    QMT,
+    QPMap,
     SingularMatrix,
     apply_qmt,
     check_conditions,
@@ -47,6 +49,13 @@ class TestQMTConstruction:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             new_qmt([[1, 2]])
+
+    def test_wrong_inverse_rejected(self):
+        c = diagonal([1, 2])
+        QMT(c, diagonal([1, "1/2"]))  # the exact inverse is accepted
+        for wrong in (c, diagonal([1, "1/3"]), identity(2)):
+            with pytest.raises(ValueError, match="not the exact inverse"):
+                QMT(c, wrong)
 
 
 class TestApplyQMT:
@@ -93,9 +102,7 @@ class TestApplyQMT:
             assert strictness_violations(transformed) == ((), ())
 
     def test_degenerate_result_raises_for_relaxed_input(self):
-        from qpmaps import relaxed_qp_map
-
-        qp = relaxed_qp_map((0, 0), ((1,), (1,)), ((0, 0),))  # zero B row
+        qp = QPMap((0, 0), ((1,), (1,)), ((0, 0),))  # zero B row
         t = new_qmt([[1, 1], [-1, 1]])
         with pytest.raises(DegenerateResult) as exc:
             apply_qmt(qp, t)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import iterate, jacobian, strictness_violations
 from .documents import (
-    format_rational,
     load_map,
     load_qmt,
     map_to_document,
@@ -31,18 +30,22 @@ from .errors import (
     NumericOverflow,
     QPError,
 )
-from .linalg import diagonal, is_zero
+from .linalg import diagonal, format_rational, is_zero
 from .sampling import random_state
 from .solve import classify_asymptotics, eval_solution, solve_closed_form, verify_solution
-from .symplectic import check_conditions, check_pattern, rank_bounds, symplectic_residual
+from .symplectic import (
+    WITNESS_LIMIT,
+    _jacobian_residual,
+    check_conditions,
+    check_pattern,
+    rank_bounds,
+)
 from .transform import apply_qmt, class_invariant, lv_canonical, new_qmt, solver_qmt
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-_MAX_WITNESS_LINES = 5
 
 _CONDITION_NAMES = {
     "a": "A pair sums",
@@ -99,9 +102,9 @@ def _print_conditions(report, printer) -> None:
             printer(f"  condition ({label}) {name}: ok")
         else:
             printer(f"  condition ({label}) {name}: VIOLATED")
-            for w in cond.witnesses[:_MAX_WITNESS_LINES]:
+            for w in cond.witnesses:
                 printer(f"    ({w.location()}): {w.detail} != 0")
-            extra = len(cond.witnesses) - _MAX_WITNESS_LINES
+            extra = cond.count - WITNESS_LIMIT
             if extra > 0:
                 printer(f"    ... and {extra} more")
 
@@ -263,6 +266,7 @@ def cmd_transform(args) -> int:
         degenerate = True
         _err(f"warning: {exc}")
 
+    doc = map_to_document(result)
     out = _Output(args.out)
     if degenerate:
         after_text = "n/a (degenerate result, written with relaxed flag)"
@@ -270,7 +274,7 @@ def cmd_transform(args) -> int:
         after = check_conditions(result).is_symplectic
         after_text = "yes" if after else "no"
     out.info(f"symplectic before: {'yes' if before else 'no'}; after: {after_text}")
-    out.write_data(json.dumps(map_to_document(result), indent=2) + "\n")
+    out.write_data(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -288,10 +292,11 @@ def cmd_canonical(args) -> int:
         print(f"canonical representative is degenerate: {exc}")
         print(f"raw canonical matrix (lam_c | A_c): {_matrix_text(exc.canonical_matrix)}")
         return EXIT_OK
+    doc = map_to_document(lv)
     out = _Output(args.out)
     out.info(f"class invariant B.M: {_matrix_text(bm)}")
     out.info(f"canonical Lotka-Volterra representative has {lv.n} variables")
-    out.write_data(json.dumps(map_to_document(lv), indent=2) + "\n")
+    out.write_data(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -316,9 +321,9 @@ def cmd_verify(args) -> int:
     chunk = max(1, 2**16 // (qp.n * max(qp.n, qp.m)))
     max_resid = max_det = 0.0
     for start in range(0, args.samples, chunk):
-        x = random_state(rng, (min(chunk, args.samples - start), qp.n))
-        max_resid = max(max_resid, symplectic_residual(qp, x))
-        max_det = max(max_det, float(np.abs(np.linalg.det(jacobian(qp, x)) - 1.0).max()))
+        jac = jacobian(qp, random_state(rng, (min(chunk, args.samples - start), qp.n)))
+        max_resid = max(max_resid, _jacobian_residual(jac))
+        max_det = max(max_det, float(np.abs(np.linalg.det(jac) - 1.0).max()))
     print(f"sampled {args.samples} states log-uniformly in [0.5, 2]^{qp.n} (seed {args.seed})")
     print(f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}")
     print(f"max |det(K) - 1|: {max_det:.3e}")

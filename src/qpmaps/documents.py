@@ -11,12 +11,26 @@ from fractions import Fraction
 
 from .core import QPMap, new_qp_map, strictness_violations
 from .errors import DocumentError, QPError
-from .linalg import rational
+from .linalg import format_rational, rational  # format_rational is re-exported
 from .transform import QMT, new_qmt
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
+def _vector_entries(v, name: str) -> list:
+    """Entries as document text. str() and linalg.rational obey the same
+    int-to-string digit limit, so an entry str() refuses could not be read
+    back; DocumentError names it instead."""
+    out = []
+    for i, e in enumerate(v):
+        try:
+            out.append(str(e))
+        except ValueError:
+            raise DocumentError(f"{name}[{i}]: exact value has too many digits to be"
+                                " read back from a document") from None
+    return out
+
+
+def _matrix_entries(m, name: str) -> list:
+    return [_vector_entries(row, f"{name}[{i}]") for i, row in enumerate(m)]
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -61,13 +75,16 @@ def _parse_matrix(doc: dict, key: str, n_rows: int, n_cols: int) -> tuple:
 
 
 def map_to_document(qp: QPMap) -> dict:
-    """Serialize a map; adds "relaxed": true when it is not in strict form."""
+    """Serialize a map; adds "relaxed": true when it is not in strict form.
+
+    Raises DocumentError naming an entry with too many digits to be read back.
+    """
     doc = {
         "n": qp.n,
         "m": qp.m,
-        "lambda": [format_rational(v) for v in qp.lam],
-        "A": [[format_rational(v) for v in row] for row in qp.A],
-        "B": [[format_rational(v) for v in row] for row in qp.B],
+        "lambda": _vector_entries(qp.lam, "lambda"),
+        "A": _matrix_entries(qp.A, "A"),
+        "B": _matrix_entries(qp.B, "B"),
     }
     zero_cols, zero_rows = strictness_violations(qp)
     if zero_cols or zero_rows:
@@ -93,7 +110,7 @@ def map_from_document(doc) -> QPMap:
 
 
 def qmt_to_document(t: QMT) -> dict:
-    return {"C": [[format_rational(v) for v in row] for row in t.C]}
+    return {"C": _matrix_entries(t.C, "C")}
 
 
 def qmt_from_document(doc) -> QMT:

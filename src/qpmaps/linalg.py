@@ -12,6 +12,7 @@ the dynamic (trajectory) side of the package.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -60,6 +61,21 @@ def rational(value) -> Fraction:
         except ValueError:
             raise ValueError(f"not a rational literal: {value!r}") from None
     raise TypeError(f"expected a rational string or integer, got {type(value).__name__}")
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # beyond the int-to-string digit limit; Decimal converts in binary
+        return str(Decimal(n))
+
+
+def format_rational(value: Fraction) -> str:
+    """Exact text of a rational, "p" or "p/q", as str(Fraction) gives it,
+    however many digits p and q have."""
+    if value.denominator == 1:
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def rvector(entries) -> RVector:
@@ -133,17 +149,19 @@ def zero_column_indices(m: RMatrix) -> tuple[int, ...]:
     return tuple(j for j in range(len(m[0])) if all(row[j] == 0 for row in m))
 
 
-def rank(m: RMatrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination of the cleared rows.
+def pivot_columns(m: RMatrix) -> tuple[int, ...]:
+    """Pivot columns of m, by fraction-free (Bareiss) elimination of the cleared rows.
 
-    Scaling a row by its denominator lcm leaves the rank unchanged. Each
-    step pivots on the first column that is nonzero in some remaining row
-    and drops that column; every entry stays a minor of the cleared matrix,
-    so the division by the previous pivot is exact.
+    Scaling a row by its denominator lcm leaves the pivots unchanged. Each
+    step takes the next column, left to right; if it is nonzero in some
+    remaining row, that row becomes a pivot and the column is eliminated,
+    otherwise it is skipped. Every entry stays a minor of the cleared
+    matrix, so the division by the previous pivot is exact. The pivots
+    found among the first k columns are those of the first k columns alone.
     """
     rows = [_cleared(row)[0] for row in m]
-    r, prev = 0, 1
-    for _ in range(len(m[0])):
+    pivots, prev = [], 1
+    for c in range(len(m[0])):
         pivot = next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
             rows = [row[1:] for row in rows]
@@ -152,10 +170,15 @@ def rank(m: RMatrix) -> int:
         p, tail = top[0], top[1:]
         rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)] for row in rows]
         prev = p
-        r += 1
+        pivots.append(c)
         if not rows:
             break
-    return r
+    return tuple(pivots)
+
+
+def rank(m: RMatrix) -> int:
+    """Exact rank: the number of pivot columns."""
+    return len(pivot_columns(m))
 
 
 def inverse(m: RMatrix) -> RMatrix:

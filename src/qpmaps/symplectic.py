@@ -12,15 +12,18 @@ oracles based on the Jacobian.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .core import QPMap, as_state, jacobian
 from .errors import NotSymplectic, OddDimension
-from .linalg import augment_column, rank
+from .linalg import format_rational as _fmt, pivot_columns, rank
 
 #: Verdicts are exact; this tolerance only applies to the float residual oracles.
 RESIDUAL_TOLERANCE = 1e-9
+#: Witnesses kept per condition; ConditionVerdict.count is the exact total.
+WITNESS_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class ConditionVerdict:
+    """One condition's outcome: ``count`` violations in all, of which
+    ``witnesses`` holds the first WITNESS_LIMIT in enumeration order."""
+
     applicable: bool
+    count: int = 0
     witnesses: tuple[Witness, ...] = ()
 
     @property
     def holds(self) -> bool:
-        return self.applicable and not self.witnesses
+        return self.applicable and self.count == 0
 
 
 _NOT_APPLICABLE = ConditionVerdict(applicable=False)
@@ -113,6 +120,12 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
           A[i][p]*B[p][s+j] = 0             for all i != j <= s and all p,
       (d) A[i][p]*(B[p][i] - B[p][s+i]) = 0 for all i <= s and all p.
     Odd n is a definite "not symplectic" verdict, not an error.
+
+    Each verdict carries the exact number of violations and the first
+    WITNESS_LIMIT witnesses, enumerated by i, then j, then p. A product of
+    nonzero rationals is nonzero, so (c) and (d) are decided on the
+    supports of A's rows: (c) counts, for each nonzero A[i][p], the nonzero
+    entries of row p of B outside the columns i and s+i.
     """
     n, m = qp.n, qp.m
     if n % 2:
@@ -128,59 +141,53 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
         )
     s = n // 2
     lam, a, b = qp.lam, qp.A, qp.B
+    support = [[p for p in range(m) if a[i][p]] for i in range(s)]
 
-    wit_a = []
-    for i in range(s):
-        for j in range(m):
-            v = a[i][j] + a[s + i][j]
-            if v:
-                wit_a.append(Witness(
-                    (("i", i + 1), ("j", j + 1)), v,
-                    f"A[{i + 1},{j + 1}] + A[{s + i + 1},{j + 1}] = {a[i][j]} + {a[s + i][j]} = {v}",
-                ))
+    sums = [(i, j, v) for i in range(s) for j in range(m) if (v := a[i][j] + a[s + i][j])]
+    cond_a = ConditionVerdict(True, len(sums), tuple(
+        Witness((("i", i + 1), ("j", j + 1)), v,
+                f"A[{i + 1},{j + 1}] + A[{s + i + 1},{j + 1}]"
+                f" = {_fmt(a[i][j])} + {_fmt(a[s + i][j])} = {_fmt(v)}")
+        for i, j, v in sums[:WITNESS_LIMIT]))
 
-    wit_b = []
-    for i in range(s):
-        v = lam[i] + lam[s + i]
-        if v:
-            wit_b.append(Witness(
-                (("i", i + 1),), v,
-                f"lambda[{i + 1}] + lambda[{s + i + 1}] = {lam[i]} + {lam[s + i]} = {v}",
-            ))
+    cond_b = _lambda_sums(lam, s)
 
-    wit_c = []
-    for i in range(s):
-        for j in range(s):
-            if i == j:
-                continue
-            for p in range(m):
-                if not a[i][p]:
+    nonzero_b = [sum(map(bool, row)) for row in b]
+    count_c = sum(nonzero_b[p] - bool(b[p][i]) - bool(b[p][s + i])
+                  for i in range(s) for p in support[i])
+
+    def cross_products():
+        for i in range(s):
+            for j in range(s):
+                if i == j:
                     continue
-                v1 = a[i][p] * b[p][j]
-                if v1:
-                    wit_c.append(Witness(
-                        (("i", i + 1), ("j", j + 1), ("p", p + 1)), v1,
-                        f"A[{i + 1},{p + 1}]*B[{p + 1},{j + 1}] = {a[i][p]}*{b[p][j]} = {v1}",
-                    ))
-                v2 = a[i][p] * b[p][s + j]
-                if v2:
-                    wit_c.append(Witness(
-                        (("i", i + 1), ("j", j + 1), ("p", p + 1)), v2,
-                        f"A[{i + 1},{p + 1}]*B[{p + 1},{s + j + 1}] = {a[i][p]}*{b[p][s + j]} = {v2}",
-                    ))
+                for p in support[i]:
+                    for col in (j, s + j):
+                        if b[p][col]:
+                            v = a[i][p] * b[p][col]
+                            yield Witness(
+                                (("i", i + 1), ("j", j + 1), ("p", p + 1)), v,
+                                f"A[{i + 1},{p + 1}]*B[{p + 1},{col + 1}]"
+                                f" = {_fmt(a[i][p])}*{_fmt(b[p][col])} = {_fmt(v)}",
+                            )
 
-    wit_d = []
-    for i in range(s):
-        for p in range(m):
+    cond_c = ConditionVerdict(True, count_c,
+                              tuple(islice(cross_products(), min(count_c, WITNESS_LIMIT))))
+
+    unequal = [(i, p) for i in range(s) for p in support[i] if b[p][i] != b[p][s + i]]
+
+    def pair_differences():
+        for i, p in unequal[:WITNESS_LIMIT]:
             v = a[i][p] * (b[p][i] - b[p][s + i])
-            if v:
-                wit_d.append(Witness(
-                    (("i", i + 1), ("p", p + 1)), v,
-                    f"A[{i + 1},{p + 1}]*(B[{p + 1},{i + 1}] - B[{p + 1},{s + i + 1}])"
-                    f" = {a[i][p]}*({b[p][i]} - {b[p][s + i]}) = {v}",
-                ))
+            yield Witness(
+                (("i", i + 1), ("p", p + 1)), v,
+                f"A[{i + 1},{p + 1}]*(B[{p + 1},{i + 1}] - B[{p + 1},{s + i + 1}])"
+                f" = {_fmt(a[i][p])}*({_fmt(b[p][i])} - {_fmt(b[p][s + i])}) = {_fmt(v)}",
+            )
 
-    ok = not (wit_a or wit_b or wit_c or wit_d)
+    cond_d = ConditionVerdict(True, len(unequal), tuple(pair_differences()))
+
+    ok = not (cond_a.count or cond_b.count or cond_c.count or cond_d.count)
     pairing = None
     if ok:
         assignments: list[int | None] = []
@@ -193,12 +200,26 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
     return SymplecticReport(
         is_symplectic=ok,
         s=s,
-        cond_a=ConditionVerdict(True, tuple(wit_a)),
-        cond_b=ConditionVerdict(True, tuple(wit_b)),
-        cond_c=ConditionVerdict(True, tuple(wit_c)),
-        cond_d=ConditionVerdict(True, tuple(wit_d)),
+        cond_a=cond_a,
+        cond_b=cond_b,
+        cond_c=cond_c,
+        cond_d=cond_d,
         pairing=pairing,
     )
+
+
+def _lambda_sums(lam, s: int) -> ConditionVerdict:
+    """Condition (b), lam[i] + lam[s+i] = 0, shared by both classifiers."""
+    return _verdict([
+        Witness((("i", i + 1),), v,
+                f"lambda[{i + 1}] + lambda[{s + i + 1}]"
+                f" = {_fmt(lam[i])} + {_fmt(lam[s + i])} = {_fmt(v)}")
+        for i in range(s) if (v := lam[i] + lam[s + i])
+    ])
+
+
+def _verdict(witnesses: list[Witness]) -> ConditionVerdict:
+    return ConditionVerdict(True, len(witnesses), tuple(witnesses[:WITNESS_LIMIT]))
 
 
 def check_pattern(qp: QPMap) -> SymplecticReport:
@@ -210,7 +231,8 @@ def check_pattern(qp: QPMap) -> SymplecticReport:
     entries at rows (i_p, s+i_p) that sum to zero; and every lam pair sums
     to zero. Findings are reported in the same four verdict slots as
     :func:`check_conditions`: A-column pattern under (a), lam sums under
-    (b), B-row support under (c), B pair equality under (d).
+    (b), B-row support under (c), B pair equality under (d). Each slot
+    counts every finding and keeps the first WITNESS_LIMIT.
 
     Raises OddDimension for odd n, where no pairing construction exists.
     """
@@ -232,7 +254,7 @@ def check_pattern(qp: QPMap) -> SymplecticReport:
                 wit_d.append(Witness(
                     (("p", p + 1), ("i", ip + 1)), diff,
                     f"B[{p + 1},{ip + 1}] - B[{p + 1},{s + ip + 1}]"
-                    f" = {b[p][ip]} - {b[p][s + ip]} = {diff}",
+                    f" = {_fmt(b[p][ip])} - {_fmt(b[p][s + ip])} = {_fmt(diff)}",
                 ))
         else:
             pretty = [j + 1 for j in support]
@@ -262,27 +284,19 @@ def check_pattern(qp: QPMap) -> SymplecticReport:
                 wit_a.append(Witness(
                     (("i", ia + 1), ("p", p + 1)), total,
                     f"A[{ia + 1},{p + 1}] + A[{s + ia + 1},{p + 1}]"
-                    f" = {a[ia][p]} + {a[s + ia][p]} = {total}",
+                    f" = {_fmt(a[ia][p])} + {_fmt(a[s + ia][p])} = {_fmt(total)}",
                 ))
         pairing.append(ip + 1 if ip is not None else None)
 
-    wit_b = []
-    for i in range(s):
-        v = lam[i] + lam[s + i]
-        if v:
-            wit_b.append(Witness(
-                (("i", i + 1),), v,
-                f"lambda[{i + 1}] + lambda[{s + i + 1}] = {lam[i]} + {lam[s + i]} = {v}",
-            ))
-
-    ok = not (wit_a or wit_b or wit_c or wit_d)
+    cond_b = _lambda_sums(lam, s)
+    ok = not (wit_a or cond_b.count or wit_c or wit_d)
     return SymplecticReport(
         is_symplectic=ok,
         s=s,
-        cond_a=ConditionVerdict(True, tuple(wit_a)),
-        cond_b=ConditionVerdict(True, tuple(wit_b)),
-        cond_c=ConditionVerdict(True, tuple(wit_c)),
-        cond_d=ConditionVerdict(True, tuple(wit_d)),
+        cond_a=_verdict(wit_a),
+        cond_b=cond_b,
+        cond_c=_verdict(wit_c),
+        cond_d=_verdict(wit_d),
         pairing=tuple(pairing) if ok else None,
     )
 
@@ -299,8 +313,12 @@ def symplectic_residual(qp: QPMap, x) -> float:
     at x); for a stack of states, the max over its rows."""
     if qp.n % 2:
         raise OddDimension(f"symplectic residual requires even dimension, got n={qp.n}")
-    L = jacobian(qp, x)
-    S = skew_matrix(qp.n // 2)
+    return _jacobian_residual(jacobian(qp, x))
+
+
+def _jacobian_residual(L: np.ndarray) -> float:
+    """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them."""
+    S = skew_matrix(L.shape[-1] // 2)
     return float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
 
 
@@ -321,10 +339,16 @@ def symplectic_product_block(qp: QPMap, x) -> np.ndarray:
 
 
 def rank_bounds(qp: QPMap) -> RankReport:
-    """Exact ranks of B, A, M=(lam|A) and the rank <= s necessary condition."""
+    """Exact ranks of B, A, M=(lam|A) and the rank <= s necessary condition.
+
+    One elimination of (A | lam), lam last, gives both rank(A) (the pivots
+    among A's m columns) and rank(M) (all pivots): column order does not
+    change a rank.
+    """
     rank_b = rank(qp.B)
-    rank_a = rank(qp.A)
-    rank_m = rank(augment_column(qp.lam, qp.A))
+    pivots = pivot_columns(tuple(row + (v,) for row, v in zip(qp.A, qp.lam)))
+    rank_a = sum(c < qp.m for c in pivots)
+    rank_m = len(pivots)
     if qp.n % 2 == 0:
         s = qp.n // 2
         bound = rank_b <= s and rank_m <= s

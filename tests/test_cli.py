@@ -44,6 +44,16 @@ def huge_lambda_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def huge_bm_file(tmp_path):
+    """Entries within the exponent bound whose B.M has 6,000 digits, more than
+    str(int) converts by default."""
+    path = tmp_path / "huge_bm.qpmap.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "lambda": ["1e3000", "-1e3000"],
+                                "A": [["2"], ["-2"]], "B": [["1e3000", "1"]]}))
+    return str(path)
+
+
 def assert_one_line_exit_2(code, capsys, start):
     assert code == 2
     captured = capsys.readouterr()
@@ -115,8 +125,8 @@ class TestCheck:
         save_map(qp, path)
         assert main(["check", str(path)]) == 1
         out = capsys.readouterr().out
-        expected = [f"    ... and {len(cond.witnesses) - 5} more"
-                    for _, cond in check_conditions(qp).conditions() if len(cond.witnesses) > 5]
+        expected = [f"    ... and {cond.count - 5} more"
+                    for _, cond in check_conditions(qp).conditions() if cond.count > 5]
         assert expected  # the map has a condition with more than five witnesses
         assert [line for line in out.splitlines() if line.startswith("    ... and")] == expected
 
@@ -127,6 +137,29 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         code = main(["check", str(path)])
         assert_one_line_exit_2(code, capsys, f"{path}: A[0][0]: exponent of '1e1000000' exceeds")
+
+    def test_more_than_4300_digits_in_b_m(self, huge_bm_file, capsys):
+        assert main(["check", huge_bm_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # B.M = [[10**6000 - 10**3000, 2*10**3000 - 2]]
+        bm = f"[[{'9' * 3000}{'0' * 3000}, 1{'9' * 2999}8]]"
+        assert f"  class invariant B.M: {bm} (nonzero)\n" in captured.out
+        assert (f"    (i=1, p=1): A[1,1]*(B[1,1] - B[1,2]) = 2*(1{'0' * 3000} - 1)"
+                f" = 1{'9' * 2999}8 != 0\n") in captured.out
+
+    def test_more_than_4300_digits_in_a_witness(self, tmp_path, capsys):
+        doc = map_to_document(dim2_map())
+        doc["A"][0][0] = "1e4300"
+        path = tmp_path / "huge_a.qpmap.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # A[1,1] + A[2,1] = 10**4300 - 2
+        assert (f"    (i=1, j=1): A[1,1] + A[2,1] = 1{'0' * 4300} + -2 = {'9' * 4299}8 != 0\n"
+                in captured.out)
+        assert f"  class invariant B.M: [[0, {'9' * 4299}8]] (nonzero)\n" in captured.out
 
     def test_classifier_disagreement_exit_3(self, dim2_file, capsys, monkeypatch):
         # Unreachable for correct classifiers; forced here to pin the exit code.
@@ -402,6 +435,11 @@ class TestCanonical:
         assert doc["B"] == [["1", "0"], ["0", "1"]]
         assert doc["lambda"] == ["1", "0"]
 
+    def test_entry_too_long_to_read_back_exit_2(self, huge_bm_file, capsys):
+        # lambda_c = (B.M)[0][0] has 6,000 digits: no document could be read back
+        code = main(["canonical", huge_bm_file])
+        assert_one_line_exit_2(code, capsys, "lambda[0]: exact value has too many digits")
+
     def test_degenerate_reported_not_fatal(self, tmp_path, capsys):
         # B.M = [[2, 0, 0], [2, 0, 0]]: nonzero, but B.A is the zero matrix,
         # so the canonical form leaves the strict QP class.
@@ -501,4 +539,4 @@ class TestVerify:
         assert main(["verify", str(path), "--samples", str(samples)]) == 0
         capsys.readouterr()
         assert max(sizes) <= 2**16 // qp.n**2
-        assert sum(sizes) == 2 * samples  # residual and determinant each see every sample
+        assert sum(sizes) == samples  # residual and determinant share each chunk's Jacobians

@@ -130,6 +130,11 @@ class TestMapDocuments:
         with pytest.raises(DocumentError, match="broken.qpmap.json"):
             load_map(path)
 
+    def test_entry_too_long_to_read_back_is_named(self):
+        qp = QPMap((1, 10**5000), ((1,), (1,)), ((1, 1),))
+        with pytest.raises(DocumentError, match=r"^lambda\[1\]: exact value has too many digits"):
+            map_to_document(qp)
+
 
 class TestQMTDocuments:
     def test_round_trip(self, tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qpmaps import QPMap, rank_bounds
 from qpmaps.errors import DimensionMismatch, SingularMatrix
 from qpmaps.linalg import (
     augment_column,
@@ -12,6 +13,7 @@ from qpmaps.linalg import (
     is_zero,
     mat_mul,
     mat_vec,
+    pivot_columns,
     rank,
     rational,
     rmatrix,
@@ -201,6 +203,37 @@ def test_mat_vec_equals_fraction_loop(data, m):
 @given(m=st.one_of(any_matrices, square_matrices()))
 def test_rank_equals_gauss_elimination(m):
     assert rank(m) == rank_oracle(m)
+
+
+@given(m=any_matrices)
+def test_pivot_columns_are_where_the_prefix_rank_grows(m):
+    cols = list(zip(*m))
+
+    def prefix_rank(k):
+        return rank_oracle(tuple(zip(*cols[:k]))) if k else 0
+
+    expected = tuple(c for c in range(len(cols)) if prefix_rank(c + 1) > prefix_rank(c))
+    assert pivot_columns(m) == expected
+    assert rank(m) == len(expected)
+
+
+@given(data=st.data(), a=any_matrices, inside=st.booleans())
+def test_rank_bounds_equals_gauss_elimination(data, a, inside):
+    """rank_bounds eliminates (A | lam) once; lam is drawn inside the column
+    space of A (lam = A.v) or freely, which for a rank-deficient A is
+    usually outside it."""
+    n, m = len(a), len(a[0])
+    if inside:
+        lam = mat_vec(a, data.draw(st.lists(small_rationals, min_size=m, max_size=m)))
+    else:
+        lam = data.draw(st.lists(zero_heavy, min_size=n, max_size=n))
+    b = data.draw(rational_matrices(m, n))
+    rep = rank_bounds(QPMap(lam, a, b))
+    assert rep.rank_A == rank_oracle(a)
+    assert rep.rank_M == rank_oracle(augment_column(lam, a))
+    assert rep.rank_B == rank_oracle(b)
+    if inside:
+        assert rep.rank_M == rep.rank_A
 
 
 @given(m=square_matrices())

@@ -1,11 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpmaps import (
     NotSymplectic,
     OddDimension,
+    QPMap,
     check_conditions,
     check_pattern,
     conserved_products,
@@ -22,9 +25,11 @@ from qpmaps.sampling import (
     random_classification_map,
     random_state,
     random_symplectic_map,
+    random_valid_map,
 )
+from qpmaps.symplectic import WITNESS_LIMIT
 
-from helpers import dim2_map, dim2_variant, dim4_map, trivial_lv_map
+from helpers import check_conditions_oracle, dim2_map, dim2_variant, dim4_map, trivial_lv_map
 
 
 def violation_state_on_grid(qp, points_per_axis=5, lo=0.5, hi=2.0, tol=1e-6):
@@ -89,6 +94,78 @@ class TestCheckConditions:
         assert not rep.cond_c.holds
 
 
+rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def classification_maps(draw):
+    """Generic (zero-heavy or dense), symplectic, one-entry-perturbed, relaxed
+    (a symplectic map with one inert, all-zero A column) and odd-n maps with
+    rational entries."""
+    kind = draw(st.sampled_from(("generic", "symplectic", "perturbed", "relaxed", "odd")))
+    n = draw(st.sampled_from((1, 3, 5) if kind == "odd" else (2, 4, 6, 8)))
+    m = draw(st.integers(1, 7))
+
+    def vectors(size, entries):
+        return st.lists(entries, min_size=size, max_size=size)
+
+    if kind in ("generic", "odd"):
+        entries = draw(st.sampled_from((rationals, nonzero_rationals)))
+        return QPMap(draw(vectors(n, entries)), draw(vectors(n, vectors(m, entries))),
+                     draw(vectors(m, vectors(n, entries))))
+    s, zero = n // 2, Fraction(0)
+    pair = draw(vectors(m, st.integers(0, s - 1)))
+    a_val, b_val = draw(vectors(m, nonzero_rationals)), draw(vectors(m, nonzero_rationals))
+    lam_half = draw(vectors(s, rationals))
+    lam = lam_half + [-v for v in lam_half]
+    a = [[zero] * m for _ in range(n)]
+    b = [[zero] * n for _ in range(m)]
+    for p, ip in enumerate(pair):
+        a[ip][p], a[s + ip][p] = a_val[p], -a_val[p]
+        b[p][ip] = b[p][s + ip] = b_val[p]
+    if kind == "perturbed":
+        target = draw(st.sampled_from(("lam", "A", "B")))
+        value = draw(rationals)
+        if target == "lam":
+            lam[draw(st.integers(0, n - 1))] = value
+        elif target == "A":
+            a[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = value
+        else:
+            b[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = value
+    elif kind == "relaxed":
+        inert = draw(st.integers(0, m - 1))
+        for row in a:
+            row[inert] = zero
+    return QPMap(lam, a, b)
+
+
+def assert_matches_oracle(qp):
+    got, full = check_conditions(qp), check_conditions_oracle(qp)
+    assert (got.is_symplectic, got.s, got.pairing, got.reason) == (
+        full.is_symplectic, full.s, full.pairing, full.reason)
+    for (label, cond), (_, every) in zip(got.conditions(), full.conditions()):
+        assert cond.applicable == every.applicable, label
+        assert cond.count == len(every.witnesses), label
+        assert cond.witnesses == every.witnesses[:WITNESS_LIMIT], label
+        assert cond.holds == every.holds, label
+
+
+class TestCheckConditionsAgainstEnumeration:
+    """check_conditions counts violations from supports; the oracle enumerates
+    every witness (tests/helpers.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(qp=classification_maps())
+    def test_counts_and_first_witnesses(self, qp):
+        assert_matches_oracle(qp)
+
+    def test_generic_40(self):
+        qp = random_valid_map(np.random.default_rng(40), 40, 40)
+        assert_matches_oracle(qp)
+        assert all(cond.count > WITNESS_LIMIT for _, cond in check_conditions(qp).conditions())
+
+
 class TestCheckPattern:
     def test_dim2_and_dim4(self):
         assert check_pattern(dim2_map()).is_symplectic
@@ -111,6 +188,17 @@ class TestCheckPattern:
         assert not rep.is_symplectic
         assert not rep.cond_c.holds
         assert rep.cond_c.witnesses[0].where == (("p", 1),)
+
+    def test_counts_every_finding_and_keeps_the_first(self):
+        qp = random_valid_map(np.random.default_rng(12), 8, 12)
+        rep = check_pattern(qp)
+        s = qp.n // 2
+        bad_rows = [p for p in range(qp.m)
+                    if [j for j in range(qp.n) if qp.B[p][j]] not in
+                    ([i, s + i] for i in range(s))]
+        assert rep.cond_c.count == len(bad_rows) > WITNESS_LIMIT
+        assert [w.where for w in rep.cond_c.witnesses] == [
+            (("p", p + 1),) for p in bad_rows[:WITNESS_LIMIT]]
 
     def test_mismatched_pair_between_a_and_b(self):
         # B row couples pair 1, A column couples pair 2

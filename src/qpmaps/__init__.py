@@ -49,6 +49,7 @@ from .symplectic import (
     check_conditions,
     check_pattern,
     conserved_products,
+    jacobian_residual,
     rank_bounds,
     skew_matrix,
     symplectic_product_block,
@@ -77,7 +78,7 @@ __all__ = [
     "eval_solution", "solve_closed_form", "verify_solution",
     "ConditionVerdict", "ConservedProduct", "RankReport", "SymplecticReport",
     "Witness", "check_conditions", "check_pattern", "conserved_products",
-    "rank_bounds", "skew_matrix", "symplectic_product_block", "symplectic_residual",
+    "jacobian_residual", "rank_bounds", "skew_matrix", "symplectic_product_block", "symplectic_residual",
     "QMT", "apply_qmt", "class_invariant", "lv_canonical", "new_qmt",
     "pull_state", "push_state", "solver_qmt",
     "__version__",

@@ -35,9 +35,9 @@ from .sampling import random_state
 from .solve import classify_asymptotics, eval_solution, solve_closed_form, verify_solution
 from .symplectic import (
     WITNESS_LIMIT,
-    _jacobian_residual,
     check_conditions,
     check_pattern,
+    jacobian_residual,
     rank_bounds,
 )
 from .transform import apply_qmt, class_invariant, lv_canonical, new_qmt, solver_qmt
@@ -322,7 +322,7 @@ def cmd_verify(args) -> int:
     max_resid = max_det = 0.0
     for start in range(0, args.samples, chunk):
         jac = jacobian(qp, random_state(rng, (min(chunk, args.samples - start), qp.n)))
-        max_resid = max(max_resid, _jacobian_residual(jac))
+        max_resid = max(max_resid, jacobian_residual(jac))
         max_det = max(max_det, float(np.abs(np.linalg.det(jac) - 1.0).max()))
     print(f"sampled {args.samples} states log-uniformly in [0.5, 2]^{qp.n} (seed {args.seed})")
     print(f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}")

@@ -63,19 +63,16 @@ def rational(value) -> Fraction:
     raise TypeError(f"expected a rational string or integer, got {type(value).__name__}")
 
 
-def _digits(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:  # beyond the int-to-string digit limit; Decimal converts in binary
-        return str(Decimal(n))
-
-
 def format_rational(value: Fraction) -> str:
     """Exact text of a rational, "p" or "p/q", as str(Fraction) gives it,
-    however many digits p and q have."""
+    however many digits p and q have.
+
+    Decimal converts an int exactly and is not bound by the 4300-digit
+    limit of str(int).
+    """
     if value.denominator == 1:
-        return _digits(value.numerator)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def rvector(entries) -> RVector:

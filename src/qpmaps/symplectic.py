@@ -176,16 +176,12 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
 
     unequal = [(i, p) for i in range(s) for p in support[i] if b[p][i] != b[p][s + i]]
 
-    def pair_differences():
-        for i, p in unequal[:WITNESS_LIMIT]:
-            v = a[i][p] * (b[p][i] - b[p][s + i])
-            yield Witness(
-                (("i", i + 1), ("p", p + 1)), v,
+    cond_d = ConditionVerdict(True, len(unequal), tuple(
+        Witness((("i", i + 1), ("p", p + 1)), v,
                 f"A[{i + 1},{p + 1}]*(B[{p + 1},{i + 1}] - B[{p + 1},{s + i + 1}])"
-                f" = {_fmt(a[i][p])}*({_fmt(b[p][i])} - {_fmt(b[p][s + i])}) = {_fmt(v)}",
-            )
-
-    cond_d = ConditionVerdict(True, len(unequal), tuple(pair_differences()))
+                f" = {_fmt(a[i][p])}*({_fmt(b[p][i])} - {_fmt(b[p][s + i])}) = {_fmt(v)}")
+        for i, p in unequal[:WITNESS_LIMIT]
+        for v in (a[i][p] * (b[p][i] - b[p][s + i]),)))
 
     ok = not (cond_a.count or cond_b.count or cond_c.count or cond_d.count)
     pairing = None
@@ -313,10 +309,10 @@ def symplectic_residual(qp: QPMap, x) -> float:
     at x); for a stack of states, the max over its rows."""
     if qp.n % 2:
         raise OddDimension(f"symplectic residual requires even dimension, got n={qp.n}")
-    return _jacobian_residual(jacobian(qp, x))
+    return jacobian_residual(jacobian(qp, x))
 
 
-def _jacobian_residual(L: np.ndarray) -> float:
+def jacobian_residual(L: np.ndarray) -> float:
     """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them."""
     S = skew_matrix(L.shape[-1] // 2)
     return float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))

@@ -49,7 +49,7 @@ def main():
         worst["closed_form"] = max(worst["closed_form"],
                                    verify_solution(qp, sol, args.steps))
 
-        arr = iterate(qp, x0, args.steps).as_array()
+        arr = iterate(qp, x0, args.steps)
         s = n // 2
         products = arr[:, :s] * arr[:, s:]
         worst["pair_drift"] = max(worst["pair_drift"],

@@ -9,7 +9,6 @@ command-line front end.
 
 from .core import (
     QPMap,
-    Trajectory,
     as_state,
     iterate,
     jacobian,
@@ -69,7 +68,7 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QPMap", "Trajectory", "as_state", "iterate", "jacobian", "new_qp_map",
+    "QPMap", "as_state", "iterate", "jacobian", "new_qp_map",
     "phi", "quasimonomials", "step", "strictness_violations",
     "DegenerateResult", "DimensionMismatch", "DocumentError", "NonPositiveState",
     "NotSymplectic", "NumericOverflow", "OddDimension", "QPError",

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .core import iterate, jacobian, strictness_violations
+from .core import as_state, iterate, jacobian, strictness_violations
 from .documents import (
     load_map,
     load_qmt,
@@ -30,7 +30,7 @@ from .errors import (
     NumericOverflow,
     QPError,
 )
-from .linalg import diagonal, format_rational, is_zero
+from .linalg import augment_column, diagonal, format_rational, is_zero
 from .sampling import random_state
 from .solve import classify_asymptotics, eval_solution, solve_closed_form, verify_solution
 from .symplectic import (
@@ -76,7 +76,8 @@ class _Output:
                 fh.write(text)
 
 
-def _parse_x0(text: str, n: int) -> list[float]:
+def _parse_x0(text: str, n: int) -> np.ndarray:
+    """The --x0 state, checked before any verdict so a bad state is an input error."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise DocumentError(f"--x0 must have {n} comma-separated components, got {len(parts)}")
@@ -86,7 +87,7 @@ def _parse_x0(text: str, n: int) -> list[float]:
             values.append(float(parse_rational(p, f"--x0[{i}]")))
         except OverflowError:
             raise DocumentError(f"--x0[{i}]: {p!r} is outside the double range") from None
-    return values
+    return as_state(values, n)
 
 
 def _matrix_text(m) -> str:
@@ -234,10 +235,9 @@ def cmd_iterate(args) -> int:
         if exc.partial is None:  # a map entry outside the double range
             raise
         traj = exc.partial
-        last_valid = traj.t0 + len(traj) - 1
         _err(f"warning: overflow at t={exc.time_index}; truncating"
-             f" (last valid t={last_valid})")
-    out.write_data(trajectory_csv(traj.times, traj.states))
+             f" (last valid t={len(traj) - 1})")
+    out.write_data(trajectory_csv(range(len(traj)), traj))
     return EXIT_OK
 
 
@@ -280,18 +280,19 @@ def cmd_transform(args) -> int:
 
 def cmd_canonical(args) -> int:
     qp = load_map(args.map_file)
-    bm = class_invariant(qp)
-    if is_zero(bm):
-        print(f"class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)")
-        print("canonical representative is trivial (identity map); no document written")
-        return EXIT_OK
     try:
         lv = lv_canonical(qp)
     except DegenerateResult as exc:
+        bm = exc.canonical_matrix  # B.M; degenerate whenever it is zero
+        if is_zero(bm):
+            print(f"class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)")
+            print("canonical representative is trivial (identity map); no document written")
+            return EXIT_OK
         print(f"class invariant B.M: {_matrix_text(bm)}")
         print(f"canonical representative is degenerate: {exc}")
-        print(f"raw canonical matrix (lam_c | A_c): {_matrix_text(exc.canonical_matrix)}")
+        print(f"raw canonical matrix (lam_c | A_c): {_matrix_text(bm)}")
         return EXIT_OK
+    bm = augment_column(lv.lam, lv.A)
     doc = map_to_document(lv)
     out = _Output(args.out)
     out.info(f"class invariant B.M: {_matrix_text(bm)}")
@@ -322,8 +323,16 @@ def cmd_verify(args) -> int:
     max_resid = max_det = 0.0
     for start in range(0, args.samples, chunk):
         jac = jacobian(qp, random_state(rng, (min(chunk, args.samples - start), qp.n)))
-        max_resid = max(max_resid, jacobian_residual(jac))
-        max_det = max(max_det, float(np.abs(np.linalg.det(jac) - 1.0).max()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = jacobian_residual(jac)
+            det = float(np.abs(np.linalg.det(jac) - 1.0).max())
+        # max() would drop a NaN and report a pass, so a non-finite chunk stops here
+        if not (np.isfinite(resid) and np.isfinite(det)):
+            raise NumericOverflow(f"samples {start + 1}-{start + len(jac)}: a Jacobian, its"
+                                  " residual or its determinant leaves the double range;"
+                                  " no numeric check is possible")
+        max_resid = max(max_resid, resid)
+        max_det = max(max_det, det)
     print(f"sampled {args.samples} states log-uniformly in [0.5, 2]^{qp.n} (seed {args.seed})")
     print(f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}")
     print(f"max |det(K) - 1|: {max_det:.3e}")

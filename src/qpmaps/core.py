@@ -38,10 +38,10 @@ from .linalg import (
 class QPMap:
     """A QP map (lam, A, B) with n state variables and m quasimonomials.
 
-    Constructing the dataclass directly performs dimension checks only
-    ("relaxed" form, which tolerates zero columns of A / zero rows of B and
-    is needed internally by the solver pipeline). Use :func:`new_qp_map`
-    for the strict public form.
+    Constructing the dataclass directly performs dimension checks only:
+    this "relaxed" form tolerates zero columns of A and zero rows of B,
+    which QMT results, canonical representatives and documents marked
+    "relaxed" may carry. Use :func:`new_qp_map` for the strict form.
     """
 
     lam: RVector
@@ -125,49 +125,31 @@ def as_state(x, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """States x(t0), x(t0+1), ... produced by forward iteration."""
-
-    t0: int
-    states: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, k):
-        return self.states[k]
-
-    def __iter__(self):
-        return iter(self.states)
-
-    @property
-    def times(self) -> range:
-        return range(self.t0, self.t0 + len(self.states))
-
-    def as_array(self) -> np.ndarray:
-        return np.stack(self.states)
-
-
 def rowwise_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ v for v = x or for each row v of a stack x, each row on its own,
     so a state in a stack gives bit for bit what it gives alone."""
     return (m @ x[..., None])[..., 0]
 
 
+def monomials(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(m @ ln x), row by row: the quasimonomials x**B of a map and the
+    change of variables y**C of a QMT alike. x must be an already checked
+    state or stack (see :func:`as_state`); overflow gives inf, underflow 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(rowwise_matvec(m, np.log(x)))
+
+
 def quasimonomials(qp: QPMap, x) -> np.ndarray:
     """The m quasimonomial values q_j = prod_k x_k**B[j][k], evaluated as
     exp(B @ ln x); one row of values per row of a stack of states."""
-    x = as_state(x, qp.n)
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp(rowwise_matvec(qp.B_f, np.log(x)))
+    return monomials(qp.B_f, as_state(x, qp.n))
 
 
 def phi(qp: QPMap, x) -> np.ndarray:
     """Per-coordinate log-increment of one step: phi_i = lam_i + (A @ q(x))_i."""
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return qp.lam_f + rowwise_matvec(qp.A_f, np.exp(rowwise_matvec(qp.B_f, np.log(x))))
+        return qp.lam_f + rowwise_matvec(qp.A_f, monomials(qp.B_f, x))
 
 
 def step(qp: QPMap, x) -> np.ndarray:
@@ -175,8 +157,7 @@ def step(qp: QPMap, x) -> np.ndarray:
     NumericOverflow if a result leaves the strictly-positive finite double range."""
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        q = np.exp(rowwise_matvec(qp.B_f, np.log(x)))
-        out = x * np.exp(qp.lam_f + rowwise_matvec(qp.A_f, q))
+        out = x * np.exp(qp.lam_f + rowwise_matvec(qp.A_f, monomials(qp.B_f, x)))
     if first_nonpositive_row(out) is not None:
         raise NumericOverflow(
             "step left the representable positive range (exponent overflow or underflow)"
@@ -184,12 +165,14 @@ def step(qp: QPMap, x) -> np.ndarray:
     return out
 
 
-def iterate(qp: QPMap, x0, steps: int, t0: int = 0) -> Trajectory:
-    """Forward trajectory of steps+1 states (or stacks) starting at x0.
+def iterate(qp: QPMap, x0, steps: int) -> np.ndarray:
+    """Forward trajectory x(0), ..., x(steps) from x0 as one array: shape
+    (steps+1, n), or (steps+1, k, n) for a stack of k states.
 
     On overflow the raised NumericOverflow carries the failing time index
-    and the partial trajectory computed so far. A map entry outside the
-    double range raises NumericOverflow naming it, before any step.
+    and, as ``partial``, the array of states computed before it. A map
+    entry outside the double range raises NumericOverflow naming it,
+    before any step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -197,19 +180,16 @@ def iterate(qp: QPMap, x0, steps: int, t0: int = 0) -> Trajectory:
     # Convert the map up front: an entry outside the double range is an
     # input error (NumericOverflow naming it), not an overflow at step 1.
     qp.lam_f, qp.A_f, qp.B_f
+    # steps may come from the command line, so no allocation is sized by it.
     states = [x]
-    for k in range(steps):
+    for t in range(1, steps + 1):
         try:
             x = step(qp, x)
         except NumericOverflow as exc:
-            partial = Trajectory(t0, tuple(states))
-            raise NumericOverflow(
-                f"overflow at time index {t0 + k + 1}",
-                time_index=t0 + k + 1,
-                partial=partial,
-            ) from exc
+            raise NumericOverflow(f"overflow at time index {t}", time_index=t,
+                                  partial=np.stack(states)) from exc
         states.append(x)
-    return Trajectory(t0, tuple(states))
+    return np.stack(states)
 
 
 def jacobian(qp: QPMap, x) -> np.ndarray:
@@ -220,7 +200,7 @@ def jacobian(qp: QPMap, x) -> np.ndarray:
     """
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        q = np.exp(rowwise_matvec(qp.B_f, np.log(x)))
+        q = monomials(qp.B_f, x)
         ph = qp.lam_f + rowwise_matvec(qp.A_f, q)
         d = qp.A_f @ (q[..., :, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
         return (np.eye(qp.n) + (x[..., :, None] / x[..., None, :]) * d) * np.exp(ph)[..., :, None]

@@ -102,7 +102,9 @@ def map_from_document(doc) -> QPMap:
     lam = _parse_vector(doc, "lambda", n)
     a = _parse_matrix(doc, "A", n, m)
     b = _parse_matrix(doc, "B", m, n)
-    relaxed = bool(doc.get("relaxed", False))
+    relaxed = doc.get("relaxed", False)
+    if not isinstance(relaxed, bool):
+        raise DocumentError(f"relaxed: expected true or false, got {relaxed!r}")
     try:
         return QPMap(lam, a, b) if relaxed else new_qp_map(lam, a, b)
     except QPError as exc:
@@ -128,11 +130,14 @@ def qmt_from_document(doc) -> QMT:
 
 
 def _load_json(path):
+    """The parsed file; load_map/load_qmt prefix errors with the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply to parse") from None
+    except ValueError as exc:  # bad syntax, not UTF-8, or an integer beyond str->int's digit limit
+        raise DocumentError(f"invalid JSON: {exc}") from None
 
 
 def load_map(path) -> QPMap:

@@ -29,8 +29,8 @@ class NumericOverflow(QPError):
     """A float evaluation left the representable strictly-positive range.
 
     ``time_index`` is the first time step that could not be computed (when
-    raised from iteration), and ``partial`` holds the trajectory up to the
-    last valid state.
+    raised from iteration), and ``partial`` is the array of the states
+    computed before it, x(0) to x(time_index - 1), as ``iterate`` returns them.
     """
 
     def __init__(self, message, time_index=None, partial=None):

@@ -124,6 +124,6 @@ def verify_solution(qp: QPMap, sol: ClosedFormSolution, steps: int) -> float:
     t = 0..steps. Callers choose steps small enough to avoid overflow;
     NumericOverflow from iteration propagates, and the closed form raises
     it at the first t that leaves the range."""
-    states = iterate(qp, sol.x0, steps).as_array()
+    states = iterate(qp, sol.x0, steps)
     predicted = eval_solution(sol, np.arange(steps + 1)[:, None])
     return float(np.abs(np.log(states) - np.log(predicted)).max())

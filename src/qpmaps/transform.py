@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import QPMap, as_state, rowwise_matvec
+from .core import QPMap, as_state, monomials
 from .errors import DegenerateResult, DimensionMismatch
 from .linalg import (
     RMatrix,
@@ -126,14 +126,12 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
 
 def push_state(t: QMT, y) -> np.ndarray:
     """Map transformed coordinates to original ones, row by row: x_i = prod_j y_j**C[i][j]."""
-    y = as_state(y, t.n)
-    return np.exp(rowwise_matvec(t.C_f, np.log(y)))
+    return monomials(t.C_f, as_state(y, t.n))
 
 
 def pull_state(t: QMT, x) -> np.ndarray:
     """Map original coordinates to transformed ones, row by row: y_j = prod_i x_i**C_inv[j][i]."""
-    x = as_state(x, t.n)
-    return np.exp(rowwise_matvec(t.C_inv_f, np.log(x)))
+    return monomials(t.C_inv_f, as_state(x, t.n))
 
 
 def class_invariant(qp: QPMap) -> RMatrix:

@@ -111,7 +111,7 @@ def test_criterion_04_conservation_along_trajectories(symplectic_suite):
     worst_quasi = 0.0
     for qp, x0 in zip(maps, starts):
         s = qp.n // 2
-        arr = iterate(qp, x0, 30).as_array()
+        arr = iterate(qp, x0, 30)
         products = arr[:, :s] * arr[:, s:]
         worst_pair = max(worst_pair, float(np.max(np.abs(products / products[0] - 1.0))))
         q0 = quasimonomials(qp, arr[0])

@@ -119,6 +119,17 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply to parse"),
+        (b"\xff\xfe{}", "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"n": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["nested-too-deep", "not-utf8", "huge-integer"])
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = main(["check", str(path)])
+        assert_one_line_exit_2(code, capsys, f"{path}: {message}")
+
     def test_witness_list_reports_exact_remainder(self, tmp_path, capsys):
         qp = random_valid_map(np.random.default_rng(3), 6, 6)
         path = tmp_path / "generic.qpmap.json"
@@ -181,6 +192,10 @@ class TestCheck:
 
 
 class TestSolve:
+    def test_nonpositive_x0_exit_2_before_the_verdict(self, variant_file, capsys):
+        code = main(["solve", variant_file, "--x0", "0,1", "--t-max", "2"])
+        assert_one_line_exit_2(code, capsys, "state components must be finite and strictly positive")
+
     def test_csv_matches_closed_form(self, dim2_file, tmp_path, capsys):
         out_path = tmp_path / "sol.csv"
         assert main(["solve", dim2_file, "--x0", "1,1", "--t-max", "5",
@@ -451,6 +466,21 @@ class TestCanonical:
         assert "degenerate" in out
         assert "raw canonical matrix" in out
 
+    def test_class_invariant_computed_once(self, variant_file, capsys, monkeypatch):
+        import qpmaps.transform
+
+        calls = []
+        mat_mul = qpmaps.transform.mat_mul
+        monkeypatch.setattr(qpmaps.transform, "mat_mul",
+                            lambda x, y: calls.append(1) or mat_mul(x, y))
+        assert main(["canonical", variant_file]) == 0
+        assert len(calls) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("class invariant B.M: [[-1, -2]]\n"
+                                "canonical Lotka-Volterra representative has 1 variables\n")
+        assert json.loads(captured.out) == {
+            "n": 1, "m": 1, "lambda": ["-1"], "A": [["-2"]], "B": [["1"]]}
+
 
 class TestVerify:
     def test_symplectic_pass(self, dim2_file, capsys):
@@ -462,6 +492,14 @@ class TestVerify:
     def test_variant_fails(self, variant_file, capsys):
         assert main(["verify", variant_file]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_overflowing_jacobian_exit_2(self, tmp_path, capsys):
+        # exp(1000) overflows every Jacobian: NaN residuals must not read as a PASS
+        path = tmp_path / "overflow.qpmap.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "lambda": ["1000", "0"],
+                                    "A": [["1"], ["1"]], "B": [["1", "1"]]}))
+        code = main(["verify", str(path), "--samples", "300"])
+        assert_one_line_exit_2(code, capsys, "samples 1-300: a Jacobian")
 
     def test_zero_samples_vacuous(self, dim2_file, capsys):
         assert main(["verify", dim2_file, "--samples", "0"]) == 0

@@ -88,6 +88,13 @@ class TestMapDocuments:
         assert doc["relaxed"] is True
         assert map_from_document(doc) == qp
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_relaxed_must_be_a_boolean(self, value):
+        doc = map_to_document(QPMap((0, 0), ((0,), (0,)), ((1, 1),)))
+        doc["relaxed"] = value
+        with pytest.raises(DocumentError, match="^relaxed: expected true or false"):
+            map_from_document(doc)
+
     def test_strict_document_rejects_zero_column(self):
         doc = map_to_document(QPMap((0, 0), ((0,), (0,)), ((1, 1),)))
         del doc["relaxed"]

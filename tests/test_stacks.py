@@ -63,10 +63,10 @@ def test_iterate_steps_every_row():
     rng = np.random.default_rng(7)
     qp = random_symplectic_map(rng, 4)
     xs = random_state(rng, (3, 4))
-    states = iterate(qp, xs, 20).as_array()
+    states = iterate(qp, xs, 20)
     assert states.shape == (21, 3, 4)
     for j, x in enumerate(xs):
-        assert_allclose(states[:, j], iterate(qp, x, 20).as_array(), rtol=1e-14)
+        assert_allclose(states[:, j], iterate(qp, x, 20), rtol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(), (4, 3), (2, 2, 2), (2, 0)])

@@ -368,8 +368,7 @@ class TestConservedProducts:
             x0 = random_state(rng, n)
             traj = iterate(qp, x0, 50)
             s = n // 2
-            arr = traj.as_array()
-            pair_products = arr[:, :s] * arr[:, s:]
+            pair_products = traj[:, :s] * traj[:, s:]
             drift = np.abs(pair_products / pair_products[0] - 1.0)
             assert float(drift.max()) <= 1e-10
             q0 = quasimonomials(qp, traj[0])

@@ -136,6 +136,13 @@ class TestStatePushPull:
         assert push_state(t, [2, 3]) == pytest.approx([6.0, 1 / 3])
         assert pull_state(t, [6, 1 / 3]) == pytest.approx([2.0, 3.0])
 
+    def test_out_of_range_values_saturate_quietly(self):
+        # pytest turns a RuntimeWarning into an error: push and pull must not warn
+        wide = new_qmt(diagonal([400, -400]))
+        narrow = new_qmt(diagonal([Fraction(1, 400), Fraction(-1, 400)]))
+        assert push_state(wide, [10, 10]).tolist() == [np.inf, 0.0]
+        assert pull_state(narrow, [10, 10]).tolist() == [np.inf, 0.0]
+
     def test_solver_pull_is_products_and_reciprocals(self):
         t = solver_qmt(2)
         assert pull_state(t, [1, 2, 3, 4]) == pytest.approx([3.0, 8.0, 1 / 3, 1 / 4])

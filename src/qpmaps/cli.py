@@ -173,8 +173,12 @@ def _failing_conditions_text(report) -> str:
 def cmd_solve(args) -> int:
     qp = load_map(args.map_file)
     x0 = _parse_x0(args.x0, qp.n)
-    t_min = args.t_min if args.t_min is not None else 0
-    t_max = args.t_max
+    t_min, t_max = args.t_min, args.t_max
+    for option, t in (("--t-min", t_min), ("--t-max", t_max)):
+        try:
+            float(t)
+        except OverflowError:
+            raise DocumentError(f"{option}: {t} is outside the double range") from None
     if t_min > t_max:
         _err(f"--t-min ({t_min}) must not exceed --t-max ({t_max})")
         return EXIT_INPUT
@@ -280,19 +284,21 @@ def cmd_transform(args) -> int:
 
 def cmd_canonical(args) -> int:
     qp = load_map(args.map_file)
+    degenerate = None
     try:
         lv = lv_canonical(qp)
     except DegenerateResult as exc:
-        bm = exc.canonical_matrix  # B.M; degenerate whenever it is zero
+        lv, degenerate = exc.result, exc
+    bm = augment_column(lv.lam, lv.A)  # B.M: (lam | A) of the canonical map
+    if degenerate:
         if is_zero(bm):
             print(f"class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)")
             print("canonical representative is trivial (identity map); no document written")
             return EXIT_OK
         print(f"class invariant B.M: {_matrix_text(bm)}")
-        print(f"canonical representative is degenerate: {exc}")
+        print(f"canonical representative is degenerate: {degenerate}")
         print(f"raw canonical matrix (lam_c | A_c): {_matrix_text(bm)}")
         return EXIT_OK
-    bm = augment_column(lv.lam, lv.A)
     doc = map_to_document(lv)
     out = _Output(args.out)
     out.info(f"class invariant B.M: {_matrix_text(bm)}")
@@ -312,6 +318,9 @@ def cmd_verify(args) -> int:
     if not args.tol >= 0.0:
         _err(f"--tol must be a nonnegative number, got {args.tol!r}")
         return EXIT_INPUT
+    if args.seed < 0:
+        _err("--seed must be nonnegative")
+        return EXIT_INPUT
     if args.samples == 0:
         _err("warning: no samples requested; the pass is vacuous")
         print("PASS (vacuous: 0 samples)")
@@ -323,8 +332,8 @@ def cmd_verify(args) -> int:
     max_resid = max_det = 0.0
     for start in range(0, args.samples, chunk):
         jac = jacobian(qp, random_state(rng, (min(chunk, args.samples - start), qp.n)))
+        resid = jacobian_residual(jac)
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = jacobian_residual(jac)
             det = float(np.abs(np.linalg.det(jac) - 1.0).max())
         # max() would drop a NaN and report a pass, so a non-finite chunk stops here
         if not (np.isfinite(resid) and np.isfinite(det)):
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map_file")
     p.add_argument("--x0", required=True, help="initial state, comma separated (e.g. 1,1)")
     p.add_argument("--t-max", type=int, required=True, dest="t_max")
-    p.add_argument("--t-min", type=int, default=None, dest="t_min")
+    p.add_argument("--t-min", type=int, default=0, dest="t_min")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.set_defaults(func=cmd_solve)
 

@@ -145,34 +145,35 @@ def quasimonomials(qp: QPMap, x) -> np.ndarray:
     return monomials(qp.B_f, as_state(x, qp.n))
 
 
+def _phi(qp: QPMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, phi) at an already checked state or stack: q = exp(B @ ln x) as in
+    :func:`monomials`, phi = lam + A @ q. It enters no np.errstate of its
+    own, so a step runs under one: its caller's."""
+    q = np.exp(rowwise_matvec(qp.B_f, np.log(x)))
+    return q, qp.lam_f + rowwise_matvec(qp.A_f, q)
+
+
 def phi(qp: QPMap, x) -> np.ndarray:
     """Per-coordinate log-increment of one step: phi_i = lam_i + (A @ q(x))_i."""
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return qp.lam_f + rowwise_matvec(qp.A_f, monomials(qp.B_f, x))
+        return _phi(qp, x)[1]
 
 
 def step(qp: QPMap, x) -> np.ndarray:
-    """One forward step x_i * exp(phi_i(x)), of each row of a stack too; raises
-    NumericOverflow if a result leaves the strictly-positive finite double range."""
-    x = as_state(x, qp.n)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = x * np.exp(qp.lam_f + rowwise_matvec(qp.A_f, monomials(qp.B_f, x)))
-    if first_nonpositive_row(out) is not None:
-        raise NumericOverflow(
-            "step left the representable positive range (exponent overflow or underflow)"
-        )
-    return out
+    """One forward step x_i * exp(phi_i(x)), of each row of a stack too: row 1
+    of :func:`iterate`, so it raises NumericOverflow with time_index 1."""
+    return iterate(qp, x, 1)[1]
 
 
 def iterate(qp: QPMap, x0, steps: int) -> np.ndarray:
     """Forward trajectory x(0), ..., x(steps) from x0 as one array: shape
     (steps+1, n), or (steps+1, k, n) for a stack of k states.
 
-    On overflow the raised NumericOverflow carries the failing time index
-    and, as ``partial``, the array of states computed before it. A map
-    entry outside the double range raises NumericOverflow naming it,
-    before any step.
+    x0 is checked once. The first computed state that leaves the strictly
+    positive finite double range raises NumericOverflow with its time index
+    and, as ``partial``, the array of states before it. A map entry outside
+    the double range raises NumericOverflow naming it, before any step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -182,13 +183,13 @@ def iterate(qp: QPMap, x0, steps: int) -> np.ndarray:
     qp.lam_f, qp.A_f, qp.B_f
     # steps may come from the command line, so no allocation is sized by it.
     states = [x]
-    for t in range(1, steps + 1):
-        try:
-            x = step(qp, x)
-        except NumericOverflow as exc:
-            raise NumericOverflow(f"overflow at time index {t}", time_index=t,
-                                  partial=np.stack(states)) from exc
-        states.append(x)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            x = x * np.exp(_phi(qp, x)[1])
+            if first_nonpositive_row(x) is not None:
+                raise NumericOverflow(f"overflow at time index {t}", time_index=t,
+                                      partial=np.stack(states))
+            states.append(x)
     return np.stack(states)
 
 
@@ -200,7 +201,6 @@ def jacobian(qp: QPMap, x) -> np.ndarray:
     """
     x = as_state(x, qp.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        q = monomials(qp.B_f, x)
-        ph = qp.lam_f + rowwise_matvec(qp.A_f, q)
+        q, ph = _phi(qp, x)
         d = qp.A_f @ (q[..., :, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
         return (np.eye(qp.n) + (x[..., :, None] / x[..., None, :]) * d) * np.exp(ph)[..., :, None]

@@ -60,13 +60,11 @@ class DegenerateResult(QPError):
     continue with it deliberately.
     """
 
-    def __init__(self, message, result=None, zero_a_columns=(), zero_b_rows=(),
-                 canonical_matrix=None):
+    def __init__(self, message, result=None, zero_a_columns=(), zero_b_rows=()):
         super().__init__(message)
         self.result = result
         self.zero_a_columns = tuple(zero_a_columns)
         self.zero_b_rows = tuple(zero_b_rows)
-        self.canonical_matrix = canonical_matrix
 
 
 class DocumentError(QPError):

@@ -313,9 +313,13 @@ def symplectic_residual(qp: QPMap, x) -> float:
 
 
 def jacobian_residual(L: np.ndarray) -> float:
-    """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them."""
+    """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them; inf
+    when a Jacobian or the residual is not finite, so max() over residuals
+    cannot drop it and read as a pass."""
     S = skew_matrix(L.shape[-1] // 2)
-    return float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
+    return r if np.isfinite(r) else np.inf
 
 
 def symplectic_product_block(qp: QPMap, x) -> np.ndarray:

@@ -149,7 +149,7 @@ def lv_canonical(qp: QPMap) -> QPMap:
     Returns the m-variable map with M_c = B.M and B_c = I. When B.A has a
     zero column the representative leaves the strict QP form (for symplectic
     maps it is always the trivial identity map); DegenerateResult is raised
-    carrying both the relaxed map and the raw canonical matrix.
+    carrying the relaxed map, whose (lam | A) is still B.M.
     """
     mc = class_invariant(qp)
     lam_c = tuple(row[0] for row in mc)
@@ -163,6 +163,5 @@ def lv_canonical(qp: QPMap) -> QPMap:
             " of B.A are zero",
             result=result,
             zero_a_columns=zero_cols,
-            canonical_matrix=mc,
         )
     return result

@@ -277,6 +277,12 @@ class TestSolve:
         _, rows = read_csv(out_path)
         assert rows[1] == [0, x, x]
 
+    @pytest.mark.parametrize("option", ["--t-min", "--t-max"])
+    def test_t_outside_double_range_exit_2(self, dim2_file, option, capsys):
+        huge = "-1" + "0" * 400 if option == "--t-min" else "1" + "0" * 400
+        code = main(["solve", dim2_file, "--x0", "1,1", "--t-max", "3", option, huge])
+        assert_one_line_exit_2(code, capsys, f"{option}: {huge} is outside the double range")
+
     def test_t_min_above_t_max_exit_2(self, dim2_file):
         assert main(["solve", dim2_file, "--x0", "1,1", "--t-max", "1",
                      "--t-min", "2"]) == 2
@@ -539,6 +545,10 @@ class TestVerify:
 
     def test_dim4_pass(self, dim4_file):
         assert main(["verify", dim4_file]) == 0
+
+    def test_negative_seed_exit_2(self, dim2_file, capsys):
+        code = main(["verify", dim2_file, "--seed", "-1"])
+        assert_one_line_exit_2(code, capsys, "--seed must be nonnegative")
 
     def test_negative_samples_exit_2(self, dim2_file, capsys):
         code = main(["verify", dim2_file, "--samples", "-1"])

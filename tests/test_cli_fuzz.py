@@ -184,8 +184,10 @@ def argument_errors(draw, path, n, qmt_path, workdir):
         elif bad == "x0 literal":
             x0 = ",".join(["1"] * (n - 1) + [draw(BAD_X0)])
         if command == "solve":
+            t_range = draw(st.sampled_from((("--t-min", "3"), ("--t-min", "-1" + "0" * 400),
+                                            ("--t-max", "1" + "0" * 400))))
             return [command, path, "--x0", x0, "--t-max", "2",
-                    *(("--t-min", "3") if bad == "other" else ())]
+                    *(t_range if bad == "other" else ())]
         if bad != "other":
             return [command, path, "--x0", x0, "--steps", "3"]
         return [command, path, "--x0", x0, *draw(st.sampled_from((
@@ -200,7 +202,8 @@ def argument_errors(draw, path, n, qmt_path, workdir):
         if n % 2:
             return [command, path]
         return [command, path, *draw(st.sampled_from((
-            ("--samples", "-1"), ("--samples", "x"), ("--tol", "nan"), ("--tol", "-1"))))]
+            ("--samples", "-1"), ("--samples", "x"), ("--tol", "nan"), ("--tol", "-1"),
+            ("--seed", "-1"))))]
     return [command, str(workdir / "missing.qpmap.json")]
 
 

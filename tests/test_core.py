@@ -17,7 +17,7 @@ from qpmaps import (
     quasimonomials,
     step,
 )
-from qpmaps.sampling import random_state, random_valid_map
+from qpmaps.sampling import random_classification_map, random_state, random_valid_map
 
 from helpers import dim2_map, fd_jacobian, quasimonomial_oracle, relative_gap, trivial_lv_map
 
@@ -115,11 +115,33 @@ class TestPhiAndStep:
 
     def test_step_overflow_up_and_down(self):
         blow = new_qp_map((800, -800), ((1,), (-1,)), ((1, 1),))
-        with pytest.raises(NumericOverflow):
+        with pytest.raises(NumericOverflow) as exc:
             step(blow, [1, 1])
+        assert exc.value.time_index == 1
+        assert exc.value.partial.tolist() == [[1.0, 1.0]]
         sink = new_qp_map((-800, 800), ((1,), (-1,)), ((1, 1),))
-        with pytest.raises(NumericOverflow):
+        with pytest.raises(NumericOverflow) as exc:
             step(sink, [1, 1])
+        assert exc.value.time_index == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((None, 1, 3)))
+def test_step_is_row_one_of_iterate(seed, k):
+    rng = np.random.default_rng(seed)
+    qp = random_classification_map(rng)
+    x = random_state(rng, qp.n if k is None else (k, qp.n))
+    try:
+        traj = iterate(qp, x, 1)
+    except NumericOverflow:
+        with pytest.raises(NumericOverflow) as exc:
+            step(qp, x)
+        assert exc.value.time_index == 1
+        return
+    out = step(qp, x)
+    assert out.shape == x.shape
+    assert out.tobytes() == traj[1].tobytes()
+    assert out.tobytes() == (x * np.exp(phi(qp, x))).tobytes()
 
 
 class TestIterate:
@@ -152,6 +174,28 @@ class TestIterate:
         clean = iterate(qp, [1, 1], len(partial) - 1)
         for a, b in zip(partial, clean):
             assert a == pytest.approx(b, abs=0.0)
+
+    def test_x0_checked_once(self, monkeypatch):
+        import qpmaps.core as core
+
+        calls = []
+        real_as_state = core.as_state
+
+        def recorded(x, n):
+            calls.append(n)
+            return real_as_state(x, n)
+
+        monkeypatch.setattr(core, "as_state", recorded)
+        assert iterate(dim2_map(), [1, 1], 50).shape == (51, 2)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_row_of_x0_stack_rejected(self, bad):
+        xs = np.ones((3, 2))
+        xs[1, 0] = bad
+        for run in (lambda: iterate(dim2_map(), xs, 5), lambda: step(dim2_map(), xs)):
+            with pytest.raises(NonPositiveState):
+                run()
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from qpmaps import (
     conserved_products,
     iterate,
     jacobian,
+    jacobian_residual,
     new_qp_map,
     quasimonomials,
     rank_bounds,
@@ -246,6 +248,16 @@ class TestNumericOracles:
 
     def test_variant_residual_large(self):
         assert symplectic_residual(dim2_variant(), [1.0, 1.0]) > 0.1
+
+    def test_overflowing_jacobian_residual_is_inf(self):
+        # exp(1000) overflows every Jacobian; a NaN residual would vanish under max()
+        qp = new_qp_map(("1000", "0"), (("1",), ("1",)), (("1", "1"),))
+        xs = random_state(np.random.default_rng(6), (5, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert jacobian_residual(jacobian(qp, xs)) == np.inf
+            assert symplectic_residual(qp, xs[0]) == np.inf
+        assert max(0.0, symplectic_residual(qp, xs)) > 1e-9
 
     def test_odd_dimension_raises(self):
         qp = new_qp_map((1, 0, -1), ((1,), (1,), (1,)), ((1, 1, 1),))

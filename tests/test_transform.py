@@ -22,7 +22,7 @@ from qpmaps import (
     step,
     strictness_violations,
 )
-from qpmaps.linalg import diagonal, identity, is_zero, mat_mul, rmatrix
+from qpmaps.linalg import augment_column, diagonal, identity, is_zero, mat_mul, rmatrix
 from qpmaps.sampling import random_classification_map, random_qmt, random_state, random_symplectic_map
 
 from helpers import dim2_map, dim2_variant, dim4_map
@@ -213,7 +213,8 @@ class TestLVCanonical:
     def test_dim2_degenerates_to_trivial(self):
         with pytest.raises(DegenerateResult) as exc:
             lv_canonical(dim2_map())
-        assert exc.value.canonical_matrix == ((Fraction(0), Fraction(0)),)
+        lv = exc.value.result
+        assert augment_column(lv.lam, lv.A) == ((Fraction(0), Fraction(0)),)
 
     def test_lv_form_is_fixed_point(self):
         qp = new_qp_map((1, 0), ((1, 0), (0, 1)), ((1, 0), (0, 1)))

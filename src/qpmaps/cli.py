@@ -7,15 +7,18 @@ verification failed), 2 = input error, 3 = internal invariant breach.
 Machine-readable data (CSV, JSON documents) goes to --out when given,
 otherwise to standard output; in the latter case the human summary moves to
 standard error so stdout stays parseable. Errors always go to stderr.
+
+check, transform and canonical are exact and run without numpy; solve,
+iterate and verify import the float layer (and numpy) when they start.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import as_state, iterate, jacobian, strictness_violations
 from .documents import (
     load_map,
     load_qmt,
@@ -31,8 +34,7 @@ from .errors import (
     QPError,
 )
 from .linalg import augment_column, diagonal, format_rational, is_zero
-from .sampling import random_state
-from .solve import classify_asymptotics, eval_solution, solve_closed_form, verify_solution
+from .maps import strictness_violations
 from .symplectic import (
     WITNESS_LIMIT,
     check_conditions,
@@ -41,6 +43,9 @@ from .symplectic import (
     rank_bounds,
 )
 from .transform import apply_qmt, class_invariant, lv_canonical, new_qmt, solver_qmt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -78,6 +83,8 @@ class _Output:
 
 def _parse_x0(text: str, n: int) -> np.ndarray:
     """The --x0 state, checked before any verdict so a bad state is an input error."""
+    from .core import as_state
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise DocumentError(f"--x0 must have {n} comma-separated components, got {len(parts)}")
@@ -171,6 +178,8 @@ def _failing_conditions_text(report) -> str:
 
 
 def cmd_solve(args) -> int:
+    from .solve import classify_asymptotics, eval_solution, solve_closed_form, verify_solution
+
     qp = load_map(args.map_file)
     x0 = _parse_x0(args.x0, qp.n)
     t_min, t_max = args.t_min, args.t_max
@@ -216,7 +225,7 @@ def cmd_solve(args) -> int:
     times, rows, skipped = [], [], []
     for t in range(t_min, t_max + 1):
         try:
-            rows.append(eval_solution(sol, t))
+            rows.append(eval_solution(sol, t).tolist())
             times.append(t)
         except NumericOverflow:
             skipped.append(t)
@@ -227,6 +236,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_iterate(args) -> int:
+    from .core import iterate
+
     qp = load_map(args.map_file)
     x0 = _parse_x0(args.x0, qp.n)
     if args.steps < 0:
@@ -241,7 +252,7 @@ def cmd_iterate(args) -> int:
         traj = exc.partial
         _err(f"warning: overflow at t={exc.time_index}; truncating"
              f" (last valid t={len(traj) - 1})")
-    out.write_data(trajectory_csv(range(len(traj)), traj))
+    out.write_data(trajectory_csv(range(len(traj)), traj.tolist()))
     return EXIT_OK
 
 
@@ -308,6 +319,11 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from .core import jacobian
+    from .sampling import random_state
+
     qp = load_map(args.map_file)
     if qp.n % 2:
         _err(f"verify requires an even dimension, map has n={qp.n}")

@@ -9,9 +9,9 @@ strict QP form; such documents parse into relaxed maps.
 import json
 from fractions import Fraction
 
-from .core import QPMap, new_qp_map, strictness_violations
 from .errors import DocumentError, QPError
 from .linalg import format_rational, rational  # format_rational is re-exported
+from .maps import QPMap, new_qp_map, strictness_violations
 from .transform import QMT, new_qmt
 
 
@@ -172,7 +172,11 @@ def format_float(value: float) -> str:
 
 
 def trajectory_csv(times, states) -> str:
-    """CSV text with header t,x1,...,xn; one row per time, LF line endings."""
+    """CSV text with header t,x1,...,xn; one row per time, LF line endings.
+
+    A row of Python floats (an array's ``.tolist()``) prints the same text
+    as the numpy row and formats faster than numpy scalars do.
+    """
     states = list(states)
     n = len(states[0]) if states else 0
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]

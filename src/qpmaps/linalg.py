@@ -8,26 +8,33 @@ products are integer dot products, and elimination is fraction-free
 (Bareiss, Math. Comp. 22, 1968), dividing exactly by the previous pivot.
 ``Fraction`` objects appear only at the boundary, one per result entry.
 Floats enter only through the explicit ``to_float_*`` converters used by
-the dynamic (trajectory) side of the package.
+the dynamic (trajectory) side of the package; they alone load numpy, on
+first use, so the exact layer runs without it.
 """
+
+from __future__ import annotations
 
 import re
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, NumericOverflow, SingularMatrix
 
 RVector = tuple[Fraction, ...]
 RMatrix = tuple[RVector, ...]
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Largest |exponent| in a literal such as "1e400": Python's default int(str)
 #: digit limit. Without it "1e1000000" builds a 3.3-million-bit integer.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
+#: A plain ASCII integer, read by int() instead of Fraction's own regex.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def rational(value) -> Fraction:
@@ -50,12 +57,13 @@ def rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip().replace("−", "-")
-        exponent = _EXPONENT.search(text)
+        integer = _INTEGER.fullmatch(text)
+        exponent = None if integer else _EXPONENT.search(text)
         # 5 significant digits exceed MAX_EXPONENT, so a long exponent is never converted
         if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:
-            return Fraction(text)
+            return Fraction(int(text)) if integer else Fraction(text)
         except ZeroDivisionError:
             raise ValueError("zero denominator") from None
         except ValueError:
@@ -219,11 +227,15 @@ def _to_float(e: Fraction, where: str) -> float:
 def to_float_vector(v, name: str) -> np.ndarray:
     """Float copy of the rational vector ``name``; NumericOverflow names an
     entry (e.g. ``lambda[0]``) whose magnitude exceeds the double range."""
+    import numpy as np
+
     return np.array([_to_float(e, f"{name}[{i}]") for i, e in enumerate(v)], dtype=float)
 
 
 def to_float_matrix(m: RMatrix, name: str) -> np.ndarray:
     """Float copy of the rational matrix ``name``; NumericOverflow names an
     entry (e.g. ``A[1][0]``) whose magnitude exceeds the double range."""
+    import numpy as np
+
     return np.array([[_to_float(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)]
                      for i, row in enumerate(m)], dtype=float)

@@ -7,18 +7,23 @@ four algebraic conditions on (lam, A, B) are met; they are evaluated here
 over the rationals, so verdicts carry no tolerance. Two independent
 implementations are provided (the condition equations, and the equivalent
 zero-pattern characterization of A and B) plus float-level residual
-oracles based on the Jacobian.
+oracles based on the Jacobian. The classifiers are exact and import no
+numpy; the float oracles load it, and :mod:`qpmaps.core`, when called.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import QPMap, as_state, jacobian
 from .errors import NotSymplectic, OddDimension
 from .linalg import format_rational as _fmt, pivot_columns, rank
+from .maps import QPMap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Verdicts are exact; this tolerance only applies to the float residual oracles.
 RESIDUAL_TOLERANCE = 1e-9
@@ -106,6 +111,8 @@ class ConservedProduct:
 
     def value_at(self, x):
         """The product at a state (a float), or at each row of a stack."""
+        from .core import as_state
+
         x = as_state(x, 2 * self.s)
         return x[..., self.i - 1] * x[..., self.s + self.i - 1]
 
@@ -299,6 +306,8 @@ def check_pattern(qp: QPMap) -> SymplecticReport:
 
 def skew_matrix(s: int) -> np.ndarray:
     """The standard skew block matrix [[0, -I], [I, 0]] of size 2s."""
+    import numpy as np
+
     z = np.zeros((s, s))
     i = np.eye(s)
     return np.block([[z, -i], [i, z]])
@@ -309,6 +318,8 @@ def symplectic_residual(qp: QPMap, x) -> float:
     at x); for a stack of states, the max over its rows."""
     if qp.n % 2:
         raise OddDimension(f"symplectic residual requires even dimension, got n={qp.n}")
+    from .core import jacobian
+
     return jacobian_residual(jacobian(qp, x))
 
 
@@ -316,6 +327,8 @@ def jacobian_residual(L: np.ndarray) -> float:
     """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them; inf
     when a Jacobian or the residual is not finite, so max() over residuals
     cannot drop it and read as a pass."""
+    import numpy as np
+
     S = skew_matrix(L.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
         r = float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
@@ -332,6 +345,8 @@ def symplectic_product_block(qp: QPMap, x) -> np.ndarray:
     """
     if qp.n % 2:
         raise OddDimension(f"product block requires even dimension, got n={qp.n}")
+    from .core import jacobian
+
     s = qp.n // 2
     L = jacobian(qp, x)
     return (L[..., s:, s:].swapaxes(-1, -2) @ L[..., :s, :s]

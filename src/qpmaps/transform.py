@@ -5,14 +5,16 @@ It maps QP maps to QP maps with A' = C^-1 A, B' = B C, lam' = C^-1 lam and is
 a topological conjugacy, so transformed maps are dynamically equivalent.
 The product B.M with M = (lam | A) is identical for all members of a class
 and is the M matrix of the class's canonical Lotka-Volterra representative.
+All of this is exact and imports no numpy; the float state maps
+``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, when called.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import QPMap, as_state, monomials
 from .errors import DegenerateResult, DimensionMismatch
 from .linalg import (
     RMatrix,
@@ -26,6 +28,10 @@ from .linalg import (
     zero_column_indices,
     zero_row_indices,
 )
+from .maps import QPMap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -126,11 +132,15 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
 
 def push_state(t: QMT, y) -> np.ndarray:
     """Map transformed coordinates to original ones, row by row: x_i = prod_j y_j**C[i][j]."""
+    from .core import as_state, monomials
+
     return monomials(t.C_f, as_state(y, t.n))
 
 
 def pull_state(t: QMT, x) -> np.ndarray:
     """Map original coordinates to transformed ones, row by row: y_j = prod_i x_i**C_inv[j][i]."""
+    from .core import as_state, monomials
+
     return monomials(t.C_inv_f, as_state(x, t.n))
 
 

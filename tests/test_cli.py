@@ -568,21 +568,19 @@ class TestVerify:
     @pytest.mark.parametrize("make_map", [dim2_map, lambda: random_symplectic_map(
         np.random.default_rng(9), 16, 16)])
     def test_jacobian_stacks_are_bounded(self, make_map, tmp_path, capsys, monkeypatch):
-        import qpmaps.cli as cli
-        import qpmaps.symplectic as symplectic
+        import qpmaps.core as core
 
         qp = make_map()
         path = tmp_path / "map.qpmap.json"
         save_map(qp, path)
         sizes = []
-        real_jacobian = symplectic.jacobian
+        real_jacobian = core.jacobian
 
         def recorded(qp, x):
             sizes.append(len(x))
             return real_jacobian(qp, x)
 
-        monkeypatch.setattr(cli, "jacobian", recorded)
-        monkeypatch.setattr(symplectic, "jacobian", recorded)
+        monkeypatch.setattr(core, "jacobian", recorded)
         samples = 40_000 if qp.n == 2 else 600
         assert main(["verify", str(path), "--samples", str(samples)]) == 0
         capsys.readouterr()

@@ -187,3 +187,15 @@ class TestCSV:
     def test_negative_times(self):
         text = trajectory_csv([-2, -1], [np.array([1.0]), np.array([2.0])])
         assert text.split("\n")[1].startswith("-2,")
+
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_python_floats_print_as_numpy_floats(self, data, n):
+        doubles = (st.floats(allow_nan=False, allow_infinity=False)
+                   | st.sampled_from([5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+                                      1.7976931348623157e308, -9.999999999999999e307]))
+        rows = data.draw(st.lists(st.lists(doubles, min_size=n, max_size=n), max_size=6))
+        states = np.array(rows, dtype=float).reshape(len(rows), n)
+        times = range(-1, len(rows) - 1)
+        text = trajectory_csv(times, states.tolist())
+        assert trajectory_csv(times, states) == text
+        assert trajectory_csv(times, list(states)) == text

@@ -1,0 +1,108 @@
+"""The exact layer runs without numpy; the float names load it on first use.
+
+Each check runs in a fresh interpreter, since this test process has long
+imported numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qpmaps
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
+MAPS = ("dim2.qpmap.json", "dim4.qpmap.json", "dim2_variant.qpmap.json", "malformed.qpmap.json")
+ARGS = (["check"], ["canonical"], ["transform", "--qmt", str(FIXTURES / "diag12.qmt.json")],
+        ["transform", "--scale", "2"], ["transform", "--solver-c"])
+
+# Runs every case through cli.main in one process, numpy blocked or not, and
+# prints [exit code, stdout, stderr] per case as JSON.
+RUNNER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from qpmaps.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = repr(exc)
+    results.append([code, out.getvalue(), err.getvalue()])
+assert sys.argv[1] != "blocked" or sys.modules["numpy"] is None
+print(json.dumps(results))
+"""
+
+
+def _python(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _cases(tmp):
+    (tmp / MAPS[-1]).write_text('{"n": 2, "m": 1, "lambda": ["1", "1/0"]}')
+    paths = [str(FIXTURES / name) for name in MAPS[:-1]] + [str(tmp / MAPS[-1])]
+    return [[args[0], path, *args[1:]] for path in paths for args in ARGS]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    cases = _cases(tmp_path_factory.mktemp("maps"))
+    blocked, plain = (json.loads(_python("-c", RUNNER, mode, json.dumps(cases)))
+                      for mode in ("blocked", "plain"))
+    return cases, blocked, plain
+
+
+@pytest.mark.parametrize("index", range(len(MAPS) * len(ARGS)),
+                         ids=[f"{name.split('.')[0]}-{'_'.join(a.lstrip('-') for a in args[:2])}"
+                              for name in MAPS for args in ARGS])
+def test_exact_subcommands_run_without_numpy(runs, index):
+    cases, blocked, plain = runs
+    assert blocked[index] == plain[index], cases[index]
+    assert plain[index][0] in (0, 1, 2)
+
+
+def test_malformed_document_is_an_input_error(runs):
+    cases, _, plain = runs
+    assert [code for case, (code, _, _) in zip(cases, plain) if "malformed" in case[1]] == \
+        [2] * len(ARGS)
+
+
+def test_import_qpmaps_loads_no_numpy_until_a_float_name_is_used():
+    out = _python("-c", "import sys, qpmaps; print('numpy' in sys.modules);"
+                        " qpmaps.iterate; print('numpy' in sys.modules)")
+    assert out.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("name", [n for n in qpmaps.__all__ if n != "__version__"])
+def test_public_name_is_its_submodule_object(name):
+    obj = getattr(qpmaps, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj
+    assert name in dir(qpmaps)
+
+
+def test_core_keeps_the_map_names():
+    import qpmaps.core as core
+    import qpmaps.maps as maps
+
+    for name in ("QPMap", "new_qp_map", "strictness_violations"):
+        assert getattr(core, name) is getattr(maps, name) is getattr(qpmaps, name)
+    assert qpmaps.core is core
+    assert qpmaps.solve.solve_closed_form is qpmaps.solve_closed_form
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qpmaps.no_such_name
+    assert not hasattr(qpmaps, "no_such_name")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qpmaps import QPMap, rank_bounds
 from qpmaps.errors import DimensionMismatch, SingularMatrix
@@ -60,6 +60,34 @@ def test_rational_decimal_and_exponent_literals():
 def test_rational_rejects_exponents_beyond_the_bound(text):
     with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
         rational(text)
+
+
+def _parsed(parse, text):
+    """The value parse(text) gives, or the type of the exception it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+_PADDING = st.sampled_from(["", " ", "\t", "\n ", "\u00a0"])
+_SIGNS = st.sampled_from(["", "+", "-", "--", "+-", "- "])
+# ASCII and Unicode digits (Arabic-Indic, fullwidth, superscript), "_", and
+# integers around int()'s 4300-digit limit
+_DIGITS = (st.text(alphabet="0123456789_\u0663\uff15\u00b2", max_size=12)
+           | st.integers(4290, 4400).map(lambda k: "9" * k))
+
+
+@given(text=st.tuples(_PADDING, _SIGNS, _DIGITS, _PADDING).map("".join))
+@example(text="007")
+@example(text="-0")
+@example(text=" +42 ")
+@example(text="1_000")
+@example(text="\u0663")
+@example(text="-" + "9" * 4301)
+def test_rational_integer_strings_agree_with_fraction(text):
+    # the plain-integer fast path returns what Fraction(text) returns, or fails the same way
+    assert _parsed(rational, text) == _parsed(Fraction, text)
 
 
 def test_rmatrix_rejects_ragged_and_empty():

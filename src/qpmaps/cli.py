@@ -9,13 +9,15 @@ otherwise to standard output; in the latter case the human summary moves to
 standard error so stdout stays parseable. Errors always go to stderr.
 
 check, transform and canonical are exact and run without numpy; solve,
-iterate and verify import the float layer (and numpy) when they start.
+iterate and verify import the float layer (and numpy) when they start, and
+exit 2 with one line on stderr when numpy is not installed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -222,14 +224,24 @@ def cmd_solve(args) -> int:
     else:
         out.info("verification skipped: no forward steps requested")
 
-    times, rows, skipped = [], [], []
-    for t in range(t_min, t_max + 1):
+    # exp(t * log k_i) leaves the double range once |t log k_i| > 746, so only
+    # |t| <= 746 / max|log k_i| can be written; every t when all log k_i are 0.
+    max_rate = max(abs(v) for v in sol.log_k.tolist())
+    limit = 746 / max_rate if max_rate else math.inf
+    lo, hi = t_min, t_max
+    if limit < max(-t_min, t_max):
+        lo, hi = max(t_min, -math.floor(limit)), min(t_max, math.floor(limit))
+    times, rows = [], []
+    for t in range(lo, hi + 1):
         try:
             rows.append(eval_solution(sol, t).tolist())
             times.append(t)
         except NumericOverflow:
-            skipped.append(t)
+            if times:  # each coordinate is monotone in t: no later t is representable
+                break
     out.write_data(trajectory_csv(times, rows))
+    gaps = ((t_min, times[0] - 1), (times[-1] + 1, t_max)) if times else ((t_min, t_max),)
+    skipped = ", ".join(f"{a}..{b}" if a < b else f"{a}" for a, b in gaps if a <= b)
     if skipped:
         _err(f"warning: overflow at t in {skipped}; those rows were omitted")
     return EXIT_OK
@@ -422,6 +434,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (QPError, OSError) as exc:
         _err(str(exc))
+        return EXIT_INPUT
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        _err(f"qpmap {args.command} needs numpy, which is not installed")
         return EXIT_INPUT
 
 

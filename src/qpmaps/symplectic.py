@@ -5,10 +5,13 @@ K^T S K = S at every point of the positive orthant, with S the standard
 skew block matrix [[0, -I], [I, 0]]. For QP maps this holds exactly when
 four algebraic conditions on (lam, A, B) are met; they are evaluated here
 over the rationals, so verdicts carry no tolerance. Two independent
-implementations are provided (the condition equations, and the equivalent
-zero-pattern characterization of A and B) plus float-level residual
-oracles based on the Jacobian. The classifiers are exact and import no
-numpy; the float oracles load it, and :mod:`qpmaps.core`, when called.
+classifiers cross-check each other: :func:`check_conditions` evaluates the
+condition equations and explains its verdict with exact violation counts
+and witnesses; :func:`check_pattern` tests the equivalent zero pattern of A
+and B and returns only the verdict and the pairing. Float-level residual
+oracles based on the Jacobian complete the set. The classifiers are exact
+and import no numpy; the float oracles load it, and :mod:`qpmaps.core`,
+when called.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotSymplectic, OddDimension
 from .linalg import format_rational as _fmt, pivot_columns, rank
@@ -36,9 +39,8 @@ class Witness:
     """One concrete violation of a classification condition.
 
     ``where`` holds 1-based index assignments such as (("i", 1), ("p", 2));
-    ``value`` is the exact quantity that should have vanished (or, for
-    support-pattern violations, the offending support size); ``detail`` is a
-    human-readable rendering used by the CLI.
+    ``value`` is the exact quantity that should have vanished; ``detail`` is
+    a human-readable rendering used by the CLI.
     """
 
     where: tuple[tuple[str, int], ...]
@@ -157,7 +159,12 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
                 f" = {_fmt(a[i][j])} + {_fmt(a[s + i][j])} = {_fmt(v)}")
         for i, j, v in sums[:WITNESS_LIMIT]))
 
-    cond_b = _lambda_sums(lam, s)
+    lam_sums = [(i, v) for i in range(s) if (v := lam[i] + lam[s + i])]
+    cond_b = ConditionVerdict(True, len(lam_sums), tuple(
+        Witness((("i", i + 1),), v,
+                f"lambda[{i + 1}] + lambda[{s + i + 1}]"
+                f" = {_fmt(lam[i])} + {_fmt(lam[s + i])} = {_fmt(v)}")
+        for i, v in lam_sums[:WITNESS_LIMIT]))
 
     nonzero_b = [sum(map(bool, row)) for row in b]
     count_c = sum(nonzero_b[p] - bool(b[p][i]) - bool(b[p][s + i])
@@ -211,97 +218,47 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
     )
 
 
-def _lambda_sums(lam, s: int) -> ConditionVerdict:
-    """Condition (b), lam[i] + lam[s+i] = 0, shared by both classifiers."""
-    return _verdict([
-        Witness((("i", i + 1),), v,
-                f"lambda[{i + 1}] + lambda[{s + i + 1}]"
-                f" = {_fmt(lam[i])} + {_fmt(lam[s + i])} = {_fmt(v)}")
-        for i in range(s) if (v := lam[i] + lam[s + i])
-    ])
+class PatternVerdict(NamedTuple):
+    """Outcome of :func:`check_pattern`: the verdict, and when symplectic the
+    1-based pair index i_p of every quasimonomial row p (else None)."""
+
+    is_symplectic: bool
+    pairing: tuple[int, ...] | None
 
 
-def _verdict(witnesses: list[Witness]) -> ConditionVerdict:
-    return ConditionVerdict(True, len(witnesses), tuple(witnesses[:WITNESS_LIMIT]))
+_NO_PATTERN = PatternVerdict(False, None)
 
 
-def check_pattern(qp: QPMap) -> SymplecticReport:
+def check_pattern(qp: QPMap) -> PatternVerdict:
     """Independent classification by the zero-pattern characterization.
 
-    The map is symplectic iff, for every quasimonomial row p, there is a
-    pair index i_p such that: row p of B is zero except for two equal
-    entries at columns (i_p, s+i_p); column p of A is zero except for two
-    entries at rows (i_p, s+i_p) that sum to zero; and every lam pair sums
-    to zero. Findings are reported in the same four verdict slots as
-    :func:`check_conditions`: A-column pattern under (a), lam sums under
-    (b), B-row support under (c), B pair equality under (d). Each slot
-    counts every finding and keeps the first WITNESS_LIMIT.
+    The map is symplectic iff every lam pair sums to zero and, for every
+    quasimonomial row p, there is a pair index i_p such that row p of B is
+    zero except for two equal entries at columns (i_p, s+i_p), and column p
+    of A is zero except for two entries at rows (i_p, s+i_p) that sum to
+    zero. The rows are scanned in order and the scan stops at the first one
+    that breaks the pattern; :func:`check_conditions` explains a verdict.
 
     Raises OddDimension for odd n, where no pairing construction exists.
     """
-    n, m = qp.n, qp.m
+    n = qp.n
     if n % 2:
         raise OddDimension(f"pattern check requires even dimension, got n={n}")
     s = n // 2
-    lam, a, b = qp.lam, qp.A, qp.B
-
-    wit_a, wit_c, wit_d = [], [], []
-    pairing: list[int | None] = []
-    for p in range(m):
-        support = [j for j in range(n) if b[p][j]]
-        ip = None
-        if len(support) == 2 and support[0] < s and support[1] == support[0] + s:
-            ip = support[0]
-            diff = b[p][ip] - b[p][s + ip]
-            if diff:
-                wit_d.append(Witness(
-                    (("p", p + 1), ("i", ip + 1)), diff,
-                    f"B[{p + 1},{ip + 1}] - B[{p + 1},{s + ip + 1}]"
-                    f" = {_fmt(b[p][ip])} - {_fmt(b[p][s + ip])} = {_fmt(diff)}",
-                ))
-        else:
-            pretty = [j + 1 for j in support]
-            wit_c.append(Witness(
-                (("p", p + 1),), Fraction(len(support)),
-                f"row {p + 1} of B must have exactly two nonzero entries at paired"
-                f" columns (i, s+i); nonzero columns are {pretty}",
-            ))
-
-        col_support = [i for i in range(n) if a[i][p]]
-        pair_shaped = (
-            len(col_support) == 2
-            and col_support[0] < s
-            and col_support[1] == col_support[0] + s
-        )
-        if not pair_shaped or (ip is not None and col_support[0] != ip):
-            pretty = [i + 1 for i in col_support]
-            wit_a.append(Witness(
-                (("p", p + 1),), Fraction(len(col_support)),
-                f"column {p + 1} of A must have exactly two nonzero entries at the"
-                f" paired rows of its quasimonomial; nonzero rows are {pretty}",
-            ))
-        else:
-            ia = col_support[0]
-            total = a[ia][p] + a[s + ia][p]
-            if total:
-                wit_a.append(Witness(
-                    (("i", ia + 1), ("p", p + 1)), total,
-                    f"A[{ia + 1},{p + 1}] + A[{s + ia + 1},{p + 1}]"
-                    f" = {_fmt(a[ia][p])} + {_fmt(a[s + ia][p])} = {_fmt(total)}",
-                ))
-        pairing.append(ip + 1 if ip is not None else None)
-
-    cond_b = _lambda_sums(lam, s)
-    ok = not (wit_a or cond_b.count or wit_c or wit_d)
-    return SymplecticReport(
-        is_symplectic=ok,
-        s=s,
-        cond_a=_verdict(wit_a),
-        cond_b=cond_b,
-        cond_c=_verdict(wit_c),
-        cond_d=_verdict(wit_d),
-        pairing=tuple(pairing) if ok else None,
-    )
+    lam, a = qp.lam, qp.A
+    if any(lam[i] + lam[s + i] for i in range(s)):
+        return _NO_PATTERN
+    pairing = []
+    for p, row in enumerate(qp.B):
+        support = [j for j, v in enumerate(row) if v]
+        if len(support) != 2 or support[1] - support[0] != s:
+            return _NO_PATTERN
+        i = support[0]
+        if (row[i] != row[s + i] or a[i][p] + a[s + i][p]
+                or [k for k in range(n) if a[k][p]] != support):
+            return _NO_PATTERN
+        pairing.append(i + 1)
+    return PatternVerdict(True, tuple(pairing))
 
 
 def skew_matrix(s: int) -> np.ndarray:

@@ -1,12 +1,17 @@
+import io
 import json
 import math
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpmaps.cli import main
 from qpmaps.documents import map_to_document, save_map, save_qmt
-from qpmaps import check_conditions, new_qmt, new_qp_map
+from qpmaps import NumericOverflow, check_conditions, new_qmt, new_qp_map
+from qpmaps.solve import eval_solution, solve_closed_form
 from qpmaps.sampling import random_symplectic_map, random_valid_map
 
 from helpers import dim2_map, dim2_variant, dim4_map, trivial_lv_map, verify_report_oracle
@@ -123,7 +128,9 @@ class TestCheck:
         (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply to parse"),
         (b"\xff\xfe{}", "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
         (b'{"n": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit (4300 digits)"),
-    ], ids=["nested-too-deep", "not-utf8", "huge-integer"])
+        (b'{"n": 2, "m": 1, "lambda": ["1", "-1"], "A": [2, -2], "B": [["1", "1"]]}',
+         "A[0]: expected an array"),
+    ], ids=["nested-too-deep", "not-utf8", "huge-integer", "row-not-an-array"])
     def test_unreadable_json_exit_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -300,6 +307,74 @@ class TestSolve:
         assert "verification skipped: no forward steps requested" in capsys.readouterr().out
         _, rows = read_csv(out_path)
         assert [r[0] for r in rows] == [-3, -2, -1, 0]
+
+    def test_huge_range_is_bounded_by_the_multipliers(self, dim2_file, tmp_path, capsys):
+        out_path = tmp_path / "sol.csv"
+        start = time.perf_counter()
+        assert main(["solve", dim2_file, "--x0", "1,1", "--t-min", "-1000000000000",
+                     "--t-max", "0", "--out", str(out_path)]) == 0
+        assert time.perf_counter() - start < 5
+        _, rows = read_csv(out_path)
+        assert [r[0] for r in rows] == list(range(-236, 1))
+        assert capsys.readouterr().err == (
+            "warning: overflow at t in -1000000000000..-237; those rows were omitted\n")
+
+    def test_near_constant_pair_note(self, tmp_path, capsys):
+        # log k_1 = 1 - x1*x2 = 1e-10: split, but close enough to zero for a note
+        path = tmp_path / "near.qpmap.json"
+        save_map(new_qp_map((1, -1), ((-1,), (1,)), ((1, 1),)), path)
+        assert main(["solve", str(path), "--x0", "1,0.9999999999", "--t-max", "1",
+                     "--out", str(tmp_path / "sol.csv")]) == 0
+        assert "pair 1: split (one variable tends to zero, its partner diverges)" \
+               " [|log k_1| = 1.000e-10 is close to zero;" in capsys.readouterr().out
+
+    def test_overflowing_iteration_skips_verification(self, dim2_file, tmp_path, capsys):
+        out_path = tmp_path / "sol.csv"
+        assert main(["solve", dim2_file, "--x0", "1e300,1", "--t-max", "3",
+                     "--out", str(out_path)]) == 0
+        assert "verification skipped: " in capsys.readouterr().out
+        _, rows = read_csv(out_path)
+        assert [r[0] for r in rows] == [0]
+
+
+@pytest.fixture(scope="module")
+def solve_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("solve")
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.integers(-5, 5), a=st.integers(1, 5).flatmap(lambda v: st.sampled_from((v, -v))),
+       b=st.sampled_from(("1", "2", "1/2")),
+       x0=st.lists(st.sampled_from(("1e-3", "0.01", "0.5", "1", "2", "10", "1000")),
+                   min_size=2, max_size=2),
+       t_range=st.lists(st.integers(-400, 400), min_size=2, max_size=2).map(sorted))
+def test_solve_writes_exactly_the_representable_times(solve_dir, lam, a, b, x0, t_range):
+    qp = new_qp_map((lam, -lam), ((a,), (-a,)), ((b, b),))
+    path = solve_dir / "pair.qpmap.json"
+    save_map(qp, path)
+    t_min, t_max = t_range
+    sol = solve_closed_form(qp, [float(v) for v in x0])
+    representable = []
+    for t in range(t_min, t_max + 1):
+        try:
+            eval_solution(sol, t)
+            representable.append(t)
+        except NumericOverflow:
+            pass
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", str(path), "--x0", ",".join(x0), "--t-min", str(t_min),
+                     "--t-max", str(t_max)])
+    assert code == 0
+    written = [int(line.split(",")[0]) for line in out.getvalue().splitlines()[1:]]
+    assert written == representable
+    skipped = set()
+    for line in err.getvalue().splitlines():
+        if line.startswith("warning: overflow at t in "):
+            for part in line[len("warning: overflow at t in "):].split(";")[0].split(", "):
+                first, _, last = part.partition("..")
+                skipped.update(range(int(first), int(last or first) + 1))
+    assert skipped == set(range(t_min, t_max + 1)) - set(representable)
 
 
 class TestIterate:

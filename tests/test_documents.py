@@ -163,6 +163,15 @@ class TestQMTDocuments:
         with pytest.raises(DocumentError, match="singular"):
             qmt_from_document({"C": [["1", "2"], ["2", "4"]]})
 
+    @pytest.mark.parametrize("doc, message", [
+        ([["1"]], "QMT document must be a JSON object, got list"),
+        ({}, "C: expected a nonempty array of arrays"),
+        ({"C": []}, "C: expected a nonempty array of arrays"),
+    ], ids=["not-an-object", "missing-c", "empty-c"])
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            qmt_from_document(doc)
+
     def test_ragged_rejected(self):
         with pytest.raises(DocumentError, match=r"C\[1\]: expected 2 entries"):
             qmt_from_document({"C": [["1", "2"], ["2"]]})

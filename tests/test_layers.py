@@ -79,6 +79,18 @@ def test_malformed_document_is_an_input_error(runs):
         [2] * len(ARGS)
 
 
+FLOAT_ARGS = (["solve", "--x0", "1,1", "--t-max", "1"], ["iterate", "--x0", "1,1", "--steps", "1"],
+              ["verify"])
+
+
+@pytest.mark.parametrize("args", FLOAT_ARGS, ids=[args[0] for args in FLOAT_ARGS])
+def test_float_subcommand_without_numpy_exits_2(args):
+    argv = [args[0], str(FIXTURES / "dim2.qpmap.json"), *args[1:]]
+    [(code, out, err)] = json.loads(_python("-c", RUNNER, "blocked", json.dumps([argv])))
+    assert (code, out) == (2, "")
+    assert err == f"qpmap {args[0]} needs numpy, which is not installed\n"
+
+
 def test_import_qpmaps_loads_no_numpy_until_a_float_name_is_used():
     out = _python("-c", "import sys, qpmaps; print('numpy' in sys.modules);"
                         " qpmaps.iterate; print('numpy' in sys.modules)")

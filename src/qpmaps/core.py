@@ -20,9 +20,15 @@ from .maps import QPMap, new_qp_map, strictness_violations  # re-exported
 
 def first_nonpositive_row(x: np.ndarray) -> int | None:
     """Index of the first row of x (a single state is row 0) with a component
-    that is not finite and strictly positive; None when there is none."""
+    that is not finite and strictly positive; None when there is none.
+
+    Two reductions decide the common all-valid case. A NaN makes min()
+    NaN, which fails 0.0 < min, so only then is the per-entry mask built.
+    """
+    if x.size == 0 or (0.0 < x.min() and x.max() < np.inf):
+        return None
     ok = (x > 0.0) & (x < np.inf)
-    return None if ok.all() else int(np.argmin(ok.all(axis=-1).reshape(-1)))
+    return int(np.argmin(ok.all(axis=-1).reshape(-1)))
 
 
 def as_state(x, n: int) -> np.ndarray:
@@ -104,6 +110,7 @@ def iterate(qp: QPMap, x0, steps: int) -> np.ndarray:
     return np.stack(states)
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def jacobian(qp: QPMap, x) -> np.ndarray:
     """Exact-formula Jacobian of one step: n x n, or (k, n, n) for k states.
 
@@ -111,7 +118,6 @@ def jacobian(qp: QPMap, x) -> np.ndarray:
     dphi_i/dx_j = sum_p A[i][p] * B[p][j] * q_p(x) / x_j.
     """
     x = as_state(x, qp.n)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        q, ph = _phi(qp, x)
-        d = qp.A_f @ (q[..., :, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
-        return (np.eye(qp.n) + (x[..., :, None] / x[..., None, :]) * d) * np.exp(ph)[..., :, None]
+    q, ph = _phi(qp, x)
+    d = qp.A_f @ (q[..., :, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
+    return (np.eye(qp.n) + (x[..., :, None] / x[..., None, :]) * d) * np.exp(ph)[..., :, None]

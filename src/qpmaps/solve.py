@@ -14,6 +14,7 @@ log_rate = (log k, -log k); exp(0) = 1 makes t = 0 give x(0) exactly.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -87,15 +88,22 @@ def solve_closed_form(qp: QPMap, x0) -> ClosedFormSolution:
     return ClosedFormSolution(s=s, x0=x, log_k=log_k, invariants_I=invariants)
 
 
+@np.errstate(over="ignore", under="ignore")
 def eval_solution(sol: ClosedFormSolution, t: int | np.ndarray) -> np.ndarray:
     """State at integer time t (negative allowed): x0 * exp(t * log_rate).
 
     exp(0) is exactly 1, so t = 0 gives x0 bit for bit. A column of times,
     shape (k, 1), gives one state per row. Raises NumericOverflow naming the
-    first time where exp(t * log_rate) or the state leaves the positive range.
+    first time where exp(t * log_rate) or the state leaves the positive range,
+    also for an int t too large to convert to a double.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        out = sol.x0 * np.exp(t * sol.log_rate)
+    try:
+        rate = t * sol.log_rate
+    except OverflowError:  # an int t beyond the double range
+        # Decimal prints every digit; str(int) stops at 4300
+        raise NumericOverflow(f"t={Decimal(t)} is outside the double range",
+                              time_index=t) from None
+    out = sol.x0 * np.exp(rate)
     row = first_nonpositive_row(out)
     if row is not None:
         t = int(np.ravel(t)[row])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -261,13 +262,21 @@ def check_pattern(qp: QPMap) -> PatternVerdict:
     return PatternVerdict(True, tuple(pairing))
 
 
+@cache
 def skew_matrix(s: int) -> np.ndarray:
-    """The standard skew block matrix [[0, -I], [I, 0]] of size 2s."""
+    """The standard skew block matrix [[0, -I], [I, 0]] of size 2s.
+
+    Built once per s and kept for the life of the process; every call with
+    that s returns the same read-only array, so writing to it raises
+    ValueError. Copy it to get one to change.
+    """
     import numpy as np
 
     z = np.zeros((s, s))
     i = np.eye(s)
-    return np.block([[z, -i], [i, z]])
+    S = np.block([[z, -i], [i, z]])
+    S.flags.writeable = False
+    return S
 
 
 def symplectic_residual(qp: QPMap, x) -> float:
@@ -281,15 +290,18 @@ def symplectic_residual(qp: QPMap, x) -> float:
 
 
 def jacobian_residual(L: np.ndarray) -> float:
-    """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them; inf
-    when a Jacobian or the residual is not finite, so max() over residuals
-    cannot drop it and read as a pass."""
+    """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them.
+
+    inf when a Jacobian or the residual is not finite (NaN included), so
+    max() over residuals cannot drop it and read as a pass. An empty stack,
+    shape (0, n, n), has residual 0.0: no state breaks the condition.
+    """
     import numpy as np
 
     S = skew_matrix(L.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
-    return r if np.isfinite(r) else np.inf
+        r = float(np.abs(L.swapaxes(-1, -2) @ S @ L - S).max(initial=0.0))
+    return r if r < np.inf else np.inf
 
 
 def symplectic_product_block(qp: QPMap, x) -> np.ndarray:

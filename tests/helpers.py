@@ -270,6 +270,23 @@ def relative_gap(a, b, floor: float = 1.0) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
+def first_nonpositive_row_oracle(x: np.ndarray) -> int | None:
+    """The per-entry mask formula of core.first_nonpositive_row."""
+    ok = (x > 0.0) & (x < np.inf)
+    return None if ok.all() else int(np.argmin(ok.all(axis=-1).reshape(-1)))
+
+
+def jacobian_residual_oracle(L: np.ndarray) -> float:
+    """max |K^T S K - S| with S built afresh by np.block, and inf for a
+    residual that is not finite: the formula of jacobian_residual."""
+    s = L.shape[-1] // 2
+    z, i = np.zeros((s, s)), np.eye(s)
+    S = np.block([[z, -i], [i, z]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
+    return r if np.isfinite(r) else np.inf
+
+
 def verify_report_oracle(qp: QPMap, samples: int, seed: int, tol: float) -> str:
     """The report of `qpmap verify`, computed one sample at a time: draw a
     state, form its Jacobian K, and take |K^T.S.K - S| and |det K - 1|."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qpmaps import (
     DimensionMismatch,
@@ -17,9 +18,17 @@ from qpmaps import (
     quasimonomials,
     step,
 )
+from qpmaps.core import first_nonpositive_row
 from qpmaps.sampling import random_classification_map, random_state, random_valid_map
 
-from helpers import dim2_map, fd_jacobian, quasimonomial_oracle, relative_gap, trivial_lv_map
+from helpers import (
+    dim2_map,
+    fd_jacobian,
+    first_nonpositive_row_oracle,
+    quasimonomial_oracle,
+    relative_gap,
+    trivial_lv_map,
+)
 
 E3 = math.exp(3.0)
 
@@ -251,6 +260,31 @@ def test_positivity_preservation(data):
         return  # overflow is reported loudly, never silently
     assert np.all(out > 0)
     assert np.all(np.isfinite(out))
+
+
+EDGE_VALUES = (0.0, -0.0, -1.0, -5e-324, np.nan, np.inf, -np.inf, 5e-324,
+               1.7976931348623157e308, 1.0)
+
+
+# Mostly positive finite entries, so the all-valid answer None occurs often;
+# shapes include (0, n) and (k, 0).
+@settings(max_examples=400, deadline=None)
+@given(arrays(float, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+              elements=st.one_of(st.floats(0.25, 4.0), st.sampled_from(EDGE_VALUES),
+                                 st.floats(allow_nan=True, allow_infinity=True))))
+def test_first_nonpositive_row_matches_mask_formula(x):
+    assert first_nonpositive_row(x) == first_nonpositive_row_oracle(x)
+
+
+def test_jacobian_errstate_is_restored_under_raise():
+    # exp(1000) overflows a row of the Jacobian; the kernel's own errstate
+    # wins inside, and the caller's settings come back unchanged.
+    qp = new_qp_map(("1000", "0"), (("1",), ("1",)), (("1", "1"),))
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        jac = jacobian(qp, [1.0, 1.0])
+        assert np.geterr() == before
+    assert np.isinf(jac[0]).all() and np.isfinite(jac[1]).all()
 
 
 def test_determinism_bitwise():

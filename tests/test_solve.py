@@ -127,6 +127,23 @@ class TestEvalSolution:
         with pytest.raises(NumericOverflow):
             eval_solution(sol, -1000)
 
+    def test_time_beyond_the_double_range_overflows(self):
+        sol = solve_closed_form(dim2_map(), [1, 1])
+        for t in (10**400, -10**400):
+            with pytest.raises(NumericOverflow) as info:
+                eval_solution(sol, t)
+            assert info.value.time_index == t
+            assert str(t) in str(info.value)
+
+    def test_overflow_is_numeric_overflow_under_raise(self):
+        sol = solve_closed_form(dim2_map(), [1, 1])
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            for t in (1000, -1000, np.array([[0], [1000]])):
+                with pytest.raises(NumericOverflow):
+                    eval_solution(sol, t)
+            assert np.geterr() == before
+
     def test_rebase_group_property(self):
         rng = np.random.default_rng(67)
         for _ in range(20):

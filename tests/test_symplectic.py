@@ -32,7 +32,14 @@ from qpmaps.sampling import (
 )
 from qpmaps.symplectic import WITNESS_LIMIT, PatternVerdict
 
-from helpers import check_conditions_oracle, dim2_map, dim2_variant, dim4_map, trivial_lv_map
+from helpers import (
+    check_conditions_oracle,
+    dim2_map,
+    dim2_variant,
+    dim4_map,
+    jacobian_residual_oracle,
+    trivial_lv_map,
+)
 
 
 def violation_state_on_grid(qp, points_per_axis=5, lo=0.5, hi=2.0, tol=1e-6):
@@ -271,6 +278,33 @@ class TestNumericOracles:
             assert jacobian_residual(jacobian(qp, xs)) == np.inf
             assert symplectic_residual(qp, xs[0]) == np.inf
         assert max(0.0, symplectic_residual(qp, xs)) > 1e-9
+
+    def test_jacobian_residual_matches_block_formula_bitwise(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            qp = random_classification_map(rng)
+            xs = random_state(rng, (int(rng.integers(1, 6)), qp.n))
+            for jac in (jacobian(qp, xs[0]), jacobian(qp, xs)):
+                got, want = jacobian_residual(jac), jacobian_residual_oracle(jac)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        qp = new_qp_map(("1000", "0"), (("1",), ("1",)), (("1", "1"),))
+        jac = jacobian(qp, random_state(rng, (3, 2)))
+        assert jacobian_residual(jac) == jacobian_residual_oracle(jac) == np.inf
+
+    def test_empty_stack_residual_is_zero(self):
+        for qp in (dim2_map(), dim4_map()):
+            empty = np.ones((0, qp.n))
+            assert jacobian(qp, empty).shape == (0, qp.n, qp.n)
+            assert symplectic_residual(qp, empty) == 0.0
+
+    def test_skew_matrix_is_shared_and_read_only(self):
+        for s in (1, 2, 5):
+            S = skew_matrix(s)
+            assert skew_matrix(s) is S
+            with pytest.raises(ValueError):
+                S[0, 0] = 1.0
+            assert np.array_equal(S, np.block([[np.zeros((s, s)), -np.eye(s)],
+                                               [np.eye(s), np.zeros((s, s))]]))
 
     def test_odd_dimension_raises(self):
         qp = new_qp_map((1, 0, -1), ((1,), (1,), (1,)), ((1, 1, 1),))

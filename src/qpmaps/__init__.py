@@ -29,17 +29,14 @@ from .errors import (
 from .maps import QPMap, new_qp_map, strictness_violations
 from .symplectic import (
     ConditionVerdict,
-    ConservedProduct,
     RankReport,
     SymplecticReport,
     Witness,
     check_conditions,
     check_pattern,
-    conserved_products,
     jacobian_residual,
     rank_bounds,
     skew_matrix,
-    symplectic_product_block,
     symplectic_residual,
 )
 from .transform import (
@@ -63,9 +60,9 @@ __all__ = [
     "SingularMatrix", "ZeroColumnOfA", "ZeroRowOfB",
     "ClosedFormSolution", "PairAsymptotics", "classify_asymptotics",
     "eval_solution", "solve_closed_form", "verify_solution",
-    "ConditionVerdict", "ConservedProduct", "RankReport", "SymplecticReport",
-    "Witness", "check_conditions", "check_pattern", "conserved_products",
-    "jacobian_residual", "rank_bounds", "skew_matrix", "symplectic_product_block", "symplectic_residual",
+    "ConditionVerdict", "RankReport", "SymplecticReport", "Witness",
+    "check_conditions", "check_pattern", "jacobian_residual", "rank_bounds",
+    "skew_matrix", "symplectic_residual",
     "QMT", "apply_qmt", "class_invariant", "lv_canonical", "new_qmt",
     "pull_state", "push_state", "solver_qmt",
     "__version__",

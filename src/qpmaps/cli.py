@@ -26,7 +26,7 @@ from .documents import (
     load_qmt,
     map_to_document,
     parse_rational,
-    trajectory_csv,
+    trajectory_csv_lines,
 )
 from .errors import (
     DegenerateResult,
@@ -75,12 +75,13 @@ class _Output:
     def info(self, message: str) -> None:
         print(message, file=sys.stderr if self.out_path is None else sys.stdout)
 
-    def write_data(self, text: str) -> None:
+    def write_data(self, blocks) -> None:
+        """Write an iterable of text pieces, each as soon as it is produced."""
         if self.out_path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
         else:
             with open(self.out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
 
 
 def _parse_x0(text: str, n: int) -> np.ndarray:
@@ -231,16 +232,21 @@ def cmd_solve(args) -> int:
     lo, hi = t_min, t_max
     if limit < max(-t_min, t_max):
         lo, hi = max(t_min, -math.floor(limit)), min(t_max, math.floor(limit))
-    times, rows = [], []
-    for t in range(lo, hi + 1):
-        try:
-            rows.append(eval_solution(sol, t).tolist())
-            times.append(t)
-        except NumericOverflow:
-            if times:  # each coordinate is monotone in t: no later t is representable
-                break
-    out.write_data(trajectory_csv(times, rows))
-    gaps = ((t_min, times[0] - 1), (times[-1] + 1, t_max)) if times else ((t_min, t_max),)
+    written = []  # the first and the last written t; every t between them is written
+
+    def rows():
+        for t in range(lo, hi + 1):
+            try:
+                state = eval_solution(sol, t).tolist()
+            except NumericOverflow:
+                if written:  # each coordinate is monotone in t: no later t is representable
+                    break
+                continue
+            written[1:] = [t]  # [t] for the first row, then [first, t]
+            yield t, state
+
+    out.write_data(trajectory_csv_lines(qp.n, rows()))
+    gaps = ((t_min, written[0] - 1), (written[-1] + 1, t_max)) if written else ((t_min, t_max),)
     skipped = ", ".join(f"{a}..{b}" if a < b else f"{a}" for a, b in gaps if a <= b)
     if skipped:
         _err(f"warning: overflow at t in {skipped}; those rows were omitted")
@@ -264,7 +270,7 @@ def cmd_iterate(args) -> int:
         traj = exc.partial
         _err(f"warning: overflow at t={exc.time_index}; truncating"
              f" (last valid t={len(traj) - 1})")
-    out.write_data(trajectory_csv(range(len(traj)), traj.tolist()))
+    out.write_data(trajectory_csv_lines(qp.n, enumerate(traj.tolist())))
     return EXIT_OK
 
 
@@ -301,7 +307,7 @@ def cmd_transform(args) -> int:
         after = check_conditions(result).is_symplectic
         after_text = "yes" if after else "no"
     out.info(f"symplectic before: {'yes' if before else 'no'}; after: {after_text}")
-    out.write_data(json.dumps(doc, indent=2) + "\n")
+    out.write_data([json.dumps(doc, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -326,7 +332,7 @@ def cmd_canonical(args) -> int:
     out = _Output(args.out)
     out.info(f"class invariant B.M: {_matrix_text(bm)}")
     out.info(f"canonical Lotka-Volterra representative has {lv.n} variables")
-    out.write_data(json.dumps(doc, indent=2) + "\n")
+    out.write_data([json.dumps(doc, indent=2) + "\n"])
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ strict QP form; such documents parse into relaxed maps.
 """
 
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import DocumentError, QPError
@@ -171,15 +172,18 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def trajectory_csv(times, states) -> str:
+def trajectory_csv_lines(n: int, rows) -> Iterator[str]:
+    """The lines of :func:`trajectory_csv`, each made as it is read from the
+    (t, state) pairs of ``rows``, so a trajectory is never held as text."""
+    yield "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
+    for t, state in rows:
+        yield f"{t}," + ",".join(format_float(v) for v in state) + "\n"
+
+
+def trajectory_csv(n: int, times, states) -> str:
     """CSV text with header t,x1,...,xn; one row per time, LF line endings.
 
     A row of Python floats (an array's ``.tolist()``) prints the same text
     as the numpy row and formats faster than numpy scalars do.
     """
-    states = list(states)
-    n = len(states[0]) if states else 0
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
-    for t, state in zip(times, states):
-        lines.append(f"{t}," + ",".join(format_float(v) for v in state))
-    return "\n".join(lines) + "\n"
+    return "".join(trajectory_csv_lines(n, zip(times, states)))

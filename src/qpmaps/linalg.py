@@ -2,7 +2,7 @@
 
 Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
 operations here are exact: no pivot tolerance, no float intermediates.
-The O(n^3) kernels (``mat_mul``, ``mat_vec``, ``rank``, ``inverse``) clear
+The O(n^3) kernels (``mat_mul``, ``rank``, ``inverse``) clear
 denominators once per row or column and then work on Python integers:
 products are integer dot products, and elimination is fraction-free
 (Bareiss, Math. Comp. 22, 1968), dividing exactly by the previous pivot.
@@ -124,14 +124,6 @@ def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
         tuple(Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols)
         for r, dr in map(_cleared, x)
     )
-
-
-def mat_vec(m: RMatrix, v) -> RVector:
-    v = rvector(v)
-    if len(m[0]) != len(v):
-        raise DimensionMismatch(f"cannot apply {len(m)}x{len(m[0])} to vector of length {len(v)}")
-    c, dc = _cleared(v)
-    return tuple(Fraction(sum(map(mul, r, c)), dr * dc) for r, dr in map(_cleared, m))
 
 
 def augment_column(col, m: RMatrix) -> RMatrix:

@@ -8,10 +8,11 @@ over the rationals, so verdicts carry no tolerance. Two independent
 classifiers cross-check each other: :func:`check_conditions` evaluates the
 condition equations and explains its verdict with exact violation counts
 and witnesses; :func:`check_pattern` tests the equivalent zero pattern of A
-and B and returns only the verdict and the pairing. Float-level residual
-oracles based on the Jacobian complete the set. The classifiers are exact
-and import no numpy; the float oracles load it, and :mod:`qpmaps.core`,
-when called.
+and B and returns only the verdict and the pairing. Both are exact and
+import no numpy; the float residual max |K^T S K - S| of
+:func:`jacobian_residual` loads it, and :mod:`qpmaps.core`, when called.
+The conserved pair products x_i * x_{s+i} are
+``solve_closed_form(qp, x0).invariants_I``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NotSymplectic, OddDimension
+from .errors import OddDimension
 from .linalg import format_rational as _fmt, pivot_columns, rank
 from .maps import QPMap
 
@@ -103,21 +104,6 @@ class RankReport:
     rank_A: int
     rank_M: int
     bound_satisfied: bool | None
-
-
-@dataclass(frozen=True)
-class ConservedProduct:
-    """The pair product x_i * x_{s+i}, constant along symplectic orbits."""
-
-    i: int  # 1-based pair index
-    s: int
-
-    def value_at(self, x):
-        """The product at a state (a float), or at each row of a stack."""
-        from .core import as_state
-
-        x = as_state(x, 2 * self.s)
-        return x[..., self.i - 1] * x[..., self.s + self.i - 1]
 
 
 def check_conditions(qp: QPMap) -> SymplecticReport:
@@ -304,24 +290,6 @@ def jacobian_residual(L: np.ndarray) -> float:
     return r if r < np.inf else np.inf
 
 
-def symplectic_product_block(qp: QPMap, x) -> np.ndarray:
-    """The s x s block of pairwise Jacobian cross-products that must equal
-    the identity for the map to be symplectic at x.
-
-    Entry (i, j) is sum_k (L[s+k][s+i]*L[k][j] - L[k][s+i]*L[s+k][j]); it is
-    the lower-left block of K^T S K and serves as an independent oracle for
-    the exact classifiers. A stack of states gives a stack of blocks.
-    """
-    if qp.n % 2:
-        raise OddDimension(f"product block requires even dimension, got n={qp.n}")
-    from .core import jacobian
-
-    s = qp.n // 2
-    L = jacobian(qp, x)
-    return (L[..., s:, s:].swapaxes(-1, -2) @ L[..., :s, :s]
-            - L[..., :s, s:].swapaxes(-1, -2) @ L[..., s:, :s])
-
-
 def rank_bounds(qp: QPMap) -> RankReport:
     """Exact ranks of B, A, M=(lam|A) and the rank <= s necessary condition.
 
@@ -339,13 +307,3 @@ def rank_bounds(qp: QPMap) -> RankReport:
     else:
         bound = None
     return RankReport(rank_B=rank_b, rank_A=rank_a, rank_M=rank_m, bound_satisfied=bound)
-
-
-def conserved_products(qp: QPMap) -> list[ConservedProduct]:
-    """The s conserved pair products x_i * x_{s+i} of a symplectic map."""
-    report = check_conditions(qp)
-    if not report.is_symplectic:
-        raise NotSymplectic("conserved pair products exist only for symplectic maps",
-                            report=report)
-    s = report.s
-    return [ConservedProduct(i=i + 1, s=s) for i in range(s)]

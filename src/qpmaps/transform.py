@@ -1,9 +1,9 @@
 """Quasimonomial transformations (QMTs) and the QP equivalence-class tools.
 
 A QMT with invertible matrix C changes variables by x_i = prod_j y_j**C[i][j].
-It maps QP maps to QP maps with A' = C^-1 A, B' = B C, lam' = C^-1 lam and is
-a topological conjugacy, so transformed maps are dynamically equivalent.
-The product B.M with M = (lam | A) is identical for all members of a class
+It maps QP maps to QP maps with M' = C^-1 M and B' = B C, where M = (lam | A),
+and is a topological conjugacy, so transformed maps are dynamically equivalent.
+The product B.M is therefore identical for all members of a class
 and is the M matrix of the class's canonical Lotka-Volterra representative.
 All of this is exact and imports no numpy; the float state maps
 ``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, when called.
@@ -22,13 +22,11 @@ from .linalg import (
     identity,
     inverse,
     mat_mul,
-    mat_vec,
     rmatrix,
     to_float_matrix,
     zero_column_indices,
-    zero_row_indices,
 )
-from .maps import QPMap
+from .maps import QPMap, strictness_violations
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,22 +97,21 @@ def solver_qmt(s: int) -> QMT:
 
 
 def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
-    """Transform a map: A' = C^-1 A, B' = B C, lam' = C^-1 lam (all exact).
+    """Transform a map: M' = C^-1 M with M = (lam | A), and B' = B C (all exact).
 
-    A QMT can push a map out of the strict QP form by creating a zero row
-    in B' or a zero column in A'. With strict=True this raises
-    DegenerateResult carrying the relaxed result; with strict=False the
-    relaxed map is returned silently.
+    Column 0 of M' is lam' = C^-1 lam and the rest is A' = C^-1 A. A QMT
+    can push a map out of the strict QP form by creating a zero row in B'
+    or a zero column in A'. With strict=True this raises DegenerateResult
+    carrying the relaxed result; with strict=False the relaxed map is
+    returned silently.
     """
     if t.n != qp.n:
         raise DimensionMismatch(f"QMT is {t.n}x{t.n} but map has n={qp.n}")
-    lam2 = mat_vec(t.C_inv, qp.lam)
-    a2 = mat_mul(t.C_inv, qp.A)
-    b2 = mat_mul(qp.B, t.C)
-    result = QPMap(lam2, a2, b2)
+    m2 = mat_mul(t.C_inv, augment_column(qp.lam, qp.A))
+    result = QPMap(tuple(row[0] for row in m2), tuple(row[1:] for row in m2),
+                   mat_mul(qp.B, t.C))
     if strict:
-        zero_cols = zero_column_indices(a2)
-        zero_rows = zero_row_indices(b2)
+        zero_cols, zero_rows = strictness_violations(result)
         if zero_cols or zero_rows:
             parts = []
             if zero_cols:

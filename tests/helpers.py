@@ -6,7 +6,7 @@ import numpy as np
 
 from qpmaps import QPMap, jacobian, new_qp_map, pull_state, skew_matrix, solver_qmt, step
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
-from qpmaps.errors import SingularMatrix
+from qpmaps.errors import OddDimension, SingularMatrix
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
 from qpmaps.sampling import random_state
 
@@ -285,6 +285,22 @@ def jacobian_residual_oracle(L: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         r = float(np.max(np.abs(L.swapaxes(-1, -2) @ S @ L - S)))
     return r if np.isfinite(r) else np.inf
+
+
+def symplectic_product_block(qp: QPMap, x) -> np.ndarray:
+    """The s x s block of pairwise Jacobian cross-products that must equal
+    the identity for the map to be symplectic at x.
+
+    Entry (i, j) is sum_k (L[s+k][s+i]*L[k][j] - L[k][s+i]*L[s+k][j]); it is
+    the lower-left block of K^T S K and serves as an independent oracle for
+    the exact classifiers. A stack of states gives a stack of blocks.
+    """
+    if qp.n % 2:
+        raise OddDimension(f"product block requires even dimension, got n={qp.n}")
+    s = qp.n // 2
+    L = jacobian(qp, x)
+    return (L[..., s:, s:].swapaxes(-1, -2) @ L[..., :s, :s]
+            - L[..., :s, s:].swapaxes(-1, -2) @ L[..., s:, :s])
 
 
 def verify_report_oracle(qp: QPMap, samples: int, seed: int, tol: float) -> str:

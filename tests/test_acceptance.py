@@ -24,7 +24,6 @@ from qpmaps import (
     quasimonomials,
     solve_closed_form,
     step,
-    symplectic_product_block,
     symplectic_residual,
     verify_solution,
 )
@@ -40,7 +39,7 @@ from qpmaps.sampling import (
 )
 from qpmaps.transform import pull_state
 
-from helpers import dim2_map, dim4_map, fd_jacobian, relative_gap
+from helpers import dim2_map, dim4_map, fd_jacobian, relative_gap, symplectic_product_block
 
 
 def report(num, name, ok, extra=""):

@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpmaps.cli import main
 from qpmaps.documents import map_to_document, save_map, save_qmt
@@ -348,6 +352,7 @@ def solve_dir(tmp_path_factory):
        x0=st.lists(st.sampled_from(("1e-3", "0.01", "0.5", "1", "2", "10", "1000")),
                    min_size=2, max_size=2),
        t_range=st.lists(st.integers(-400, 400), min_size=2, max_size=2).map(sorted))
+@example(lam=1, a=2, b="1", x0=["1", "1"], t_range=[500, 600])  # fixtures/dim2, no row written
 def test_solve_writes_exactly_the_representable_times(solve_dir, lam, a, b, x0, t_range):
     qp = new_qp_map((lam, -lam), ((a,), (-a,)), ((b, b),))
     path = solve_dir / "pair.qpmap.json"
@@ -366,7 +371,9 @@ def test_solve_writes_exactly_the_representable_times(solve_dir, lam, a, b, x0, 
         code = main(["solve", str(path), "--x0", ",".join(x0), "--t-min", str(t_min),
                      "--t-max", str(t_max)])
     assert code == 0
-    written = [int(line.split(",")[0]) for line in out.getvalue().splitlines()[1:]]
+    header, *lines = out.getvalue().splitlines()
+    assert header == "t,x1,x2"
+    written = [int(line.split(",")[0]) for line in lines]
     assert written == representable
     skipped = set()
     for line in err.getvalue().splitlines():
@@ -375,6 +382,40 @@ def test_solve_writes_exactly_the_representable_times(solve_dir, lam, a, b, x0, 
                 first, _, last = part.partition("..")
                 skipped.update(range(int(first), int(last or first) + 1))
     assert skipped == set(range(t_min, t_max + 1)) - set(representable)
+
+
+# Prints the exit code of `qpmap ARGV...` (0 without ARGV) and the peak RSS
+# in kB of a process that has imported numpy and qpmaps.cli.
+PEAK_RSS_PROBE = """
+import resource, sys, numpy, qpmaps.cli
+code = qpmaps.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_solve_streams_its_rows(tmp_path):
+    """300,001 rows of `qpmap solve --out` cost at most 15 MB over a process
+    that only imports qpmaps.cli and numpy: rows are written as evaluated."""
+    pytest.importorskip("resource")
+    path = tmp_path / "k1.qpmap.json"  # log k = 0: every t is representable
+    save_map(new_qp_map((-1, 1), ((1,), (-1,)), ((1, 1),)), path)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def peak_kb(*argv):
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        code, kb = proc.stdout.split()[-2:]
+        assert code == "0", proc.stderr
+        return int(kb)
+
+    out_path = tmp_path / "z.csv"
+    solve_kb = peak_kb("solve", str(path), "--x0", "1,1", "--t-max", "300000",
+                       "--out", str(out_path))
+    assert solve_kb - peak_kb() <= 15 * 1024
+    with open(out_path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 300_002
 
 
 class TestIterate:

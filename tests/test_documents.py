@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestCSV:
             assert float(format_float(v)) == v
 
     def test_header_and_rows(self):
-        text = trajectory_csv([0, 1], [np.array([1.0, 2.0]), np.array([3.0, 4.5])])
+        text = trajectory_csv(2, [0, 1], [np.array([1.0, 2.0]), np.array([3.0, 4.5])])
         lines = text.split("\n")
         assert lines[0] == "t,x1,x2"
         assert lines[1] == "0,1,2"
@@ -194,7 +195,7 @@ class TestCSV:
         assert "\r" not in text
 
     def test_negative_times(self):
-        text = trajectory_csv([-2, -1], [np.array([1.0]), np.array([2.0])])
+        text = trajectory_csv(1, [-2, -1], [np.array([1.0]), np.array([2.0])])
         assert text.split("\n")[1].startswith("-2,")
 
     @given(data=st.data(), n=st.integers(1, 4))
@@ -205,6 +206,14 @@ class TestCSV:
         rows = data.draw(st.lists(st.lists(doubles, min_size=n, max_size=n), max_size=6))
         states = np.array(rows, dtype=float).reshape(len(rows), n)
         times = range(-1, len(rows) - 1)
-        text = trajectory_csv(times, states.tolist())
-        assert trajectory_csv(times, states) == text
-        assert trajectory_csv(times, list(states)) == text
+        text = trajectory_csv(n, times, states.tolist())
+        assert trajectory_csv(n, times, states) == text
+        assert trajectory_csv(n, times, list(states)) == text
+
+
+def test_readme_library_example_runs():
+    """The python block under "## Library" in README.md runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(code, "README.md", "exec"), {})

@@ -12,7 +12,6 @@ from qpmaps.linalg import (
     inverse,
     is_zero,
     mat_mul,
-    mat_vec,
     pivot_columns,
     rank,
     rational,
@@ -103,7 +102,6 @@ def test_mat_mul_and_vec():
     x = rmatrix([[1, 2], [3, 4]])
     y = rmatrix([["1/2", 0], [0, "1/2"]])
     assert mat_mul(x, y) == rmatrix([["1/2", 1], ["3/2", 2]])
-    assert mat_vec(x, [1, "1/2"]) == (Fraction(2), Fraction(5))
     with pytest.raises(DimensionMismatch):
         mat_mul(x, rmatrix([[1, 2]]))
 
@@ -221,13 +219,6 @@ def test_mat_mul_equals_fraction_loop(data, x):
     assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
 
 
-@given(data=st.data(), m=any_matrices)
-def test_mat_vec_equals_fraction_loop(data, m):
-    v = data.draw(st.lists(zero_heavy, min_size=len(m[0]), max_size=len(m[0])))
-    expected = tuple(row[0] for row in mat_mul_oracle(m, tuple((e,) for e in v)))
-    assert_identical((mat_vec(m, v),), (expected,))
-
-
 @given(m=st.one_of(any_matrices, square_matrices()))
 def test_rank_equals_gauss_elimination(m):
     assert rank(m) == rank_oracle(m)
@@ -252,7 +243,8 @@ def test_rank_bounds_equals_gauss_elimination(data, a, inside):
     usually outside it."""
     n, m = len(a), len(a[0])
     if inside:
-        lam = mat_vec(a, data.draw(st.lists(small_rationals, min_size=m, max_size=m)))
+        v = data.draw(st.lists(small_rationals, min_size=m, max_size=m))
+        lam = [row[0] for row in mat_mul(a, rmatrix([[e] for e in v]))]
     else:
         lam = data.draw(st.lists(zero_heavy, min_size=n, max_size=n))
     b = data.draw(rational_matrices(m, n))

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpmaps import (
-    NotSymplectic,
     OddDimension,
     QPMap,
     check_conditions,
     check_pattern,
-    conserved_products,
     iterate,
     jacobian,
     jacobian_residual,
@@ -21,7 +19,6 @@ from qpmaps import (
     rank_bounds,
     skew_matrix,
     strictness_violations,
-    symplectic_product_block,
     symplectic_residual,
 )
 from qpmaps.sampling import (
@@ -38,6 +35,7 @@ from helpers import (
     dim2_variant,
     dim4_map,
     jacobian_residual_oracle,
+    symplectic_product_block,
     trivial_lv_map,
 )
 
@@ -395,30 +393,6 @@ class TestRankBounds:
 
 
 class TestConservedProducts:
-    def test_dim2_product(self):
-        (product,) = conserved_products(dim2_map())
-        assert product.i == 1
-        assert product.value_at([2.0, 0.5]) == pytest.approx(1.0)
-
-    def test_dim4_products(self):
-        products = conserved_products(dim4_map())
-        assert [p.i for p in products] == [1, 2]
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert products[0].value_at(x) == pytest.approx(3.0)
-        assert products[1].value_at(x) == pytest.approx(8.0)
-
-    def test_not_symplectic_raises(self):
-        with pytest.raises(NotSymplectic) as exc:
-            conserved_products(dim2_variant())
-        assert exc.value.report is not None
-
-    def test_conservation_along_trajectory(self):
-        qp = dim2_map()
-        traj = iterate(qp, [2.0, 0.5], 20)
-        (product,) = conserved_products(qp)
-        values = [product.value_at(state) for state in traj]
-        assert max(abs(v - 1.0) for v in values) <= 1e-10
-
     def test_drift_and_quasimonomial_constancy_random(self):
         rng = np.random.default_rng(41)
         for _ in range(20):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qpmaps import (
     DegenerateResult,
@@ -23,9 +24,15 @@ from qpmaps import (
     strictness_violations,
 )
 from qpmaps.linalg import augment_column, diagonal, identity, is_zero, mat_mul, rmatrix
-from qpmaps.sampling import random_classification_map, random_qmt, random_state, random_symplectic_map
+from qpmaps.sampling import (
+    random_classification_map,
+    random_qmt,
+    random_state,
+    random_symplectic_map,
+    random_valid_map,
+)
 
-from helpers import dim2_map, dim2_variant, dim4_map
+from helpers import dim2_map, dim2_variant, dim4_map, mat_mul_oracle
 
 
 class TestQMTConstruction:
@@ -112,6 +119,33 @@ class TestApplyQMT:
         assert strictness_violations(relaxed)[1] == (0,)
         # non-strict application returns the same relaxed map silently
         assert apply_qmt(qp, t, strict=False) == relaxed
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+           scale=st.integers(1, 3), data=st.data())
+    def test_equals_independent_products(self, seed, n, m, scale, data):
+        """lam' = C^-1 lam, A' = C^-1 A and B' = B C by the Fraction triple
+        loop; relaxed inputs (zeroed A columns, B rows) must degenerate with
+        exactly the zero columns and rows of those products."""
+        rng = np.random.default_rng(seed)
+        valid = random_valid_map(rng, n, m)
+        t = random_qmt(rng, n)
+        zero_cols = data.draw(st.sets(st.integers(0, m - 1)))
+        zero_rows = data.draw(st.sets(st.integers(0, m - 1)))
+        a = [[0 if p in zero_cols else e / scale for p, e in enumerate(row)] for row in valid.A]
+        b = [[0] * n if p in zero_rows else row for p, row in enumerate(valid.B)]
+        qp = QPMap(valid.lam, a, b)
+        lam2 = tuple(row[0] for row in mat_mul_oracle(t.C_inv, tuple((e,) for e in qp.lam)))
+        expected = QPMap(lam2, mat_mul_oracle(t.C_inv, qp.A), mat_mul_oracle(qp.B, t.C))
+        assert apply_qmt(qp, t, strict=False) == expected
+        degenerate = (tuple(j for j in range(m) if all(row[j] == 0 for row in expected.A)),
+                      tuple(p for p in range(m) if all(e == 0 for e in expected.B[p])))
+        if degenerate == ((), ()):
+            assert apply_qmt(qp, t) == expected
+        else:
+            with pytest.raises(DegenerateResult) as exc:
+                apply_qmt(qp, t)
+            assert exc.value.result == expected
+            assert (exc.value.zero_a_columns, exc.value.zero_b_rows) == degenerate
 
     def test_group_law(self):
         rng = np.random.default_rng(29)

@@ -270,7 +270,9 @@ def cmd_iterate(args) -> int:
         traj = exc.partial
         _err(f"warning: overflow at t={exc.time_index}; truncating"
              f" (last valid t={len(traj) - 1})")
-    out.write_data(trajectory_csv_lines(qp.n, enumerate(traj.tolist())))
+    # row by row: one tolist() of the whole trajectory would hold every value
+    # as a Python float at once
+    out.write_data(trajectory_csv_lines(qp.n, ((t, row.tolist()) for t, row in enumerate(traj))))
     return EXIT_OK
 
 
@@ -367,7 +369,8 @@ def cmd_verify(args) -> int:
     for start in range(0, args.samples, chunk):
         jac = jacobian(qp, random_state(rng, (min(chunk, args.samples - start), qp.n)))
         resid = jacobian_residual(jac)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # LU of a Jacobian with inf entries divides by zero: the NaN is caught below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             det = float(np.abs(np.linalg.det(jac) - 1.0).max())
         # max() would drop a NaN and report a pass, so a non-finite chunk stops here
         if not (np.isfinite(resid) and np.isfinite(det)):

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonPositiveState, NumericOverflow
 from .maps import QPMap, new_qp_map, strictness_violations  # re-exported
 
+#: Steps the first trajectory buffer of :func:`iterate` holds; it doubles as needed.
+_FIRST_ROWS = 1024
+
 
 def first_nonpositive_row(x: np.ndarray) -> int | None:
     """Index of the first row of x (a single state is row 0) with a component
@@ -89,8 +92,11 @@ def iterate(qp: QPMap, x0, steps: int) -> np.ndarray:
 
     x0 is checked once. The first computed state that leaves the strictly
     positive finite double range raises NumericOverflow with its time index
-    and, as ``partial``, the array of states before it. A map entry outside
+    and, as ``partial``, a copy of the states before it. A map entry outside
     the double range raises NumericOverflow naming it, before any step.
+    States are written into a buffer that doubles as needed, up to
+    steps + 1 rows, so memory follows the states computed, not the steps
+    requested.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -98,16 +104,21 @@ def iterate(qp: QPMap, x0, steps: int) -> np.ndarray:
     # Convert the map up front: an entry outside the double range is an
     # input error (NumericOverflow naming it), not an overflow at step 1.
     qp.lam_f, qp.A_f, qp.B_f
-    # steps may come from the command line, so no allocation is sized by it.
-    states = [x]
+    # steps may come from the command line, so the buffer is not sized by it.
+    traj = np.empty((min(steps, _FIRST_ROWS) + 1, *x.shape))
+    traj[0] = x
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
             x = x * np.exp(_phi(qp, x)[1])
             if first_nonpositive_row(x) is not None:
                 raise NumericOverflow(f"overflow at time index {t}", time_index=t,
-                                      partial=np.stack(states))
-            states.append(x)
-    return np.stack(states)
+                                      partial=traj[:t].copy())
+            if t == len(traj):
+                grown = np.empty((min(2 * t, steps + 1), *x.shape))
+                grown[:t] = traj
+                traj = grown
+            traj[t] = x
+    return traj
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")

@@ -11,8 +11,15 @@ the first s coordinates become the conserved pair products and the rest
 evolve by the constant factor k_i per step. The test suite checks that
 route against phi. A state is evaluated as x(0) * exp(t * log_rate) with
 log_rate = (log k, -log k); exp(0) = 1 makes t = 0 give x(0) exactly.
+
+Whether that value is in range is decided once per solution: inside its
+safe horizon (every integer |t| <= T) no log-magnitude can pass SAFE_LOG,
+so no floating-point flag is raised and every state is positive and
+finite. Only times beyond it, numpy integers and columns of times are
+range-checked, under np.errstate.
 """
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
@@ -27,6 +34,10 @@ from .symplectic import check_conditions
 CONSTANT_TOLERANCE = 1e-12
 #: Split pairs with |log k_i| below this get a proximity warning.
 NEAR_CONSTANT_THRESHOLD = 1e-8
+#: Bound on |t * log_rate_i| and |log x_i(t)| inside the safe horizon.
+#: Doubles overflow above log 709.78 and turn subnormal below -708.39; the
+#: margin covers the rounding of log, exp and the products.
+SAFE_LOG = 700.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +53,24 @@ class ClosedFormSolution:
     def log_rate(self) -> np.ndarray:
         """Per-step log increment of every coordinate: (log_k, -log_k)."""
         return np.concatenate([self.log_k, -self.log_k])
+
+    @cached_property
+    def safe_horizon(self) -> int:
+        """Largest integer T <= 2**53 such that every |t| <= T keeps both
+        |t * log_rate_i| and |log x0_i + t * log_rate_i| within SAFE_LOG;
+        -1 when some |log x0_i| already exceeds it (a subnormal x0_i, say).
+
+        T is 2**53 when every log_rate_i is 0, or when SAFE_LOG divided by
+        the rates passes 2**53; beyond 2**53 not every int is a double.
+        """
+        room = SAFE_LOG - np.abs(np.log(self.x0))
+        if not (room.min() >= 0.0 and np.isfinite(self.log_rate).all()):
+            return -1
+        rate = np.abs(self.log_rate)
+        with np.errstate(over="ignore"):  # a subnormal rate: room / rate = inf
+            steps = np.divide(room, rate, out=np.full_like(room, np.inf), where=rate > 0.0)
+        bound = steps.min()
+        return 2**53 if bound >= 2**53 else math.floor(bound)
 
 
 @dataclass(frozen=True)
@@ -88,7 +117,6 @@ def solve_closed_form(qp: QPMap, x0) -> ClosedFormSolution:
     return ClosedFormSolution(s=s, x0=x, log_k=log_k, invariants_I=invariants)
 
 
-@np.errstate(over="ignore", under="ignore")
 def eval_solution(sol: ClosedFormSolution, t: int | np.ndarray) -> np.ndarray:
     """State at integer time t (negative allowed): x0 * exp(t * log_rate).
 
@@ -96,20 +124,27 @@ def eval_solution(sol: ClosedFormSolution, t: int | np.ndarray) -> np.ndarray:
     shape (k, 1), gives one state per row. Raises NumericOverflow naming the
     first time where exp(t * log_rate) or the state leaves the positive range,
     also for an int t too large to convert to a double.
+
+    An int t with |t| <= sol.safe_horizon returns without a range check and
+    without entering np.errstate: no flag can be raised there. Every other
+    t is checked, with the same arithmetic and so the same bits.
     """
-    try:
-        rate = t * sol.log_rate
-    except OverflowError:  # an int t beyond the double range
-        # Decimal prints every digit; str(int) stops at 4300
-        raise NumericOverflow(f"t={Decimal(t)} is outside the double range",
-                              time_index=t) from None
-    out = sol.x0 * np.exp(rate)
-    row = first_nonpositive_row(out)
-    if row is not None:
-        t = int(np.ravel(t)[row])
-        raise NumericOverflow(f"closed-form state at t={t} leaves the representable"
-                              " positive range", time_index=t)
-    return out
+    if isinstance(t, int) and abs(t) <= sol.safe_horizon:
+        return sol.x0 * np.exp(t * sol.log_rate)
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            rate = t * sol.log_rate
+        except OverflowError:  # an int t beyond the double range
+            # Decimal prints every digit; str(int) stops at 4300
+            raise NumericOverflow(f"t={Decimal(t)} is outside the double range",
+                                  time_index=t) from None
+        out = sol.x0 * np.exp(rate)
+        row = first_nonpositive_row(out)
+        if row is not None:
+            t = int(np.ravel(t)[row])
+            raise NumericOverflow(f"closed-form state at t={t} leaves the representable"
+                                  " positive range", time_index=t)
+        return out
 
 
 def classify_asymptotics(sol: ClosedFormSolution) -> list[PairAsymptotics]:

@@ -1,14 +1,37 @@
 """Fixture maps and brute-force oracles shared across the test suite."""
 
+import os
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from qpmaps import QPMap, jacobian, new_qp_map, pull_state, skew_matrix, solver_qmt, step
+from qpmaps import QPMap, jacobian, new_qp_map, phi, pull_state, skew_matrix, solver_qmt, step
+from qpmaps.core import as_state, first_nonpositive_row
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
-from qpmaps.errors import OddDimension, SingularMatrix
+from qpmaps.errors import NumericOverflow, OddDimension, SingularMatrix
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
 from qpmaps.sampling import random_state
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# ru_maxrss carries over from the process that starts a program (a test
+# runner of 60 MB makes every child read at least 60 MB), so programs whose
+# peak RSS is read are started from a bare `python -S` of ~11 MB instead.
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def run_python_afresh(*argv: str) -> subprocess.CompletedProcess:
+    """`python ARGV...` with src on PYTHONPATH and its output captured, started
+    from a bare interpreter so that its ru_maxrss is its own peak."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-S", "-c", _LAUNCHER, sys.executable, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def dim2_map() -> QPMap:
@@ -274,6 +297,40 @@ def first_nonpositive_row_oracle(x: np.ndarray) -> int | None:
     """The per-entry mask formula of core.first_nonpositive_row."""
     ok = (x > 0.0) & (x < np.inf)
     return None if ok.all() else int(np.argmin(ok.all(axis=-1).reshape(-1)))
+
+
+@np.errstate(over="ignore", under="ignore")
+def eval_solution_oracle(sol, t) -> np.ndarray:
+    """solve.eval_solution with a range check at every t: x0 * exp(t * log_rate)
+    under np.errstate, then NumericOverflow at the first row out of range."""
+    try:
+        rate = t * sol.log_rate
+    except OverflowError:
+        raise NumericOverflow(f"t={Decimal(t)} is outside the double range",
+                              time_index=t) from None
+    out = sol.x0 * np.exp(rate)
+    row = first_nonpositive_row(out)
+    if row is not None:
+        t = int(np.ravel(t)[row])
+        raise NumericOverflow(f"closed-form state at t={t} leaves the representable"
+                              " positive range", time_index=t)
+    return out
+
+
+def iterate_oracle(qp: QPMap, x0, steps: int) -> np.ndarray:
+    """core.iterate with one array per state, stacked at the end: the states
+    x(0), ..., x(steps), or NumericOverflow with the stack of those before
+    the first one out of range as ``partial``."""
+    x = as_state(x0, qp.n)
+    states = [x]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            x = x * np.exp(phi(qp, x))
+            if first_nonpositive_row(x) is not None:
+                raise NumericOverflow(f"overflow at time index {t}", time_index=t,
+                                      partial=np.stack(states))
+            states.append(x)
+    return np.stack(states)
 
 
 def jacobian_residual_oracle(L: np.ndarray) -> float:

@@ -1,12 +1,8 @@
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,14 @@ from qpmaps import NumericOverflow, check_conditions, new_qmt, new_qp_map
 from qpmaps.solve import eval_solution, solve_closed_form
 from qpmaps.sampling import random_symplectic_map, random_valid_map
 
-from helpers import dim2_map, dim2_variant, dim4_map, trivial_lv_map, verify_report_oracle
+from helpers import (
+    dim2_map,
+    dim2_variant,
+    dim4_map,
+    run_python_afresh,
+    trivial_lv_map,
+    verify_report_oracle,
+)
 
 
 @pytest.fixture
@@ -399,13 +402,9 @@ def test_solve_streams_its_rows(tmp_path):
     pytest.importorskip("resource")
     path = tmp_path / "k1.qpmap.json"  # log k = 0: every t is representable
     save_map(new_qp_map((-1, 1), ((1,), (-1,)), ((1, 1),)), path)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def peak_kb(*argv):
-        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python_afresh("-c", PEAK_RSS_PROBE, *argv)
         code, kb = proc.stdout.split()[-2:]
         assert code == "0", proc.stderr
         return int(kb)
@@ -622,6 +621,20 @@ class TestVerify:
                                     "A": [["1"], ["1"]], "B": [["1", "1"]]}))
         code = main(["verify", str(path), "--samples", "300"])
         assert_one_line_exit_2(code, capsys, "samples 1-300: a Jacobian")
+
+    def test_infinite_jacobian_entries_exit_2(self, tmp_path, capsys):
+        # B entries of 14 and -13 overflow some Jacobian entries to inf; their
+        # LU in det divides by zero, which must end in the same exit 2, not a
+        # RuntimeWarning
+        path = tmp_path / "inf.qpmap.json"
+        path.write_text(json.dumps({
+            "n": 4, "m": 4, "lambda": ["0", "0", "0", "0"],
+            "A": [["0", "0", "-1/8", "-1/4"], ["1/16", "1/16", "0", "0"],
+                  ["0", "0", "1/8", "1/4"], ["-1/16", "-1/16", "0", "0"]],
+            "B": [["0", "14", "0", "1"], ["0", "-3/2", "0", "-3/2"],
+                  ["1", "0", "1", "0"], ["-13", "0", "2", "0"]]}))
+        code = main(["verify", str(path), "--samples", "2"])
+        assert_one_line_exit_2(code, capsys, "samples 1-2: a Jacobian")
 
     def test_zero_samples_vacuous(self, dim2_file, capsys):
         assert main(["verify", dim2_file, "--samples", "0"]) == 0

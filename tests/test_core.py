@@ -19,14 +19,21 @@ from qpmaps import (
     step,
 )
 from qpmaps.core import first_nonpositive_row
-from qpmaps.sampling import random_classification_map, random_state, random_valid_map
+from qpmaps.sampling import (
+    random_classification_map,
+    random_state,
+    random_symplectic_map,
+    random_valid_map,
+)
 
 from helpers import (
     dim2_map,
     fd_jacobian,
     first_nonpositive_row_oracle,
+    iterate_oracle,
     quasimonomial_oracle,
     relative_gap,
+    run_python_afresh,
     trivial_lv_map,
 )
 
@@ -220,6 +227,58 @@ class TestIterate:
         assert isinstance(partial, np.ndarray)
         assert partial.shape == (exc.value.time_index, 2, 2)
         assert np.array_equal(partial, iterate(qp, xs, exc.value.time_index - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((None, 1, 3)),
+       kind=st.sampled_from((1e-3, 1.0, 5.0, "classification")),
+       steps=st.sampled_from((0, 1, 5, 100, 1024, 1025, 1500, 3000)))
+def test_iterate_matches_stacked_states(seed, k, kind, steps):
+    """Trajectories and overflow partials, also past the first buffer
+    growth, equal the states stacked one by one, bit for bit; neither is a
+    view into a larger buffer."""
+    rng = np.random.default_rng(seed)
+    if kind == "classification":
+        qp = random_classification_map(rng)
+    else:
+        qp = random_symplectic_map(rng, int(rng.choice((2, 4))), phi_bound=kind)
+    x = random_state(rng, qp.n if k is None else (k, qp.n))
+    try:
+        want = iterate_oracle(qp, x, steps)
+    except NumericOverflow as exc:
+        with pytest.raises(NumericOverflow) as got:
+            iterate(qp, x, steps)
+        assert got.value.time_index == exc.time_index
+        partial = got.value.partial
+        assert partial.shape == (exc.time_index, *x.shape)
+        assert partial.base is None
+        assert partial.tobytes() == exc.partial.tobytes()
+        return
+    traj = iterate(qp, x, steps)
+    assert traj.shape == want.shape == (steps + 1, *x.shape)
+    assert traj.base is None
+    assert traj.tobytes() == want.tobytes()
+
+
+# Prints ru_maxrss (kB) before and after a 100,000-step iterate, and the
+# result's size in bytes.
+ITERATE_RSS_PROBE = """
+import resource
+from qpmaps import iterate, new_qp_map
+qp = new_qp_map((-1, 1), ((1,), (-1,)), ((1, 1),))  # log k = 0 at (1, 1)
+iterate(qp, [1, 1], 10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+traj = iterate(qp, [1, 1], 100_000)
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, traj.nbytes)
+"""
+
+
+def test_iterate_memory_follows_its_result():
+    pytest.importorskip("resource")
+    proc = run_python_afresh("-c", ITERATE_RSS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    before_kb, after_kb, nbytes = map(int, proc.stdout.split())
+    assert (after_kb - before_kb) * 1024 < 4 * nbytes + 8 * 2**20
 
 
 class TestJacobian:

@@ -1,8 +1,10 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpmaps import (
     NonPositiveState,
@@ -18,9 +20,15 @@ from qpmaps import (
     verify_solution,
 )
 from qpmaps.sampling import random_state, random_symplectic_map
-from qpmaps.solve import ClosedFormSolution
+from qpmaps.solve import SAFE_LOG, ClosedFormSolution
 
-from helpers import dim2_map, dim2_variant, dim4_map, solver_qmt_log_multipliers
+from helpers import (
+    dim2_map,
+    dim2_variant,
+    dim4_map,
+    eval_solution_oracle,
+    solver_qmt_log_multipliers,
+)
 
 
 def fixed_point_map():
@@ -128,21 +136,50 @@ class TestEvalSolution:
             eval_solution(sol, -1000)
 
     def test_time_beyond_the_double_range_overflows(self):
-        sol = solve_closed_form(dim2_map(), [1, 1])
-        for t in (10**400, -10**400):
-            with pytest.raises(NumericOverflow) as info:
-                eval_solution(sol, t)
-            assert info.value.time_index == t
-            assert str(t) in str(info.value)
+        # log k = 0 on the fixed point: its safe horizon is capped at 2**53
+        for sol in (solve_closed_form(dim2_map(), [1, 1]),
+                    solve_closed_form(fixed_point_map(), [1, 1])):
+            for t in (10**400, -10**400):
+                with pytest.raises(NumericOverflow) as info:
+                    eval_solution(sol, t)
+                assert info.value.time_index == t
+                assert str(t) in str(info.value)
 
     def test_overflow_is_numeric_overflow_under_raise(self):
         sol = solve_closed_form(dim2_map(), [1, 1])
+        horizon = sol.safe_horizon
         with np.errstate(all="raise"):
             before = np.geterr()
             for t in (1000, -1000, np.array([[0], [1000]])):
                 with pytest.raises(NumericOverflow):
                     eval_solution(sol, t)
+            for t in (0, 1, -1, horizon, -horizon):
+                assert eval_solution(sol, t).tobytes() == eval_solution_oracle(sol, t).tobytes()
             assert np.geterr() == before
+
+    def test_subnormal_start_has_no_safe_horizon(self):
+        sol = solve_closed_form(dim2_map(), [1e-310, 1.0])
+        assert sol.safe_horizon == -1
+        assert eval_solution(sol, 0).tobytes() == sol.x0.tobytes()
+        for t in (1, -1):
+            assert eval_solution(sol, t).tobytes() == eval_solution_oracle(sol, t).tobytes()
+
+    def test_safe_horizon_is_the_largest_safe_time(self):
+        # Checked exactly on the doubles log x0_i and log_rate_i: every
+        # |t| <= T keeps |log x0_i| + |t log_rate_i| <= SAFE_LOG, and T + 1
+        # breaks it for some i unless T is the 2**53 cap.
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            n = int(rng.choice((2, 4, 6)))
+            qp = random_symplectic_map(rng, n, phi_bound=float(rng.choice((1e-3, 1.0, 5.0))))
+            sol = solve_closed_form(qp, random_state(rng, n))
+            horizon = sol.safe_horizon
+            assert 0 <= horizon <= 2**53
+            worst = [(abs(Fraction(lx)), abs(Fraction(r)))
+                     for lx, r in zip(np.log(sol.x0).tolist(), sol.log_rate.tolist())]
+            assert all(lx + horizon * r <= SAFE_LOG for lx, r in worst)
+            assert horizon == 2**53 or any(lx + (horizon + 1) * r > SAFE_LOG for lx, r in worst)
+        assert solve_closed_form(fixed_point_map(), [1, 1]).safe_horizon == 2**53
 
     def test_rebase_group_property(self):
         rng = np.random.default_rng(67)
@@ -156,6 +193,36 @@ class TestEvalSolution:
             direct = eval_solution(sol, t1 + t2)
             via = eval_solution(rebased, t2)
             assert np.max(np.abs(np.log(direct) - np.log(via))) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), phi_bound=st.sampled_from((1e-3, 1.0, 5.0)),
+       data=st.data())
+def test_eval_solution_matches_the_checked_formula(seed, phi_bound, data):
+    """Inside and beyond the safe horizon, eval_solution gives the bytes or
+    the NumericOverflow time index of the formula checked at every t."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice((2, 4, 6)))
+    qp = random_symplectic_map(rng, n, phi_bound=phi_bound)
+    x0 = random_state(rng, n)
+    log_k = solve_closed_form(qp, x0).log_k
+    # some coordinates scaled far out, keeping the map's multipliers
+    x0 = x0 * data.draw(st.lists(st.sampled_from((1.0, math.exp(600), math.exp(-600))),
+                                 min_size=n, max_size=n))
+    sol = ClosedFormSolution(s=n // 2, x0=x0, log_k=log_k, invariants_I=x0[: n // 2])
+    horizon = sol.safe_horizon
+    reach = max(2 * horizon, 2)
+    times = [0, horizon, -horizon, horizon + 1, -horizon - 1,
+             *data.draw(st.lists(st.integers(-reach, reach), min_size=5, max_size=5))]
+    for t in times:
+        try:
+            want = eval_solution_oracle(sol, t)
+        except NumericOverflow as exc:
+            with pytest.raises(NumericOverflow) as got:
+                eval_solution(sol, t)
+            assert got.value.time_index == exc.time_index
+        else:
+            assert eval_solution(sol, t).tobytes() == want.tobytes()
 
 
 class TestClassifyAsymptotics:

@@ -7,6 +7,12 @@ denominators once per row or column and then work on Python integers:
 products are integer dot products, and elimination is fraction-free
 (Bareiss, Math. Comp. 22, 1968), dividing exactly by the previous pivot.
 ``Fraction`` objects appear only at the boundary, one per result entry.
+Integer data takes a unit-denominator path: a row or column whose
+denominators are all 1 is its numerators as they are, and a product entry
+with denominator 1 is built as ``Fraction(num)``, with no gcd. Data that is
+already canonical is not coerced again: :func:`rvector` returns a tuple of
+``Fraction`` entries unchanged, so a map or QMT built from another one's
+entries reuses them.
 Floats enter only through the explicit ``to_float_*`` converters used by
 the dynamic (trajectory) side of the package; they alone load numpy, on
 first use, so the exact layer runs without it.
@@ -32,7 +38,8 @@ if TYPE_CHECKING:
 #: Largest |exponent| in a literal such as "1e400": Python's default int(str)
 #: digit limit. Without it "1e1000000" builds a 3.3-million-bit integer.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
+#: The exponent of a literal in any Unicode decimal digits, as Fraction reads it.
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
 #: A plain ASCII integer, read by int() instead of Fraction's own regex.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
@@ -43,7 +50,10 @@ def rational(value) -> Fraction:
     A string is an optional sign ("-", "+" or U+2212), then "p/q" or a
     decimal with optional exponent ("3", "1/2", "1.5", ".5", "2e-3",
     "1.5E+2"), as fractions.Fraction reads it (from Python 3.11, with "_"
-    between digits); |exponent| > MAX_EXPONENT raises ValueError first.
+    between digits). Like Fraction, it takes the digits of any script
+    (Unicode decimal digits, such as "\u0663" for 3), and so does the
+    bound: |exponent| > MAX_EXPONENT raises ValueError before any power of
+    ten is built, however the exponent's digits and leading zeros are written.
     Floats are rejected on purpose: silently converting a binary float to
     a fraction would contaminate the exact layer.
     """
@@ -59,8 +69,9 @@ def rational(value) -> Fraction:
         text = value.strip().replace("−", "-")
         integer = _INTEGER.fullmatch(text)
         exponent = None if integer else _EXPONENT.search(text)
-        # 5 significant digits exceed MAX_EXPONENT, so a long exponent is never converted
-        if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > MAX_EXPONENT:
+        # float() reads digits of every script, leading zeros of any length
+        # and a huge exponent (as inf) in linear time, and is exact near MAX_EXPONENT
+        if exponent and float(exponent[1].replace("_", "")) > MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:
             return Fraction(int(text)) if integer else Fraction(text)
@@ -84,6 +95,9 @@ def format_rational(value: Fraction) -> str:
 
 
 def rvector(entries) -> RVector:
+    """Entries as a tuple of Fractions; a tuple of Fractions is returned as it is."""
+    if type(entries) is tuple and set(map(type, entries)) <= {Fraction}:
+        return entries
     return tuple(rational(e) for e in entries)
 
 
@@ -113,6 +127,8 @@ def diagonal(entries) -> RMatrix:
 def _cleared(row) -> tuple[list[int], int]:
     """A rational row as (integer numerators, lcm of its denominators)."""
     d = lcm(*(e.denominator for e in row))
+    if d == 1:
+        return [e.numerator for e in row], 1
     return [e.numerator * (d // e.denominator) for e in row], d
 
 
@@ -121,9 +137,23 @@ def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
     cols = [_cleared(col) for col in zip(*y)]
     return tuple(
-        tuple(Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols)
+        tuple(Fraction(v) if d == 1 else Fraction(v, d)
+              for v, d in ((sum(map(mul, r, c)), dr * dc) for c, dc in cols))
         for r, dr in map(_cleared, x)
     )
+
+
+def is_inverse(x: RMatrix, y: RMatrix) -> bool:
+    """True iff x.y is the identity, for square x and y of one size.
+
+    Decided on cleared integers, building no Fraction: with row i of x equal
+    to r_i/d_i and column j of y to c_j/e_j, (x.y)[i][j] = r_i.c_j/(d_i*e_j),
+    which is 1 iff r_i.c_j = d_i*e_j and 0 iff r_i.c_j = 0.
+    """
+    cols = [_cleared(col) for col in zip(*y)]
+    return all(sum(map(mul, r, c)) == (dr * dc if i == j else 0)
+               for i, (r, dr) in enumerate(map(_cleared, x))
+               for j, (c, dc) in enumerate(cols))
 
 
 def augment_column(col, m: RMatrix) -> RMatrix:

@@ -139,19 +139,21 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
     lam, a, b = qp.lam, qp.A, qp.B
     support = [[p for p in range(m) if a[i][p]] for i in range(s)]
 
-    sums = [(i, j, v) for i in range(s) for j in range(m) if (v := a[i][j] + a[s + i][j])]
+    sums = [(i, j) for i in range(s) for j, (x, y) in enumerate(zip(a[i], a[s + i]))
+            if x.numerator != -y.numerator or x.denominator != y.denominator]
     cond_a = ConditionVerdict(True, len(sums), tuple(
         Witness((("i", i + 1), ("j", j + 1)), v,
                 f"A[{i + 1},{j + 1}] + A[{s + i + 1},{j + 1}]"
                 f" = {_fmt(a[i][j])} + {_fmt(a[s + i][j])} = {_fmt(v)}")
-        for i, j, v in sums[:WITNESS_LIMIT]))
+        for i, j in sums[:WITNESS_LIMIT] for v in (a[i][j] + a[s + i][j],)))
 
-    lam_sums = [(i, v) for i in range(s) if (v := lam[i] + lam[s + i])]
+    lam_sums = [i for i, (x, y) in enumerate(zip(lam[:s], lam[s:]))
+                if x.numerator != -y.numerator or x.denominator != y.denominator]
     cond_b = ConditionVerdict(True, len(lam_sums), tuple(
         Witness((("i", i + 1),), v,
                 f"lambda[{i + 1}] + lambda[{s + i + 1}]"
                 f" = {_fmt(lam[i])} + {_fmt(lam[s + i])} = {_fmt(v)}")
-        for i, v in lam_sums[:WITNESS_LIMIT]))
+        for i in lam_sums[:WITNESS_LIMIT] for v in (lam[i] + lam[s + i],)))
 
     nonzero_b = [sum(map(bool, row)) for row in b]
     count_c = sum(nonzero_b[p] - bool(b[p][i]) - bool(b[p][s + i])

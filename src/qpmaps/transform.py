@@ -21,6 +21,7 @@ from .linalg import (
     augment_column,
     identity,
     inverse,
+    is_inverse,
     mat_mul,
     rmatrix,
     to_float_matrix,
@@ -34,7 +35,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class QMT:
-    """An invertible rational change of variables x_i = prod_j y_j**C[i][j]."""
+    """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
+
+    Construction checks C.C_inv = I exactly, on cleared integer rows of C
+    and columns of C_inv (:func:`qpmaps.linalg.is_inverse`).
+    """
 
     C: RMatrix
     C_inv: RMatrix
@@ -45,7 +50,7 @@ class QMT:
         n = len(c)
         if len(c[0]) != n or len(c_inv) != n or len(c_inv[0]) != n:
             raise DimensionMismatch("QMT matrices must be square and of equal size")
-        if mat_mul(c, c_inv) != identity(n):
+        if not is_inverse(c, c_inv):
             raise ValueError("C_inv is not the exact inverse of C")
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "C_inv", c_inv)

@@ -11,8 +11,9 @@ import numpy as np
 
 from qpmaps import QPMap, jacobian, new_qp_map, phi, pull_state, skew_matrix, solver_qmt, step
 from qpmaps.core import as_state, first_nonpositive_row
+from qpmaps.documents import parse_rational
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
-from qpmaps.errors import NumericOverflow, OddDimension, SingularMatrix
+from qpmaps.errors import DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
 from qpmaps.sampling import random_state
 
@@ -243,6 +244,55 @@ def check_conditions_oracle(qp: QPMap) -> SymplecticReport:
         cond_d=ConditionVerdict(True, len(wit_d), tuple(wit_d)),
         pairing=pairing,
     )
+
+
+def map_from_document_oracle(doc) -> QPMap:
+    """map_from_document parsing every entry on its own, at its position,
+    with no table of the texts parsed before."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"map document must be a JSON object, got {type(doc).__name__}")
+
+    def positive_int(key):
+        value = doc.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DocumentError(f"{key}: expected a positive integer, got {value!r}")
+        return value
+
+    def vector(key, length):
+        raw = doc.get(key)
+        if not isinstance(raw, list):
+            raise DocumentError(f"{key}: expected an array")
+        if len(raw) != length:
+            raise DocumentError(f"{key}: expected {length} entries, got {len(raw)}")
+        return tuple(parse_rational(v, f"{key}[{i}]") for i, v in enumerate(raw))
+
+    def matrix(key, n_rows, n_cols):
+        raw = doc.get(key)
+        if not isinstance(raw, list):
+            raise DocumentError(f"{key}: expected an array of arrays")
+        if len(raw) != n_rows:
+            raise DocumentError(f"{key}: expected {n_rows} rows, got {len(raw)}")
+        rows = []
+        for i, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise DocumentError(f"{key}[{i}]: expected an array")
+            if len(row) != n_cols:
+                raise DocumentError(f"{key}[{i}]: expected {n_cols} entries, got {len(row)}")
+            rows.append(tuple(parse_rational(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)))
+        return tuple(rows)
+
+    n = positive_int("n")
+    m = positive_int("m")
+    lam = vector("lambda", n)
+    a = matrix("A", n, m)
+    b = matrix("B", m, n)
+    relaxed = doc.get("relaxed", False)
+    if not isinstance(relaxed, bool):
+        raise DocumentError(f"relaxed: expected true or false, got {relaxed!r}")
+    try:
+        return QPMap(lam, a, b) if relaxed else new_qp_map(lam, a, b)
+    except QPError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def fd_jacobian(qp: QPMap, x, rel_step: float = 1e-6) -> np.ndarray:

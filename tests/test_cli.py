@@ -163,6 +163,18 @@ class TestCheck:
         code = main(["check", str(path)])
         assert_one_line_exit_2(code, capsys, f"{path}: A[0][0]: exponent of '1e1000000' exceeds")
 
+    @pytest.mark.parametrize("exponent", ["\u0661" + "\u0660" * 7,
+                                          "\u0660" * 10 + "\u0661" + "\u0660" * 7])
+    def test_exponent_in_other_digits_beyond_bound_exit_2(self, tmp_path, capsys, exponent):
+        doc = map_to_document(dim2_map())
+        doc["B"][0][1] = "1e" + exponent
+        path = tmp_path / "unicode_exponent.qpmap.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["check", str(path)])
+        assert time.perf_counter() - start < 1
+        assert_one_line_exit_2(code, capsys, f"{path}: B[0][1]: exponent of '1e{exponent}' exceeds")
+
     def test_more_than_4300_digits_in_b_m(self, huge_bm_file, capsys):
         assert main(["check", huge_bm_file]) == 1
         captured = capsys.readouterr()

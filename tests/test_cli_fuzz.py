@@ -78,6 +78,9 @@ BAD_ENTRIES = st.one_of(
     st.none(), st.booleans(), st.floats(allow_nan=False), st.lists(st.integers(), max_size=2),
     st.sampled_from(("", "abc", "1/0", "1//2", "0x10", "nan", "inf", "--1", "1.5.2",
                      "1/2/3", "1e4301", "-2e99999", "9" * 5000)),
+    # an exponent beyond the bound in Arabic-Indic or fullwidth digits, after leading zeros
+    st.tuples(st.sampled_from(("\u0660", "\uff10")), st.integers(0, 20), st.integers(4301, 10**8))
+    .map(lambda z: "1e" + z[0] * z[1] + "".join(chr(ord(z[0]) + int(c)) for c in str(z[2]))),
 )
 
 
@@ -149,6 +152,10 @@ RATIONALS = st.one_of(
     st.decimals(allow_nan=False, allow_infinity=False).map(str),
     st.fractions(max_denominator=10**20).map(str),
     st.integers(1, 4000).map(lambda d: "7" * d),
+    # Unicode decimal digits, which Fraction reads: Arabic-Indic, Devanagari, fullwidth
+    st.text(alphabet="\u0661\u0663\u096a\uff15", min_size=1, max_size=6),
+    st.tuples(st.sampled_from(("\u0660", "\u0966")), st.integers(0, 4300))
+    .map(lambda z: "2e-" + "".join(chr(ord(z[0]) + int(c)) for c in str(z[1]))),
 )
 
 

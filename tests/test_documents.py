@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qpmaps import DocumentError, QPMap, new_qmt
 from qpmaps.documents import (
@@ -22,9 +22,9 @@ from qpmaps.documents import (
     trajectory_csv,
 )
 from qpmaps.linalg import rational
-from qpmaps.sampling import random_classification_map, random_qmt
+from qpmaps.sampling import random_classification_map, random_qmt, random_valid_map
 
-from helpers import dim2_map, dim4_map
+from helpers import dim2_map, dim4_map, map_from_document_oracle
 
 
 class TestRationalStrings:
@@ -142,6 +142,87 @@ class TestMapDocuments:
         qp = QPMap((1, 10**5000), ((1,), (1,)), ((1, 1),))
         with pytest.raises(DocumentError, match=r"^lambda\[1\]: exact value has too many digits"):
             map_to_document(qp)
+
+
+#: Entries from a small alphabet: repeated texts, whitespace and sign
+#: variants of one value, U+2212, bad texts, and JSON values that compare
+#: equal to a text's value (1, true) or cannot be a dict key (arrays, objects).
+_ENTRIES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", " 1", "1 ", "\t1\n", "+1", "\u22121", "-0", "1/2",
+                     "2/4", "0.5", "1e0", "1/0", "x", "", "1e4301"]),
+    st.integers(-2, 2), st.booleans(), st.just(0.5), st.none(),
+    st.lists(st.integers(0, 1), max_size=1), st.dictionaries(st.just("1"), st.integers(0, 1)),
+)
+
+
+@st.composite
+def small_alphabet_documents(draw):
+    """Map documents of n, m <= 3 whose entries come from _ENTRIES; now and
+    then a row of the wrong length or a "relaxed" flag."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def row(length):
+        return draw(st.lists(_ENTRIES, min_size=length, max_size=length))
+
+    doc = {"n": n, "m": m, "lambda": row(n), "A": [row(m) for _ in range(n)],
+           "B": [row(n) for _ in range(m)]}
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(["lambda", "A", "B"]))].append("1")
+    if draw(st.booleans()):
+        doc["relaxed"] = draw(st.booleans())
+    return doc
+
+
+def _parse_outcome(parse, doc):
+    """(lam, A, B) of the parsed map, or the DocumentError message."""
+    try:
+        qp = parse(doc)
+    except DocumentError as exc:
+        return str(exc)
+    return qp.lam, qp.A, qp.B
+
+
+def _fractions(qp):
+    return [e for part in (qp.lam, *qp.A, *qp.B) for e in part]
+
+
+class TestParseTable:
+    """map_from_document parses each distinct entry text once per document."""
+
+    @given(doc=small_alphabet_documents())
+    @example(doc={"n": 3, "m": 1, "lambda": [1, "1", True], "A": [["1"], ["1"], ["1"]],
+                  "B": [["1", "1", "1"]]})
+    @example(doc={"n": 2, "m": 1, "lambda": ["1", " 1"], "A": [["1"], [["1"]]],
+                  "B": [["1", "1"]], "relaxed": True})
+    @example(doc={"n": 2, "m": 1, "lambda": ["x", "1"], "A": [["x"], ["1/0"]],
+                  "B": [["1", "1"]]})
+    def test_equals_parsing_every_entry(self, doc):
+        got = _parse_outcome(map_from_document, doc)
+        assert got == _parse_outcome(map_from_document_oracle, doc)
+        if not isinstance(got, str):
+            assert all(type(e) is Fraction for part in got for row in part[1:] for e in row)
+
+    def test_bad_text_raises_at_its_first_position(self):
+        doc = map_to_document(dim4_map())
+        doc["A"][1][2] = doc["B"][0][3] = "1/0"
+        with pytest.raises(DocumentError, match=r"^A\[1\]\[2\]: zero denominator$"):
+            map_from_document(doc)
+
+    def test_each_text_is_one_fraction_and_no_call_shares_one(self):
+        doc = map_to_document(random_valid_map(np.random.default_rng(5), 6, 6))
+        texts = {t for part in (doc["lambda"], *doc["A"], *doc["B"]) for t in part}
+        first, second = map_from_document(doc), map_from_document(doc)
+        assert first == second
+        ids_first = {id(e) for e in _fractions(first)}
+        assert len(ids_first) == len(texts)
+        assert not ids_first & {id(e) for e in _fractions(second)}
+
+    def test_qmt_parses_share_no_fraction(self):
+        doc = qmt_to_document(new_qmt([[1, 1, 0], [0, -1, 1], [1, 0, 2]]))
+        first, second = qmt_from_document(doc), qmt_from_document(doc)
+        assert first == second
+        ids = [{id(e) for row in t.C + t.C_inv for e in row} for t in (first, second)]
+        assert not ids[0] & ids[1]
 
 
 class TestQMTDocuments:

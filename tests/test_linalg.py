@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,14 @@ from qpmaps.linalg import (
     diagonal,
     identity,
     inverse,
+    is_inverse,
     is_zero,
     mat_mul,
     pivot_columns,
     rank,
     rational,
     rmatrix,
+    rvector,
     zero_column_indices,
     zero_row_indices,
 )
@@ -61,6 +64,40 @@ def test_rational_rejects_exponents_beyond_the_bound(text):
         rational(text)
 
 
+#: The zero of some Unicode decimal digit scripts; digit d is chr(ord(zero) + d).
+_SCRIPT_ZEROS = "0\u0660\u06f0\u0966\u0e50\uff10\U0001d7ce"
+
+
+@given(data=st.data(), exponent=st.integers(0, 60) | st.integers(4290, 4310)
+       | st.integers(10**6, 10**8), zeros=st.integers(0, 12), sign=st.sampled_from(["", "+", "-"]))
+@example(data=None, exponent=10**7, zeros=0, sign="")
+@example(data=None, exponent=10**7, zeros=10, sign="")
+def test_rational_bounds_exponents_in_any_script(data, exponent, zeros, sign):
+    """Fraction reads exponent digits of any script, so the bound must too:
+    each digit, leading zeros included, is drawn from a random script."""
+    def digit(d):
+        zero = data.draw(st.sampled_from(_SCRIPT_ZEROS)) if data else "\u0660"
+        return chr(ord(zero) + d)
+
+    text = "1e" + sign + "".join(digit(int(c)) for c in "0" * zeros + str(exponent))
+    if exponent > 4300:
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            rational(text)
+    else:
+        assert rational(text) == Fraction(10) ** (-exponent if sign == "-" else exponent)
+
+
+@pytest.mark.parametrize("text", ["1e" + "\u0661\u0660\u0660\u0660\u0660\u0660\u0660\u0660",
+                                  "1e" + "\u0660" * 10 + "\u0661" + "\u0660" * 7,
+                                  "1e" + "\u0660" * 10**6 + "\u0661" + "\u0660" * 7])
+def test_rational_rejects_unicode_exponents_at_once(text):
+    # at 10**7 the power of ten alone takes seconds and 4 MB
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+        rational(text)
+    assert time.perf_counter() - start < 0.5
+
+
 def _parsed(parse, text):
     """The value parse(text) gives, or the type of the exception it raises."""
     try:
@@ -96,6 +133,20 @@ def test_rmatrix_rejects_ragged_and_empty():
         rmatrix([])
     with pytest.raises(DimensionMismatch):
         rmatrix([[]])
+
+
+def test_rvector_keeps_fraction_tuples():
+    v = (Fraction(1, 2), Fraction(0), Fraction(-3))
+    assert rvector(v) is v
+    assert rvector(()) == ()
+    for coerced in ([Fraction(1, 2)], (Fraction(1), 2), (Fraction(1), "1/2")):
+        got = rvector(coerced)
+        assert type(got) is tuple and all(type(e) is Fraction for e in got)
+        assert got == tuple(rational(e) for e in coerced)
+    a = rmatrix([[1, "1/2"], [0, 3]])
+    qp = QPMap(a[0], a, a)
+    assert qp.lam is a[0]
+    assert all(row is a_row for part in (qp.A, qp.B) for row, a_row in zip(part, a))
 
 
 def test_mat_mul_and_vec():
@@ -172,6 +223,7 @@ def test_inverse_random_exact():
 
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 zero_heavy = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_rationals)  # ~2/3 zeros
+small_integers = st.builds(Fraction, st.integers(-9, 9))  # every denominator 1
 dims = st.integers(1, 6)
 
 
@@ -180,7 +232,7 @@ def rational_matrices(draw, n_rows=None, n_cols=None):
     """Dense or zero-heavy rational matrices, any shape including 1xk and kx1."""
     n_rows = draw(dims) if n_rows is None else n_rows
     n_cols = draw(dims) if n_cols is None else n_cols
-    entries = draw(st.sampled_from([small_rationals, zero_heavy]))
+    entries = draw(st.sampled_from([small_rationals, zero_heavy, small_integers]))
     row = st.lists(entries, min_size=n_cols, max_size=n_cols)
     return rmatrix(draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
 
@@ -265,6 +317,23 @@ def test_inverse_equals_gauss_jordan(m):
             inverse(m)
         return
     assert_identical(inverse(m), expected)
+
+
+@given(data=st.data(), m=square_matrices())
+def test_is_inverse_equals_the_fraction_product(data, m):
+    """is_inverse decides x.y = I on cleared integers; the Fraction product
+    (mat_mul_oracle) is the reference, for the true inverse, for it with one
+    entry changed and for an arbitrary y."""
+    n = len(m)
+    try:
+        m_inv = inverse(m)
+    except SingularMatrix:
+        m_inv = data.draw(rational_matrices(n, n))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    off = [list(row) for row in m_inv]
+    off[i][j] += data.draw(small_rationals.filter(bool))
+    for y in (m_inv, rmatrix(off), data.draw(rational_matrices(n, n))):
+        assert is_inverse(m, y) == (mat_mul_oracle(m, y) == identity(n))
 
 
 def test_negative_pivots():

@@ -168,6 +168,46 @@ class TestCheckConditionsAgainstEnumeration:
     def test_counts_and_first_witnesses(self, qp):
         assert_matches_oracle(qp)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pair_sums_of_rationals(self, seed):
+        """(a) and (b) are decided from numerators and denominators: pairs are
+        exact opposites (1/2, -1/2), opposite numerators over different
+        denominators (1/2, -1/3), equal (1/2, 1/2) or unrelated."""
+        rng = np.random.default_rng(seed)
+        n, m = 2 * int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        s = n // 2
+
+        def pair():
+            p, q, r = int(rng.integers(-4, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                return Fraction(p, q), Fraction(-p, q)
+            if kind == 1:
+                return Fraction(p, q), Fraction(-p, q + r)
+            if kind == 2:
+                return Fraction(p, q), Fraction(p, q)
+            return Fraction(p, q), Fraction(int(rng.integers(-4, 5)), r)
+
+        lam = [None] * n
+        a = [[None] * m for _ in range(n)]
+        for i in range(s):
+            lam[i], lam[s + i] = pair()
+            for j in range(m):
+                a[i][j], a[s + i][j] = pair()
+        b = [[Fraction(int(v), int(d)) for v, d in zip(rng.integers(-2, 3, n), rng.integers(1, 4, n))]
+             for _ in range(m)]
+        assert_matches_oracle(QPMap(lam, a, b))
+
+    def test_opposite_numerators_over_different_denominators_violate(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        qp = QPMap((half, third, -half, -half), ((half,), (half,), (-half,), (-third,)),
+                   ((1, 1, 1, 1),))
+        rep = check_conditions(qp)
+        assert (rep.cond_a.count, rep.cond_b.count) == (1, 1)
+        assert rep.cond_a.witnesses[0].detail == "A[2,1] + A[4,1] = 1/2 + -1/3 = 1/6"
+        assert rep.cond_b.witnesses[0].detail == "lambda[2] + lambda[4] = 1/3 + -1/2 = -1/6"
+        assert_matches_oracle(qp)
+
     def test_generic_40(self):
         qp = random_valid_map(np.random.default_rng(40), 40, 40)
         assert_matches_oracle(qp)

@@ -64,6 +64,18 @@ class TestQMTConstruction:
             with pytest.raises(ValueError, match="not the exact inverse"):
                 QMT(c, wrong)
 
+    def test_inverse_off_in_one_entry_rejected(self):
+        c = rmatrix([["1/2", "-2/3", 0], [3, "5/7", "-1/4"], [0, 2, "7/5"]])
+        c_inv = new_qmt(c).C_inv
+        QMT(c, c_inv)
+        for i in range(3):
+            for j in range(3):
+                for delta in (Fraction(1, 10**9), -c_inv[i][j] or Fraction(1)):
+                    off = [list(row) for row in c_inv]
+                    off[i][j] += delta
+                    with pytest.raises(ValueError, match="not the exact inverse"):
+                        QMT(c, off)
+
 
 class TestApplyQMT:
     def test_diagonal_squeeze_breaks_symplecticity(self):

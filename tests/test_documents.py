@@ -196,11 +196,13 @@ class TestParseTable:
                   "B": [["1", "1"]], "relaxed": True})
     @example(doc={"n": 2, "m": 1, "lambda": ["x", "1"], "A": [["x"], ["1/0"]],
                   "B": [["1", "1"]]})
+    @example(doc={"n": 2, "m": 1, "lambda": ["0", "0"], "A": [["0"], ["1"]], "B": [["0", "1"]]})
     def test_equals_parsing_every_entry(self, doc):
         got = _parse_outcome(map_from_document, doc)
         assert got == _parse_outcome(map_from_document_oracle, doc)
         if not isinstance(got, str):
-            assert all(type(e) is Fraction for part in got for row in part[1:] for e in row)
+            lam, a, b = got
+            assert all(type(e) is Fraction for vec in (lam, *a, *b) for e in vec)
 
     def test_bad_text_raises_at_its_first_position(self):
         doc = map_to_document(dim4_map())

@@ -44,6 +44,9 @@ def test_rational_rejects_floats_and_bad_strings():
         rational("1/0")
     with pytest.raises(ValueError, match="not a rational"):
         rational("one half")
+    # Fraction allows "_" only between digits, so the exponent bound never sees "_5000"
+    with pytest.raises(ValueError, match="not a rational literal: '1e_5000'"):
+        rational("1e_5000")
 
 
 def test_rational_decimal_and_exponent_literals():

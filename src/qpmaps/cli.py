@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -437,8 +438,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A value that starts like a negative number ("-1/3", "-.5", "-1e-3"). argparse
+#: takes such a token for an option unless it reads as "-5" or "-0.5"; no qpmap
+#: option starts this way.
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rejoin "--opt -1/3" as "--opt=-1/3", up to a "--" that ends the options."""
+    out: list[str] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + argv[i:]
+        option = out[-1] if out else ""
+        if option.startswith("--") and "=" not in option and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (QPError, OSError) as exc:

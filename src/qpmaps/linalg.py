@@ -1,21 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
-operations here are exact: no pivot tolerance, no float intermediates.
-The O(n^3) kernels (``mat_mul``, ``rank``, ``inverse``) clear
-denominators once per row or column and then work on Python integers:
-products are integer dot products, and elimination is fraction-free
-(Bareiss, Math. Comp. 22, 1968), dividing exactly by the previous pivot.
-``Fraction`` objects appear only at the boundary, one per result entry.
-Integer data takes a unit-denominator path: a row or column whose
-denominators are all 1 is its numerators as they are, and a product entry
-with denominator 1 is built as ``Fraction(num)``, with no gcd. Data that is
-already canonical is not coerced again: :func:`rvector` returns a tuple of
-``Fraction`` entries unchanged, so a map or QMT built from another one's
-entries reuses them.
-Floats enter only through the explicit ``to_float_*`` converters used by
-the dynamic (trajectory) side of the package; they alone load numpy, on
-first use, so the exact layer runs without it.
+operations are exact: no pivot tolerance, no float intermediates. The O(n^3)
+kernels (``mat_mul``, ``rank``, ``inverse``) clear denominators once per row or
+column and work on Python integers: products are integer dot products, and
+``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
+Comp. 22, 1968), which ``inverse`` finishes by back-substitution (Nakos, Turner
+and Williams, 1997); both divide exactly by pivots. ``Fraction`` objects appear
+only at the boundary, one per result entry, built with no gcd when its
+denominator is 1. A row or column of integers is its numerators as they are,
+and :func:`rvector` returns a tuple of ``Fraction`` entries unchanged, so a map
+or QMT built from another one's entries reuses them.
+Floats enter only through the explicit ``to_float_*`` converters of the dynamic
+(trajectory) side; they alone load numpy, on first use, so the exact layer runs
+without it.
 """
 
 from __future__ import annotations
@@ -176,19 +174,17 @@ def zero_column_indices(m: RMatrix) -> tuple[int, ...]:
     return tuple(j for j in range(len(m[0])) if all(row[j] == 0 for row in m))
 
 
-def pivot_columns(m: RMatrix) -> tuple[int, ...]:
-    """Pivot columns of m, by fraction-free (Bareiss) elimination of the cleared rows.
+def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """Forward fraction-free (Bareiss) elimination of integer rows.
 
-    Scaling a row by its denominator lcm leaves the pivots unchanged. Each
-    step takes the next column, left to right; if it is nonzero in some
-    remaining row, that row becomes a pivot and the column is eliminated,
-    otherwise it is skipped. Every entry stays a minor of the cleared
-    matrix, so the division by the previous pivot is exact. The pivots
-    found among the first k columns are those of the first k columns alone.
+    Each step takes the next column, left to right; if it is nonzero in some remaining
+    row, that row becomes a pivot and the column is eliminated, otherwise it is skipped.
+    Every entry stays a minor of the input, so the division by the previous pivot is
+    exact, and the pivots among the first k columns are those of these columns alone.
+    Returns the pivot columns, each pivot row from its pivot column on, and the last pivot.
     """
-    rows = [_cleared(row)[0] for row in m]
-    pivots, prev = [], 1
-    for c in range(len(m[0])):
+    pivots, tops, prev = [], [], 1
+    for c in range(len(rows[0])):
         pivot = next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
             rows = [row[1:] for row in rows]
@@ -198,9 +194,16 @@ def pivot_columns(m: RMatrix) -> tuple[int, ...]:
         rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)] for row in rows]
         prev = p
         pivots.append(c)
+        tops.append(top)
         if not rows:
             break
-    return tuple(pivots)
+    return pivots, tops, prev
+
+
+def pivot_columns(m: RMatrix) -> tuple[int, ...]:
+    """Pivot columns of m, by one forward Bareiss pass (:func:`_echelon`) over
+    its cleared rows: scaling a row by its denominator lcm leaves them unchanged."""
+    return tuple(_echelon([_cleared(row)[0] for row in m])[0])
 
 
 def rank(m: RMatrix) -> int:
@@ -209,34 +212,31 @@ def rank(m: RMatrix) -> int:
 
 
 def inverse(m: RMatrix) -> RMatrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination; raises SingularMatrix.
+    """Exact inverse by one forward Bareiss pass and back-substitution; raises SingularMatrix.
 
-    Eliminates [D.C | I] with D = diag(d_i), d_i the denominator lcm of row
-    i, so every entry is an integer. The left block ends as det.I with det
-    the last pivot, and C^-1 = (D.C)^-1 . D gives C^-1[i][j] = R[i][j] * d_j / det.
+    The pass runs on the integers [D.C | I], D = diag(d_i) with d_i the denominator
+    lcm of row i. That has rank n, so C is singular iff the last pivot is in I's
+    columns. Else it leaves [U | Y], U upper triangular and U.(D.C)^-1 = Y. With det
+    the last pivot, X = det.(D.C)^-1 is an integer matrix: U.X = det.Y is solved from
+    the last row up, dividing exactly by each pivot, and C^-1[i][j] = X[i][j]*d_j/det.
     """
     n = len(m)
     if len(m[0]) != n:
         raise DimensionMismatch(f"inverse requires a square matrix, got {n}x{len(m[0])}")
     cleared = [_cleared(row) for row in m]
-    work = [r + [int(i == j) for j in range(n)] for i, (r, _) in enumerate(cleared)]
-    prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c]), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        work[c], work[pivot] = work[pivot], work[c]
-        top = work[c]
-        p = top[c]
-        for i in range(n):
-            if i != c:
-                row = work[i]
-                f = row[c]
-                work[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
-    return tuple(
-        tuple(Fraction(e * d, prev) for e, (_, d) in zip(row[n:], cleared)) for row in work
-    )
+    pivots, tops, det = _echelon([r + [int(i == j) for j in range(n)]
+                                  for i, (r, _) in enumerate(cleared)])
+    if pivots[-1] >= n:
+        dependent = next(c for c, p in enumerate(pivots) if c != p)
+        raise SingularMatrix(f"matrix is singular: rank {sum(c < n for c in pivots)} of {n}, "
+                             f"column {dependent} depends on the columns before it")
+    cols = [[] for _ in range(n)]  # column j of X, last row first
+    for top in reversed(tops):
+        p, u = top[0], top[len(top) - n - 1:0:-1]  # U[k][k], then U[k][n-1] down to U[k][k+1]
+        for col, y in zip(cols, top[len(top) - n:]):
+            col.append((det * y - sum(map(mul, u, col))) // p)
+    return tuple(tuple(Fraction(col[k] * d, det) for col, (_, d) in zip(cols, cleared))
+                 for k in reversed(range(n)))
 
 
 def _to_float(e: Fraction, where: str) -> float:

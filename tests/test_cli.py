@@ -273,6 +273,11 @@ class TestSolve:
         assert main(["solve", dim2_file, "--x0", "1,zebra", "--t-max", "3"]) == 2
         assert main(["solve", dim2_file, "--x0", "1,1,1", "--t-max", "3"]) == 2
 
+    @pytest.mark.parametrize("command", [["solve", "--t-max", "3"], ["iterate", "--steps", "3"]])
+    def test_negative_x0_one_line_exit_2(self, dim2_file, command, capsys):
+        code = main([command[0], dim2_file, "--x0", "-1,2", *command[1:]])
+        assert_one_line_exit_2(code, capsys, "state components must be finite and strictly")
+
     def test_x0_outside_double_range_exit_2(self, dim2_file, capsys):
         assert main(["solve", dim2_file, "--x0", "1,1e400", "--t-max", "3"]) == 2
         captured = capsys.readouterr()
@@ -538,6 +543,21 @@ class TestTransform:
     def test_scale_zero_exit_2(self, dim2_file, capsys):
         assert main(["transform", dim2_file, "--scale", "0"]) == 2
 
+    @pytest.mark.parametrize("scale", ["-1/3", "-2e-1", "-.5"])
+    def test_negative_scale_as_a_separate_argument(self, dim2_file, scale, capsys):
+        # argparse alone takes "-1/3" for an option and exits 2
+        assert main(["transform", dim2_file, "--scale", scale]) == 0
+        spaced = capsys.readouterr()
+        assert main(["transform", dim2_file, f"--scale={scale}"]) == 0
+        assert capsys.readouterr() == spaced
+        assert json.loads(spaced.out)["B"]
+
+    def test_double_dash_still_ends_the_options(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "--", "-1.qpmap.json"]) == 2
+        err = capsys.readouterr().err
+        assert "No such file" in err and "'-1.qpmap.json'" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("scale", ["abc", "1/0", "0", "1e99999"])
     def test_bad_scale_one_line_exit_2(self, dim2_file, scale, capsys):
         code = main(["transform", dim2_file, "--scale", scale])
@@ -669,7 +689,7 @@ class TestVerify:
         assert main(["verify", dim2_file, "--seed", "1"]) == 0
         assert capsys.readouterr().out == first  # reproducible report
 
-    @pytest.mark.parametrize("tol", ["nan", "-0.5"])
+    @pytest.mark.parametrize("tol", ["nan", "-0.5", "-1e-3"])
     def test_invalid_tolerance_exit_2(self, dim2_file, tol, capsys):
         assert main(["verify", dim2_file, "--tol", tol]) == 2
         captured = capsys.readouterr()

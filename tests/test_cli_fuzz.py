@@ -52,7 +52,8 @@ def argv_for(command, path, x0, draw):
     if command == "iterate":
         return ["iterate", path, "--x0", x0, "--steps", str(draw(st.integers(0, 40)))]
     if command == "transform":
-        return ["transform", path, "--scale", draw(st.sampled_from(("2", "-1", "1/3")))]
+        return ["transform", path, "--scale",
+                draw(st.sampled_from(("2", "-1", "1/3", "-1/3", "-2e-1")))]
     if command == "verify":
         return ["verify", path, "--samples", str(draw(st.integers(0, 20)))]
     return [command, path]
@@ -210,7 +211,7 @@ def argument_errors(draw, path, n, qmt_path, workdir):
             return [command, path]
         return [command, path, *draw(st.sampled_from((
             ("--samples", "-1"), ("--samples", "x"), ("--tol", "nan"), ("--tol", "-1"),
-            ("--seed", "-1"))))]
+            ("--tol", "-1e-3"), ("--seed", "-1"))))]
     return [command, str(workdir / "missing.qpmap.json")]
 
 

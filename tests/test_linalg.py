@@ -254,13 +254,18 @@ any_matrices = st.one_of(rational_matrices(), thin_products())
 
 @st.composite
 def square_matrices(draw):
-    """Invertible-looking, zero-heavy and singular squares, rows negated at random
-    so that pivots of either sign occur."""
-    n = draw(st.integers(1, 6))
+    """Invertible-looking, zero-heavy, upper triangular and singular squares up to
+    8x8, rows permuted and negated at random, so that pivots of either sign occur
+    and the pivot row is often not the first remaining row."""
+    n = draw(st.integers(1, 8))
     singular = n > 1 and draw(st.integers(0, 2)) == 0
     m = draw(thin_products(n, n) if singular else rational_matrices(n, n))
+    if draw(st.booleans()):
+        m = tuple(tuple(e if j >= i else Fraction(0) for j, e in enumerate(row))
+                  for i, row in enumerate(m))
+    order = draw(st.permutations(range(n)))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-    return tuple(tuple(s * e for e in row) for s, row in zip(signs, m))
+    return tuple(tuple(s * e for e in m[i]) for s, i in zip(signs, order))
 
 
 def assert_identical(got, expected):
@@ -316,8 +321,13 @@ def test_inverse_equals_gauss_jordan(m):
     try:
         expected = inverse_oracle(m)
     except SingularMatrix:
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix) as raised:
             inverse(m)
+        # the rank, and the first column whose prefix rank does not grow
+        n, r = len(m), rank_oracle(m)
+        col = next(c for c in range(n) if rank_oracle(tuple(row[:c + 1] for row in m)) == c)
+        assert str(raised.value) == (f"matrix is singular: rank {r} of {n}, "
+                                     f"column {col} depends on the columns before it")
         return
     assert_identical(inverse(m), expected)
 
@@ -345,6 +355,25 @@ def test_negative_pivots():
     assert rank(m) == 3
     assert inverse(rmatrix([["-2/3"]])) == rmatrix([["-3/2"]])
     assert rank(rmatrix([[0, -2], [0, 1]])) == 1
+    # the first pivot is in the second row, then the second pivot in the third
+    swap = rmatrix([[0, 1], [1, 0]])
+    assert_identical(inverse(swap), swap)
+    m = rmatrix([[1, 2, 0], [2, 4, 1], [0, "1/3", -1]])  # leading 2x2 minor is 0
+    assert_identical(inverse(m), inverse_oracle(m))
+    assert pivot_columns(m) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [2, 4]], "rank 1 of 2, column 1"),
+    ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], "rank 2 of 3, column 2"),
+    ([[1, 2, 3], [2, 4, 5], ["1/2", 1, 7]], "rank 2 of 3, column 1"),
+    ([[0, 1], [0, "-1/2"]], "rank 1 of 2, column 0"),
+    ([[0]], "rank 0 of 1, column 0"),
+])
+def test_singular_matrix_names_rank_and_dependent_column(rows, message):
+    with pytest.raises(SingularMatrix, match=f"^matrix is singular: {message} depends on "
+                                             "the columns before it$"):
+        inverse(rmatrix(rows))
 
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)

@@ -7,7 +7,7 @@ A QP map acts on the positive orthant of R^n and updates each coordinate as
 where the inner products over k (one per row of B) are the quasimonomials
 of the map. The structural data (lam, A, B) is exact rational so that all
 classification decisions elsewhere in the package are tolerance-free;
-trajectory evaluation is ordinary double precision. The exact dataclass
+trajectory evaluation is ordinary double precision. The exact QPMap record
 and its validation live in the numpy-free :mod:`qpmaps.maps` and are
 re-exported here; this module is the float layer and imports numpy.
 """

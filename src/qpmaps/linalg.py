@@ -7,10 +7,11 @@ column and work on Python integers: products are integer dot products, and
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
 Comp. 22, 1968), which ``inverse`` finishes by back-substitution (Nakos, Turner
 and Williams, 1997); both divide exactly by pivots. ``Fraction`` objects appear
-only at the boundary, one per result entry, built with no gcd when its
-denominator is 1. A row or column of integers is its numerators as they are,
-and :func:`rvector` returns a tuple of ``Fraction`` entries unchanged, so a map
-or QMT built from another one's entries reuses them.
+only at the boundary, one per nonzero result entry, built with no gcd when its
+denominator is 1; the zero entries of a product share one. A row or column of
+integers is its numerators as they are, and :func:`rvector` returns a tuple of
+``Fraction`` entries unchanged, so a map or QMT built from another one's
+entries reuses them.
 Floats enter only through the explicit ``to_float_*`` converters of the dynamic
 (trajectory) side; they alone load numpy, on first use, so the exact layer runs
 without it.
@@ -134,8 +135,9 @@ def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
     cols = [_cleared(col) for col in zip(*y)]
+    zero = Fraction(0)
     return tuple(
-        tuple(Fraction(v) if d == 1 else Fraction(v, d)
+        tuple(zero if not v else Fraction(v) if d == 1 else Fraction(v, d)
               for v, d in ((sum(map(mul, r, c)), dr * dc) for c, dc in cols))
         for r, dr in map(_cleared, x)
     )

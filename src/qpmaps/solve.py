@@ -20,14 +20,15 @@ range-checked, under np.errstate.
 """
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import QPMap, as_state, first_nonpositive_row, iterate, phi
 from .errors import DimensionMismatch, NotSymplectic, NumericOverflow
+from .maps import FrozenRecord
 from .symplectic import check_conditions
 
 #: |log k_i| at or below this is classified as a constant pair.
@@ -40,14 +41,23 @@ NEAR_CONSTANT_THRESHOLD = 1e-8
 SAFE_LOG = 700.0
 
 
-@dataclass(frozen=True, eq=False)
-class ClosedFormSolution:
-    """A solved initial-value problem: x0 plus per-pair log multipliers."""
+class ClosedFormSolution(FrozenRecord):
+    """A solved initial-value problem: x0 plus per-pair log multipliers.
 
+    Two solutions are equal only when they are the same object: their
+    fields are arrays, which compare element-wise.
+    """
+
+    __match_args__ = _fields = ("s", "x0", "log_k", "invariants_I")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     s: int
     x0: np.ndarray
     log_k: np.ndarray
     invariants_I: np.ndarray
+
+    def __init__(self, s, x0, log_k, invariants_I):
+        self._init(s, x0, log_k, invariants_I)
 
     @cached_property
     def log_rate(self) -> np.ndarray:
@@ -73,8 +83,7 @@ class ClosedFormSolution:
         return 2**53 if bound >= 2**53 else math.floor(bound)
 
 
-@dataclass(frozen=True)
-class PairAsymptotics:
+class PairAsymptotics(NamedTuple):
     """Long-run behaviour of pair i: 'constant' (k_i = 1) or 'split'
     (one variable tends to zero while its partner diverges)."""
 

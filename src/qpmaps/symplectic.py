@@ -17,7 +17,6 @@ The conserved pair products x_i * x_{s+i} are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -36,8 +35,7 @@ RESIDUAL_TOLERANCE = 1e-9
 WITNESS_LIMIT = 5
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One concrete violation of a classification condition.
 
     ``where`` holds 1-based index assignments such as (("i", 1), ("p", 2));
@@ -53,8 +51,7 @@ class Witness:
         return ", ".join(f"{name}={index}" for name, index in self.where)
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     """One condition's outcome: ``count`` violations in all, of which
     ``witnesses`` holds the first WITNESS_LIMIT in enumeration order."""
 
@@ -70,8 +67,7 @@ class ConditionVerdict:
 _NOT_APPLICABLE = ConditionVerdict(applicable=False)
 
 
-@dataclass(frozen=True)
-class SymplecticReport:
+class SymplecticReport(NamedTuple):
     """Outcome of a symplecticity check.
 
     ``pairing`` (present when symplectic) assigns each quasimonomial row p
@@ -92,8 +88,7 @@ class SymplecticReport:
         return (("a", self.cond_a), ("b", self.cond_b), ("c", self.cond_c), ("d", self.cond_d))
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Exact ranks of B, A and the augmented matrix M = (lam | A).
 
     ``bound_satisfied`` evaluates rank(B) <= s and rank(M) <= s, a necessary

@@ -11,7 +11,6 @@ All of this is exact and imports no numpy; the float state maps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -27,33 +26,32 @@ from .linalg import (
     to_float_matrix,
     zero_column_indices,
 )
-from .maps import QPMap, strictness_violations
+from .maps import FrozenRecord, QPMap, strictness_violations
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class QMT:
+class QMT(FrozenRecord):
     """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
 
     Construction checks C.C_inv = I exactly, on cleared integer rows of C
     and columns of C_inv (:func:`qpmaps.linalg.is_inverse`).
     """
 
+    __match_args__ = _fields = ("C", "C_inv")
     C: RMatrix
     C_inv: RMatrix
 
-    def __post_init__(self):
-        c = rmatrix(self.C)
-        c_inv = rmatrix(self.C_inv)
+    def __init__(self, C, C_inv):
+        c = rmatrix(C)
+        c_inv = rmatrix(C_inv)
         n = len(c)
         if len(c[0]) != n or len(c_inv) != n or len(c_inv[0]) != n:
             raise DimensionMismatch("QMT matrices must be square and of equal size")
         if not is_inverse(c, c_inv):
             raise ValueError("C_inv is not the exact inverse of C")
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "C_inv", c_inv)
+        self._init(c, c_inv)
 
     @property
     def n(self) -> int:

@@ -21,11 +21,13 @@ ARGS = (["check"], ["canonical"], ["transform", "--qmt", str(FIXTURES / "diag12.
         ["transform", "--scale", "2"], ["transform", "--solver-c"])
 
 # Runs every case through cli.main in one process, numpy blocked or not, and
-# prints [exit code, stdout, stderr] per case as JSON.
+# prints [exit code, stdout, stderr] per case as JSON. Fails when the cases
+# loaded dataclasses or inspect, which cost start-up time and qpmaps needs neither.
 RUNNER = """
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+before = set(sys.modules)
 from qpmaps.cli import main
 results = []
 for argv in json.loads(sys.argv[2]):
@@ -37,6 +39,8 @@ for argv in json.loads(sys.argv[2]):
             code = repr(exc)
     results.append([code, out.getvalue(), err.getvalue()])
 assert sys.argv[1] != "blocked" or sys.modules["numpy"] is None
+loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+assert not loaded, f"the cases loaded {sorted(loaded)}"
 print(json.dumps(results))
 """
 
@@ -95,6 +99,22 @@ def test_import_qpmaps_loads_no_numpy_until_a_float_name_is_used():
     out = _python("-c", "import sys, qpmaps; print('numpy' in sys.modules);"
                         " qpmaps.iterate; print('numpy' in sys.modules)")
     assert out.split() == ["False", "True"]
+
+
+def test_qpmaps_loads_neither_dataclasses_nor_inspect():
+    """Neither on import nor on solving; numpy itself loads inspect, so what
+    `import numpy` loads is left out of the second check."""
+    out = _python("-c", """if True:
+        import sys
+        before = set(sys.modules)
+        import qpmaps
+        print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+        import numpy
+        before |= set(sys.modules)
+        qpmaps.solve_closed_form(qpmaps.new_qp_map((1, -1), ((2,), (-2,)), ((1, 1),)), (1, 2))
+        print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+    """)
+    assert out.split() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("name", [n for n in qpmaps.__all__ if n != "__version__"])

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -22,6 +23,7 @@ from qpmaps.linalg import (
     zero_column_indices,
     zero_row_indices,
 )
+from qpmaps.sampling import random_symplectic_map
 
 from helpers import inverse_oracle, mat_mul_oracle, rank_by_minors, rank_oracle
 
@@ -273,10 +275,20 @@ def assert_identical(got, expected):
     assert all(type(e) is Fraction for row in got for e in row)
 
 
-@given(data=st.data(), x=any_matrices)
-def test_mat_mul_equals_fraction_loop(data, x):
-    y = data.draw(rational_matrices(len(x[0])))
-    assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
+@given(data=st.data(), x=any_matrices, seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_mat_mul_equals_fraction_loop(data, x, seed):
+    """x.y, and with a seed also B.M of a random symplectic map, which is zero;
+    every zero entry of a product is one shared Fraction."""
+    pairs = [(x, data.draw(rational_matrices(len(x[0]))))]
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        qp = random_symplectic_map(rng, int(rng.choice((2, 4, 6, 8))))
+        pairs.append((qp.B, augment_column(qp.lam, qp.A)))
+    for a, b in pairs:
+        got = mat_mul(a, b)
+        assert_identical(got, mat_mul_oracle(a, b))
+        assert len({id(e) for row in got for e in row if not e}) <= 1
+    assert seed is None or is_zero(got)
 
 
 @given(m=st.one_of(any_matrices, square_matrices()))

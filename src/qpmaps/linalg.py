@@ -3,12 +3,16 @@
 Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
 operations are exact: no pivot tolerance, no float intermediates. The O(n^3)
 kernels (``mat_mul``, ``rank``, ``inverse``) clear denominators once per row or
-column and work on Python integers: products are integer dot products, and
+column and work on Python integers. A product packs the cleared columns of its
+right factor into groups of signed byte slots, one int per row (Kronecker
+substitution): column j's slot holds R*max|c_j|, R the largest row 1-norm of the
+left factor, and a group closes before it passes ``_PACK_BITS`` bits, so a row of
+the product is one big-int multiply-add per inner index and group, decoded once.
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
 Comp. 22, 1968), which ``inverse`` finishes by back-substitution (Nakos, Turner
 and Williams, 1997); both divide exactly by pivots. ``Fraction`` objects appear
-only at the boundary, one per nonzero result entry, built with no gcd when its
-denominator is 1; the zero entries of a product share one. A row or column of
+only at the boundary, one per distinct nonzero entry of a product, built with no
+gcd when its denominator is 1; its zero entries share one. A row or column of
 integers is its numerators as they are, and :func:`rvector` returns a tuple of
 ``Fraction`` entries unchanged, so a map or QMT built from another one's
 entries reuses them.
@@ -22,8 +26,10 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import attrgetter, lshift, mul
+from struct import Struct
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, NumericOverflow, SingularMatrix
@@ -41,6 +47,15 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
 #: A plain ASCII integer, read by int() instead of Fraction's own regex.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+#: Widest group of packed slots in a product, in bits (see _packed). Without a cap,
+#: one huge entry of x, which widens every slot, would make each packed row as wide
+#: as all the slots together; capped, each such column is a plain dot product.
+_PACK_BITS = 4096
+#: A signed slot of 1 to 8 bytes as (bytes, struct code), rounded up to 1, 2, 4 or 8 bytes.
+_SLOTS = ((1, "b"), (2, "h"), (4, "i"), (4, "i"), (8, "q"), (8, "q"), (8, "q"), (8, "q"))
+_ZERO = Fraction(0)
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def rational(value) -> Fraction:
@@ -125,35 +140,111 @@ def diagonal(entries) -> RMatrix:
 
 def _cleared(row) -> tuple[list[int], int]:
     """A rational row as (integer numerators, lcm of its denominators)."""
-    d = lcm(*(e.denominator for e in row))
+    d = lcm(*map(_denominator, row))
     if d == 1:
-        return [e.numerator for e in row], 1
+        return list(map(_numerator, row)), 1
     return [e.numerator * (d // e.denominator) for e in row], d
 
 
+def _packed(rows, cols) -> list[tuple]:
+    """Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) for the products
+    of cleared rows (r_i, d_i) with cleared columns (c_j, e_j): one big-int
+    multiply-add per row and inner index, instead of one per entry.
+
+    Column j gets a signed little-endian slot of whole bytes that holds any r_i.c_j,
+    since |r_i.c_j| <= R*max|c_j|, R the largest row 1-norm; a slot of up to 8
+    bytes is rounded up to 1, 2, 4 or 8, to be one struct field. Left to right, the
+    slots form groups, each closing before it would pass _PACK_BITS, so that a wider
+    column is a group of its own. A group's row k packs to
+    P_k = sum_j c_j[k] << 8*start_j, so that sum_k r_i[k]*P_k is
+    sum_j (r_i.c_j) << 8*start_j; adding, then xoring, the top bit of every slot
+    leaves each r_i.c_j as two's complement in its own slot.
+    Each group is (P, top bits, struct unpack, bytes, [e_j], [8*start_j], first j).
+    """
+    norm = max(sum(map(abs, r)) for r, _ in rows)
+    bounds = []  # per group: its first column, slot ends in bytes, struct codes
+    for j, (c, _) in enumerate(cols):
+        size = (norm * max(map(abs, c))).bit_length() // 8 + 1
+        size, code = _SLOTS[size - 1] if size <= 8 else (size, f"{size}s")
+        if not bounds or 8 * (bounds[-1][1][-1] + size) > _PACK_BITS:
+            bounds.append((j, [0], []))
+        _, ends, codes = bounds[-1]
+        ends.append(ends[-1] + size)
+        codes.append(code)
+    ys = list(zip(*(c for c, _ in cols)))
+    groups = []
+    for j, ends, codes in bounds:
+        shifts = [8 * e for e in ends[:-1]]
+        groups.append(([sum(map(lshift, y[j:j + len(codes)], shifts)) for y in ys],
+                       sum(1 << (8 * e - 1) for e in ends[1:]),
+                       Struct("<" + "".join(codes)).unpack, ends[-1],
+                       [e for _, e in cols[j:j + len(codes)]], shifts, j))
+    return groups
+
+
+class _Entries(dict):
+    """Product entries by (numerator, denominator), each distinct one built once;
+    a numerator from a slot wider than 8 bytes arrives as the slot's bytes."""
+
+    def __missing__(self, key):
+        p, q = key
+        if type(p) is bytes:
+            p = int.from_bytes(p, "little", signed=True)
+        e = self[key] = _ZERO if not p else Fraction(p) if q == 1 else Fraction(p, q)
+        return e
+
+
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
+    """The exact product x.y.
+
+    Row i of x is cleared to r_i/d_i and column j of y to c_j/e_j, and the columns are
+    packed in groups (:func:`_packed`): per group, row i of x.y is one sum of r_i times
+    the packed rows of y, decoded by one to_bytes and one struct unpack into the
+    numerators r_i.c_j over d_i*e_j. Each distinct entry is one Fraction, and every
+    zero entry is the same one.
+    """
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
+    rows = list(map(_cleared, x))
     cols = [_cleared(col) for col in zip(*y)]
-    zero = Fraction(0)
-    return tuple(
-        tuple(zero if not v else Fraction(v) if d == 1 else Fraction(v, d)
-              for v, d in ((sum(map(mul, r, c)), dr * dc) for c, dc in cols))
-        for r, dr in map(_cleared, x)
-    )
+    groups = _packed(rows, cols)
+    entries = _Entries()
+    out = []
+    for r, d in rows:
+        row = []
+        for packed, top, unpack, size, dens, _, _ in groups:
+            slots = ((sum(map(mul, r, packed)) + top) ^ top).to_bytes(size, "little")
+            row += map(entries.__getitem__, zip(unpack(slots), map(mul, repeat(d), dens)))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def is_inverse(x: RMatrix, y: RMatrix) -> bool:
-    """True iff x.y is the identity, for square x and y of one size.
+    """True iff x.y is the identity; raises DimensionMismatch unless x and y are both n x n.
 
     Decided on cleared integers, building no Fraction: with row i of x equal
     to r_i/d_i and column j of y to c_j/e_j, (x.y)[i][j] = r_i.c_j/(d_i*e_j),
-    which is 1 iff r_i.c_j = d_i*e_j and 0 iff r_i.c_j = 0.
+    which is 1 iff r_i.c_j = d_i*e_j and 0 iff r_i.c_j = 0. The diagonal is
+    checked first, by n dot products; then every d_i*e_i is a product entry, and
+    fits its slot, so each packed row of products (:func:`_packed`) equals the
+    packed identity row, d_i*e_i in slot i and 0 elsewhere, iff every slot does.
     """
+    n = len(x)
+    if len(x[0]) != n or len(y) != n or len(y[0]) != n:
+        raise DimensionMismatch(f"is_inverse needs two n x n matrices, got "
+                                f"{len(x)}x{len(x[0])} and {len(y)}x{len(y[0])}")
+    rows = list(map(_cleared, x))
     cols = [_cleared(col) for col in zip(*y)]
-    return all(sum(map(mul, r, c)) == (dr * dc if i == j else 0)
-               for i, (r, dr) in enumerate(map(_cleared, x))
-               for j, (c, dc) in enumerate(cols))
+    if any(sum(map(mul, r, c)) != d * e for (r, d), (c, e) in zip(rows, cols)):
+        return False
+    groups = _packed(rows, cols)
+    for i, (r, d) in enumerate(rows):
+        for packed, _, _, _, dens, shifts, j in groups:
+            k = i - j
+            target = d * dens[k] << shifts[k] if 0 <= k < len(dens) else 0
+            if sum(map(mul, r, packed)) != target:
+                return False
+    return True
 
 
 def augment_column(col, m: RMatrix) -> RMatrix:

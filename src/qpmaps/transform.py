@@ -35,8 +35,10 @@ if TYPE_CHECKING:
 class QMT(FrozenRecord):
     """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
 
-    Construction checks C.C_inv = I exactly, on cleared integer rows of C
-    and columns of C_inv (:func:`qpmaps.linalg.is_inverse`).
+    Construction checks C.C_inv = I exactly, on cleared integer rows of C and
+    columns of C_inv packed into groups of byte slots, each row of C.C_inv one
+    multiply-add per inner index and group, compared with the packed identity
+    row (:func:`qpmaps.linalg.is_inverse`).
     """
 
     __match_args__ = _fields = ("C", "C_inv")

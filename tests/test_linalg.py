@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qpmaps import QPMap, rank_bounds
+from qpmaps import QPMap, linalg, rank_bounds
 from qpmaps.errors import DimensionMismatch, SingularMatrix
 from qpmaps.linalg import (
     augment_column,
@@ -229,15 +229,16 @@ def test_inverse_random_exact():
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 zero_heavy = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_rationals)  # ~2/3 zeros
 small_integers = st.builds(Fraction, st.integers(-9, 9))  # every denominator 1
+small_kinds = (small_rationals, zero_heavy, small_integers)
 dims = st.integers(1, 6)
 
 
 @st.composite
-def rational_matrices(draw, n_rows=None, n_cols=None):
+def rational_matrices(draw, n_rows=None, n_cols=None, kinds=small_kinds):
     """Dense or zero-heavy rational matrices, any shape including 1xk and kx1."""
     n_rows = draw(dims) if n_rows is None else n_rows
     n_cols = draw(dims) if n_cols is None else n_cols
-    entries = draw(st.sampled_from([small_rationals, zero_heavy, small_integers]))
+    entries = draw(st.sampled_from(kinds))
     row = st.lists(entries, min_size=n_cols, max_size=n_cols)
     return rmatrix(draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
 
@@ -344,21 +345,162 @@ def test_inverse_equals_gauss_jordan(m):
     assert_identical(inverse(m), expected)
 
 
-@given(data=st.data(), m=square_matrices())
-def test_is_inverse_equals_the_fraction_product(data, m):
+def assert_is_inverse_equals_the_fraction_product(data, m, moved, kinds=small_kinds):
     """is_inverse decides x.y = I on cleared integers; the Fraction product
-    (mat_mul_oracle) is the reference, for the true inverse, for it with one
-    entry changed and for an arbitrary y."""
+    (mat_mul_oracle) is the reference, for the true inverse of m (any y if m is
+    singular), for it with one entry moved by `moved` and for an arbitrary y."""
     n = len(m)
     try:
         m_inv = inverse(m)
     except SingularMatrix:
-        m_inv = data.draw(rational_matrices(n, n))
+        m_inv = data.draw(rational_matrices(n, n, kinds))
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     off = [list(row) for row in m_inv]
-    off[i][j] += data.draw(small_rationals.filter(bool))
-    for y in (m_inv, rmatrix(off), data.draw(rational_matrices(n, n))):
+    off[i][j] += moved
+    for y in (m_inv, rmatrix(off), data.draw(rational_matrices(n, n, kinds))):
         assert is_inverse(m, y) == (mat_mul_oracle(m, y) == identity(n))
+
+
+@given(data=st.data(), m=square_matrices())
+def test_is_inverse_equals_the_fraction_product(data, m):
+    assert_is_inverse_equals_the_fraction_product(data, m, data.draw(small_rationals.filter(bool)))
+
+
+def test_is_inverse_needs_two_squares_of_one_size():
+    # unchecked, map() would stop at the shorter row, and the 2x3 x.I read as I
+    for x, y in [([[1, 0, 5], [0, 1, 7]], [[1, 0], [0, 1]]),
+                 ([[1, 0], [0, 1]], [[1, 0, 5], [0, 1, 7]]),
+                 ([[1, 0], [0, 1]], [[1, 0], [0, 1], [0, 0]]),
+                 ([[1]], [[1, 0], [0, 1]])]:
+        with pytest.raises(DimensionMismatch, match="is_inverse needs two n x n matrices"):
+            is_inverse(rmatrix(x), rmatrix(y))
+
+
+def test_is_inverse_checks_the_diagonal_before_the_packed_rows():
+    # x.y = [[0, 1/256], [0, 1]]: packed in 1-byte slots, row 0 of the products
+    # reads 0 + 1 << 8, which is also d_0*e_0 = 256 in slot 0
+    x, y = rmatrix([["1/256", 0], [0, 1]]), rmatrix([[0, 1], [0, 1]])
+    assert not is_inverse(x, y)
+    assert is_inverse(x, rmatrix([[256, 0], [0, 1]]))
+
+
+# Wide entries: slots of hundreds of bits, columns split into several groups of
+# linalg._PACK_BITS, and products at the edge of their slots.
+
+wide_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**30))
+wide_integers = st.builds(Fraction, st.integers(-10**60, 10**60))
+huge = st.builds(lambda sign, p: sign * p, st.sampled_from([1, -1]),
+                 st.integers(10**3999, 10**4000 - 1))
+wide_kinds = (wide_rationals, wide_integers, small_rationals, zero_heavy)
+
+
+@st.composite
+def with_huge_entry(draw, m):
+    """m with one entry replaced by a 4000-digit numerator or denominator."""
+    rows = [list(row) for row in m]
+    i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m[0]) - 1))
+    value = draw(huge)
+    rows[i][j] = Fraction(value) if draw(st.booleans()) else Fraction(1, value)
+    return rmatrix(rows)
+
+
+@given(data=st.data(), n_rows=dims, k=dims, n_cols=dims)
+def test_mat_mul_equals_fraction_loop_on_wide_entries(data, n_rows, k, n_cols):
+    x = data.draw(rational_matrices(n_rows, k, wide_kinds))
+    y = data.draw(rational_matrices(k, n_cols, wide_kinds))
+    if data.draw(st.booleans()):  # some zero rows of x
+        x = tuple(tuple(Fraction(0) for _ in row) if data.draw(st.booleans()) else row
+                  for row in x)
+    assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
+
+
+@given(data=st.data(), n_rows=dims, k=dims, n_cols=dims, in_x=st.booleans())
+def test_mat_mul_equals_fraction_loop_with_a_4000_digit_entry(data, n_rows, k, n_cols, in_x):
+    x = data.draw(rational_matrices(n_rows, k))
+    y = data.draw(rational_matrices(k, n_cols))
+    if in_x:
+        x = data.draw(with_huge_entry(x))
+    else:
+        y = data.draw(with_huge_entry(y))
+    assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
+
+
+#: Magnitudes whose products R*max|c| fall on either side of a slot's byte boundary
+edge_magnitudes = (st.integers(1, 2**70)
+                   | st.sampled_from([2**b + d for b in (0, 3, 6, 7, 8, 15, 16, 31, 32, 63, 64)
+                                      for d in (-1, 0, 1)]))
+
+
+@given(a=edge_magnitudes, c=edge_magnitudes, k=dims,
+       signs=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=6))
+def test_mat_mul_reaches_the_slot_bound_exactly(a, c, k, signs):
+    """Rows a and -a of length k, and a zero row, have R = k*a; column j is
+    signs[j]*c throughout. Every entry of the first two rows is +-R*max|c_j|,
+    the bound each slot is sized for, and each column reaches both signs."""
+    x = rmatrix([[a] * k, [-a] * k, [0] * k])
+    y = rmatrix([[s * c for s in signs]] * k)
+    got = mat_mul(x, y)
+    assert_identical(got, mat_mul_oracle(x, y))
+    assert {abs(e) for e in got[0] + got[1]} == {k * a * c}
+
+
+@given(data=st.data(), digits=st.integers(40, 60), k=dims)
+def test_mat_mul_equals_fraction_loop_over_several_groups(data, digits, k):
+    """Nonzero integer entries of 40 to 60 digits make slots of 33 to 51 bytes,
+    so 24 columns split into two or three groups of linalg._PACK_BITS."""
+    entries = st.builds(lambda sign, p: Fraction(sign * p), st.sampled_from([1, -1]),
+                        st.integers(10**(digits - 1), 10**digits))
+    x = data.draw(rational_matrices(data.draw(st.integers(1, 3)), k, (entries,)))
+    y = data.draw(rational_matrices(k, 24, (entries,)))
+    cols = [linalg._cleared(col) for col in zip(*y)]
+    assert len(linalg._packed(list(map(linalg._cleared, x)), cols)) > 1
+    assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
+
+
+@pytest.mark.parametrize("pack_bits", [8, 64])
+@given(data=st.data())
+def test_products_are_the_same_for_any_group_width(pack_bits, data):
+    """At 8 bits every column is a group of its own: the plain dot products."""
+    kinds = wide_kinds + (small_integers,)
+    x = data.draw(rational_matrices(kinds=kinds))
+    y = data.draw(rational_matrices(len(x[0]), kinds=kinds))
+    m = data.draw(square_matrices())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_PACK_BITS", pack_bits)
+        assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
+        assert_is_inverse_equals_the_fraction_product(data, m, Fraction(1, 7), kinds)
+
+
+@st.composite
+def wide_squares(draw):
+    n = draw(st.integers(1, 5))
+    return draw(rational_matrices(n, n, wide_kinds))
+
+
+@given(data=st.data(), m=wide_squares(), moved=st.sampled_from([Fraction(1, 10**40),
+                                                                 Fraction(-1, 10**40)]))
+def test_is_inverse_equals_the_fraction_product_on_wide_entries(data, m, moved):
+    assert_is_inverse_equals_the_fraction_product(data, m, moved, wide_kinds)
+
+
+@pytest.mark.parametrize("in_x", [False, True], ids=["in_y", "in_x"])
+@pytest.mark.parametrize("entry", [10**3999 + 7, Fraction(-1, 10**3999 + 7)],
+                         ids=["numerator", "denominator"])
+def test_a_4000_digit_entry_costs_a_bounded_time(in_x, entry):
+    """A 13,000-bit entry makes slots that wide: in y those of its column, in x
+    (through R) all of them. Capped at linalg._PACK_BITS, each such column is a
+    group of its own, one dot product per entry, not one row of 61 such slots."""
+    rng = np.random.default_rng(5)
+    x = [[int(e) for e in row] for row in rng.integers(-9, 10, size=(60, 60))]
+    y = [[int(e) for e in row] for row in rng.integers(-9, 10, size=(60, 61))]
+    (x if in_x else y)[17][23] = entry
+    x, y = rmatrix(x), rmatrix(y)
+    start = time.perf_counter()
+    got = mat_mul(x, y)
+    assert time.perf_counter() - start < 0.5
+    # the row and the column through the huge entry, against the Fraction loop
+    assert got[17] == mat_mul_oracle(x[17:18], y)[0]
+    assert [row[23] for row in got] == [row[0] for row in mat_mul_oracle(x, [r[23:24] for r in y])]
 
 
 def test_negative_pivots():

@@ -4,10 +4,11 @@ Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
 operations are exact: no pivot tolerance, no float intermediates. The O(n^3)
 kernels (``mat_mul``, ``rank``, ``inverse``) clear denominators once per row or
 column and work on Python integers. A product packs the cleared columns of its
-right factor into groups of signed byte slots, one int per row (Kronecker
-substitution): column j's slot holds R*max|c_j|, R the largest row 1-norm of the
-left factor, and a group closes before it passes ``_PACK_BITS`` bits, so a row of
-the product is one big-int multiply-add per inner index and group, decoded once.
+right factor into signed slots of at most 8 bytes, one int per row and run of
+such columns (Kronecker substitution): column j's slot holds R*max|c_j|, R the
+largest row 1-norm of the left factor, so a row of the product is one big-int
+multiply-add per inner index and run, decoded once. A column that fits no 8-byte
+slot, wide itself or through a wide left factor, is one dot product per entry.
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
 Comp. 22, 1968), which ``inverse`` finishes by back-substitution (Nakos, Turner
 and Williams, 1997); both divide exactly by pivots. ``Fraction`` objects appear
@@ -26,10 +27,10 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import attrgetter, lshift, mul
-from struct import Struct
+from struct import Struct, calcsize
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, NumericOverflow, SingularMatrix
@@ -47,12 +48,8 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
 #: A plain ASCII integer, read by int() instead of Fraction's own regex.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-#: Widest group of packed slots in a product, in bits (see _packed). Without a cap,
-#: one huge entry of x, which widens every slot, would make each packed row as wide
-#: as all the slots together; capped, each such column is a plain dot product.
-_PACK_BITS = 4096
-#: A signed slot of 1 to 8 bytes as (bytes, struct code), rounded up to 1, 2, 4 or 8 bytes.
-_SLOTS = ((1, "b"), (2, "h"), (4, "i"), (4, "i"), (8, "q"), (8, "q"), (8, "q"), (8, "q"))
+#: The struct code of a signed slot of 1 to 8 bytes, rounded up to 1, 2, 4 or 8 (see _runs)
+_SLOT_CODES = "bhiiqqqq"
 _ZERO = Fraction(0)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -146,75 +143,88 @@ def _cleared(row) -> tuple[list[int], int]:
     return [e.numerator * (d // e.denominator) for e in row], d
 
 
-def _packed(rows, cols) -> list[tuple]:
-    """Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) for the products
-    of cleared rows (r_i, d_i) with cleared columns (c_j, e_j): one big-int
-    multiply-add per row and inner index, instead of one per entry.
+def _fraction(p: int, q: int) -> Fraction:
+    """p/q for q > 0, with no gcd when q is 1; every zero is one shared Fraction."""
+    return _ZERO if not p else Fraction(p) if q == 1 else Fraction(p, q)
 
-    Column j gets a signed little-endian slot of whole bytes that holds any r_i.c_j,
-    since |r_i.c_j| <= R*max|c_j|, R the largest row 1-norm; a slot of up to 8
-    bytes is rounded up to 1, 2, 4 or 8, to be one struct field. Left to right, the
-    slots form groups, each closing before it would pass _PACK_BITS, so that a wider
-    column is a group of its own. A group's row k packs to
-    P_k = sum_j c_j[k] << 8*start_j, so that sum_k r_i[k]*P_k is
-    sum_j (r_i.c_j) << 8*start_j; adding, then xoring, the top bit of every slot
-    leaves each r_i.c_j as two's complement in its own slot.
-    Each group is (P, top bits, struct unpack, bytes, [e_j], [8*start_j], first j).
+
+def _runs(rows, cols) -> list[tuple]:
+    """The cleared columns (c_j, e_j) of y in runs, for the products r_i.c_j with the
+    cleared rows (r_i, d_i) of x, packed by Kronecker substitution (Harvey,
+    J. Symbolic Comput. 44, 2009) where that pays.
+
+    Since |r_i.c_j| <= R*max|c_j|, R the largest row 1-norm, column j gets a signed
+    little-endian slot of 1, 2, 4 or 8 bytes that holds it, if one does. A run of such
+    columns packs row k of y to P_k = sum_j c_j[k] << 8*start_j, so that
+    sum_k r_i[k]*P_k is sum_j (r_i.c_j) << 8*start_j: one multiply-add per inner index
+    for the run, each multiply by an |r_i[k]| < 2**63. Adding, then xoring, the top
+    bit of every slot leaves each r_i.c_j as two's complement in its own slot. A run
+    of columns that fit no 8-byte slot stays dot products: packed, each multiply would
+    cost |r_i[k]| times the run's width, which grows with R, quadratic in x's width.
+    A packed run is (P, top bits, struct unpack, bytes, [e_j]), a plain one
+    ([c_j], 0, None, 0, [e_j]).
     """
     norm = max(sum(map(abs, r)) for r, _ in rows)
-    bounds = []  # per group: its first column, slot ends in bytes, struct codes
+    runs = []  # per run: its first column and its slots' struct codes ("" if plain)
     for j, (c, _) in enumerate(cols):
-        size = (norm * max(map(abs, c))).bit_length() // 8 + 1
-        size, code = _SLOTS[size - 1] if size <= 8 else (size, f"{size}s")
-        if not bounds or 8 * (bounds[-1][1][-1] + size) > _PACK_BITS:
-            bounds.append((j, [0], []))
-        _, ends, codes = bounds[-1]
-        ends.append(ends[-1] + size)
-        codes.append(code)
+        width = (norm * max(map(abs, c))).bit_length() // 8  # slot bytes - 1
+        code = _SLOT_CODES[width] if width < 8 else ""
+        if not runs or bool(runs[-1][1][-1]) != bool(code):
+            runs.append((j, []))
+        runs[-1][1].append(code)
     ys = list(zip(*(c for c, _ in cols)))
-    groups = []
-    for j, ends, codes in bounds:
-        shifts = [8 * e for e in ends[:-1]]
-        groups.append(([sum(map(lshift, y[j:j + len(codes)], shifts)) for y in ys],
-                       sum(1 << (8 * e - 1) for e in ends[1:]),
-                       Struct("<" + "".join(codes)).unpack, ends[-1],
-                       [e for _, e in cols[j:j + len(codes)]], shifts, j))
-    return groups
+    out = []
+    for j, codes in runs:
+        k = j + len(codes)
+        dens = [e for _, e in cols[j:k]]
+        if not codes[0]:
+            out.append(([c for c, _ in cols[j:k]], 0, None, 0, dens))
+            continue
+        ends = list(accumulate(map(calcsize, codes)))
+        shifts = [0] + [8 * e for e in ends[:-1]]
+        out.append(([sum(map(lshift, y[j:k], shifts)) for y in ys],
+                    sum(1 << (8 * e - 1) for e in ends),
+                    Struct("<" + "".join(codes)).unpack, ends[-1], dens))
+    return out
 
 
 class _Entries(dict):
-    """Product entries by (numerator, denominator), each distinct one built once;
-    a numerator from a slot wider than 8 bytes arrives as the slot's bytes."""
+    """Product entries by (numerator, denominator), each distinct one built once."""
 
     def __missing__(self, key):
-        p, q = key
-        if type(p) is bytes:
-            p = int.from_bytes(p, "little", signed=True)
-        e = self[key] = _ZERO if not p else Fraction(p) if q == 1 else Fraction(p, q)
+        e = self[key] = _fraction(*key)
         return e
+
+
+def _numerators(r, runs):
+    """Run by run (:func:`_runs`), the numerators r.c_j of a cleared row r of x."""
+    for packed, top, unpack, size, _ in runs:
+        if unpack:
+            yield unpack(((sum(map(mul, r, packed)) + top) ^ top).to_bytes(size, "little"))
+        else:
+            yield [sum(map(mul, r, c)) for c in packed]
 
 
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
     """The exact product x.y.
 
     Row i of x is cleared to r_i/d_i and column j of y to c_j/e_j, and the columns are
-    packed in groups (:func:`_packed`): per group, row i of x.y is one sum of r_i times
-    the packed rows of y, decoded by one to_bytes and one struct unpack into the
-    numerators r_i.c_j over d_i*e_j. Each distinct entry is one Fraction, and every
-    zero entry is the same one.
+    taken in runs (:func:`_runs`). For a packed run, row i of x.y is one sum of r_i
+    times the packed rows of y, decoded by one to_bytes and one struct unpack into the
+    numerators r_i.c_j over d_i*e_j, and each distinct entry is one Fraction; a plain
+    run is one dot product per entry. Every zero entry is the same Fraction.
     """
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
     rows = list(map(_cleared, x))
-    cols = [_cleared(col) for col in zip(*y)]
-    groups = _packed(rows, cols)
+    runs = _runs(rows, [_cleared(col) for col in zip(*y)])
     entries = _Entries()
     out = []
     for r, d in rows:
         row = []
-        for packed, top, unpack, size, dens, _, _ in groups:
-            slots = ((sum(map(mul, r, packed)) + top) ^ top).to_bytes(size, "little")
-            row += map(entries.__getitem__, zip(unpack(slots), map(mul, repeat(d), dens)))
+        for nums, (_, _, unpack, _, dens) in zip(_numerators(r, runs), runs):
+            qs = map(mul, repeat(d), dens)
+            row += map(entries.__getitem__, zip(nums, qs)) if unpack else map(_fraction, nums, qs)
         out.append(tuple(row))
     return tuple(out)
 
@@ -222,12 +232,9 @@ def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
 def is_inverse(x: RMatrix, y: RMatrix) -> bool:
     """True iff x.y is the identity; raises DimensionMismatch unless x and y are both n x n.
 
-    Decided on cleared integers, building no Fraction: with row i of x equal
-    to r_i/d_i and column j of y to c_j/e_j, (x.y)[i][j] = r_i.c_j/(d_i*e_j),
-    which is 1 iff r_i.c_j = d_i*e_j and 0 iff r_i.c_j = 0. The diagonal is
-    checked first, by n dot products; then every d_i*e_i is a product entry, and
-    fits its slot, so each packed row of products (:func:`_packed`) equals the
-    packed identity row, d_i*e_i in slot i and 0 elsewhere, iff every slot does.
+    Decided on the numerators of :func:`mat_mul`, building no Fraction: with row i of x
+    equal to r_i/d_i and column j of y to c_j/e_j, (x.y)[i][j] = r_i.c_j/(d_i*e_j),
+    which is 1 iff r_i.c_j = d_i*e_j and 0 iff r_i.c_j = 0.
     """
     n = len(x)
     if len(x[0]) != n or len(y) != n or len(y[0]) != n:
@@ -235,15 +242,11 @@ def is_inverse(x: RMatrix, y: RMatrix) -> bool:
                                 f"{len(x)}x{len(x[0])} and {len(y)}x{len(y[0])}")
     rows = list(map(_cleared, x))
     cols = [_cleared(col) for col in zip(*y)]
-    if any(sum(map(mul, r, c)) != d * e for (r, d), (c, e) in zip(rows, cols)):
-        return False
-    groups = _packed(rows, cols)
-    for i, (r, d) in enumerate(rows):
-        for packed, _, _, _, dens, shifts, j in groups:
-            k = i - j
-            target = d * dens[k] << shifts[k] if 0 <= k < len(dens) else 0
-            if sum(map(mul, r, packed)) != target:
-                return False
+    runs = _runs(rows, cols)
+    for i, ((r, d), (_, e)) in enumerate(zip(rows, cols)):
+        nums = list(chain.from_iterable(_numerators(r, runs)))
+        if nums[i] != d * e or any(nums[:i]) or any(nums[i + 1:]):
+            return False
     return True
 
 

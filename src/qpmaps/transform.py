@@ -35,10 +35,8 @@ if TYPE_CHECKING:
 class QMT(FrozenRecord):
     """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
 
-    Construction checks C.C_inv = I exactly, on cleared integer rows of C and
-    columns of C_inv packed into groups of byte slots, each row of C.C_inv one
-    multiply-add per inner index and group, compared with the packed identity
-    row (:func:`qpmaps.linalg.is_inverse`).
+    Construction checks that C and C_inv are n x n (DimensionMismatch) and that
+    C.C_inv = I exactly, by the exact product (:func:`qpmaps.linalg.is_inverse`).
     """
 
     __match_args__ = _fields = ("C", "C_inv")
@@ -48,9 +46,6 @@ class QMT(FrozenRecord):
     def __init__(self, C, C_inv):
         c = rmatrix(C)
         c_inv = rmatrix(C_inv)
-        n = len(c)
-        if len(c[0]) != n or len(c_inv) != n or len(c_inv[0]) != n:
-            raise DimensionMismatch("QMT matrices must be square and of equal size")
         if not is_inverse(c, c_inv):
             raise ValueError("C_inv is not the exact inverse of C")
         self._init(c, c_inv)

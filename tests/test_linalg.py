@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -346,7 +347,7 @@ def test_inverse_equals_gauss_jordan(m):
 
 
 def assert_is_inverse_equals_the_fraction_product(data, m, moved, kinds=small_kinds):
-    """is_inverse decides x.y = I on cleared integers; the Fraction product
+    """is_inverse decides x.y = I on the numerators of mat_mul; the Fraction product
     (mat_mul_oracle) is the reference, for the true inverse of m (any y if m is
     singular), for it with one entry moved by `moved` and for an arbitrary y."""
     n = len(m)
@@ -376,16 +377,16 @@ def test_is_inverse_needs_two_squares_of_one_size():
             is_inverse(rmatrix(x), rmatrix(y))
 
 
-def test_is_inverse_checks_the_diagonal_before_the_packed_rows():
-    # x.y = [[0, 1/256], [0, 1]]: packed in 1-byte slots, row 0 of the products
-    # reads 0 + 1 << 8, which is also d_0*e_0 = 256 in slot 0
+def test_is_inverse_on_a_product_whose_packed_row_reads_as_the_identity():
+    # x.y = [[0, 1/256], [0, 1]]: packed in 1-byte slots, row 0 of the numerators
+    # reads 0 + 1 << 8, the same integer as d_0*e_0 = 256 in slot 0
     x, y = rmatrix([["1/256", 0], [0, 1]]), rmatrix([[0, 1], [0, 1]])
     assert not is_inverse(x, y)
     assert is_inverse(x, rmatrix([[256, 0], [0, 1]]))
 
 
-# Wide entries: slots of hundreds of bits, columns split into several groups of
-# linalg._PACK_BITS, and products at the edge of their slots.
+# Wide entries: columns too wide for an 8-byte slot, which stay dot products,
+# runs of packed and plain columns, and products at the edge of their slots.
 
 wide_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**30))
 wide_integers = st.builds(Fraction, st.integers(-10**60, 10**60))
@@ -425,9 +426,11 @@ def test_mat_mul_equals_fraction_loop_with_a_4000_digit_entry(data, n_rows, k, n
     assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
 
 
-#: Magnitudes whose products R*max|c| fall on either side of a slot's byte boundary
+#: Magnitudes whose products R*max|c| fall on either side of a slot's byte boundary,
+#: the last one (8 bytes) included
 edge_magnitudes = (st.integers(1, 2**70)
-                   | st.sampled_from([2**b + d for b in (0, 3, 6, 7, 8, 15, 16, 31, 32, 63, 64)
+                   | st.sampled_from([2**b + d for b in (0, 3, 6, 7, 8, 15, 16, 31, 32, 55, 56, 62,
+                                                         63, 64)
                                       for d in (-1, 0, 1)]))
 
 
@@ -444,31 +447,20 @@ def test_mat_mul_reaches_the_slot_bound_exactly(a, c, k, signs):
     assert {abs(e) for e in got[0] + got[1]} == {k * a * c}
 
 
-@given(data=st.data(), digits=st.integers(40, 60), k=dims)
-def test_mat_mul_equals_fraction_loop_over_several_groups(data, digits, k):
-    """Nonzero integer entries of 40 to 60 digits make slots of 33 to 51 bytes,
-    so 24 columns split into two or three groups of linalg._PACK_BITS."""
-    entries = st.builds(lambda sign, p: Fraction(sign * p), st.sampled_from([1, -1]),
-                        st.integers(10**(digits - 1), 10**digits))
-    x = data.draw(rational_matrices(data.draw(st.integers(1, 3)), k, (entries,)))
-    y = data.draw(rational_matrices(k, 24, (entries,)))
-    cols = [linalg._cleared(col) for col in zip(*y)]
-    assert len(linalg._packed(list(map(linalg._cleared, x)), cols)) > 1
+@given(data=st.data(), k=dims, wide=st.lists(st.booleans(), min_size=2, max_size=12))
+def test_mat_mul_equals_fraction_loop_over_packed_and_plain_runs(data, k, wide):
+    """Column j of y has 25-digit entries where wide[j], too wide for an 8-byte
+    slot, and entries of at most 9 elsewhere: the columns fall into alternating
+    runs of packed and plain columns, in any order."""
+    wide_column = st.builds(lambda sign, p: Fraction(sign * p), st.sampled_from([1, -1]),
+                            st.integers(10**24, 10**25))
+    x = data.draw(rational_matrices(data.draw(dims), k))
+    y = tuple(zip(*(data.draw(st.lists(wide_column if w else small_rationals,
+                                       min_size=k, max_size=k)) for w in wide)))
+    runs = linalg._runs(list(map(linalg._cleared, x)), [linalg._cleared(col) for col in zip(*y)])
+    if any(map(any, x)):
+        assert [unpack is None for _, _, unpack, _, _ in runs] == [w for w, _ in groupby(wide)]
     assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
-
-
-@pytest.mark.parametrize("pack_bits", [8, 64])
-@given(data=st.data())
-def test_products_are_the_same_for_any_group_width(pack_bits, data):
-    """At 8 bits every column is a group of its own: the plain dot products."""
-    kinds = wide_kinds + (small_integers,)
-    x = data.draw(rational_matrices(kinds=kinds))
-    y = data.draw(rational_matrices(len(x[0]), kinds=kinds))
-    m = data.draw(square_matrices())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_PACK_BITS", pack_bits)
-        assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
-        assert_is_inverse_equals_the_fraction_product(data, m, Fraction(1, 7), kinds)
 
 
 @st.composite
@@ -483,24 +475,41 @@ def test_is_inverse_equals_the_fraction_product_on_wide_entries(data, m, moved):
     assert_is_inverse_equals_the_fraction_product(data, m, moved, wide_kinds)
 
 
+def timed_product(x, y):
+    x, y = rmatrix(x), rmatrix(y)
+    start = time.perf_counter()
+    got = mat_mul(x, y)
+    assert time.perf_counter() - start < 0.5
+    return x, y, got
+
+
 @pytest.mark.parametrize("in_x", [False, True], ids=["in_y", "in_x"])
 @pytest.mark.parametrize("entry", [10**3999 + 7, Fraction(-1, 10**3999 + 7)],
                          ids=["numerator", "denominator"])
 def test_a_4000_digit_entry_costs_a_bounded_time(in_x, entry):
     """A 13,000-bit entry makes slots that wide: in y those of its column, in x
-    (through R) all of them. Capped at linalg._PACK_BITS, each such column is a
-    group of its own, one dot product per entry, not one row of 61 such slots."""
+    (through R) all of them. Wider than 8 bytes, each such column is a plain dot
+    product per entry, not a slot of one row of 61 such slots."""
     rng = np.random.default_rng(5)
     x = [[int(e) for e in row] for row in rng.integers(-9, 10, size=(60, 60))]
     y = [[int(e) for e in row] for row in rng.integers(-9, 10, size=(60, 61))]
     (x if in_x else y)[17][23] = entry
-    x, y = rmatrix(x), rmatrix(y)
-    start = time.perf_counter()
-    got = mat_mul(x, y)
-    assert time.perf_counter() - start < 0.5
+    x, y, got = timed_product(x, y)
     # the row and the column through the huge entry, against the Fraction loop
     assert got[17] == mat_mul_oracle(x[17:18], y)[0]
     assert [row[23] for row in got] == [row[0] for row in mat_mul_oracle(x, [r[23:24] for r in y])]
+
+
+def test_wide_rows_of_x_cost_a_bounded_time():
+    """Entries of x of ~2000 bits make every slot that wide, whatever y holds.
+    Packed, each multiply would be 2000 bits by a row of 61 such slots (~0.9 s
+    on a 2-core Xeon VM against ~0.1 s); as dot products it is 2000 bits by a
+    digit of y."""
+    rng = np.random.default_rng(7)
+    x = [[int(e) << 1992 | 1 for e in row] for row in rng.integers(-255, 256, size=(60, 60))]
+    y = [[int(e) for e in row] for row in rng.integers(-9, 10, size=(60, 61))]
+    x, y, got = timed_product(x, y)
+    assert got[:2] == mat_mul_oracle(x[:2], y)
 
 
 def test_negative_pivots():

@@ -10,10 +10,11 @@ largest row 1-norm of the left factor, so a row of the product is one big-int
 multiply-add per inner index and run, decoded once. A column that fits no 8-byte
 slot, wide itself or through a wide left factor, is one dot product per entry.
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
-Comp. 22, 1968), which ``inverse`` finishes by back-substitution (Nakos, Turner
-and Williams, 1997); both divide exactly by pivots. ``Fraction`` objects appear
-only at the boundary, one per distinct nonzero entry of a product, built with no
-gcd when its denominator is 1; its zero entries share one. A row or column of
+Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero,
+and which ``inverse`` finishes by back-substitution (Nakos, Turner and Williams,
+1997); both divide exactly by pivots. ``Fraction`` objects appear only at the
+boundary, one per distinct nonzero entry of a product, built with no gcd when its
+denominator is 1; its zero entries share one. A row or column of
 integers is its numerators as they are, and :func:`rvector` returns a tuple of
 ``Fraction`` entries unchanged, so a map or QMT built from another one's
 entries reuses them.
@@ -29,7 +30,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import attrgetter, lshift, mul
+from operator import attrgetter, lshift, mul, truediv
 from struct import Struct, calcsize
 from typing import TYPE_CHECKING
 
@@ -278,16 +279,29 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
     Every entry stays a minor of the input, so the division by the previous pivot is
     exact, and the pivots among the first k columns are those of these columns alone.
     Returns the pivot columns, each pivot row from its pivot column on, and the last pivot.
+
+    A remaining row is left alone at a pivot where its entry is zero: it keeps the
+    divisor d it was last updated with (1 at the start), so it is the true Bareiss row
+    times d/prev, prev the last pivot. A row with lead f becomes (p*a - f*b) // d and
+    takes divisor p, and a stale pivot row is rescaled by prev/d. So a row costs work
+    only at the pivots of columns where it is nonzero, and the results are those of
+    the dense pass.
     """
+    rows = [[list(row), 1] for row in rows]  # each remaining row and its divisor
     pivots, tops, prev = [], [], 1
-    for c in range(len(rows[0])):
-        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+    for c in range(len(rows[0][0])):
+        pivot = next((i for i, (row, _) in enumerate(rows) if row[c]), None)
         if pivot is None:
-            rows = [row[1:] for row in rows]
             continue
-        top = rows.pop(pivot)
-        p, tail = top[0], top[1:]
-        rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)] for row in rows]
+        top, d = rows.pop(pivot)
+        top = top[c:] if d == prev else [a * prev // d for a in top[c:]]
+        p, tail, rest = top[0], top[1:], c + 1
+        for entry in rows:
+            row, d = entry
+            f = row[c]
+            if f:
+                row[rest:] = [(p * a - f * b) // d for a, b in zip(row[rest:], tail)]
+                entry[1] = p
         prev = p
         pivots.append(c)
         tops.append(top)
@@ -335,11 +349,20 @@ def inverse(m: RMatrix) -> RMatrix:
                  for k in reversed(range(n)))
 
 
-def _to_float(e: Fraction, where: str) -> float:
-    try:
-        return float(e)
-    except OverflowError:
-        raise NumericOverflow(f"{where} is outside the double range") from None
+def _floats(entries) -> list[float]:
+    """Each rational as float(e) gives it: numerator / denominator, which Python rounds
+    correctly however large either is. OverflowError when one exceeds the double range."""
+    return list(map(truediv, map(_numerator, entries), map(_denominator, entries)))
+
+
+def _first_overflow(entries) -> int:
+    """Index of the first rational whose magnitude exceeds the double range."""
+    for k, e in enumerate(entries):
+        try:
+            float(e)
+        except OverflowError:
+            return k
+    raise ValueError("every entry is in the double range")
 
 
 def to_float_vector(v, name: str) -> np.ndarray:
@@ -347,7 +370,11 @@ def to_float_vector(v, name: str) -> np.ndarray:
     entry (e.g. ``lambda[0]``) whose magnitude exceeds the double range."""
     import numpy as np
 
-    return np.array([_to_float(e, f"{name}[{i}]") for i, e in enumerate(v)], dtype=float)
+    try:
+        return np.array(_floats(v), dtype=float)
+    except OverflowError:
+        i = _first_overflow(v)
+    raise NumericOverflow(f"{name}[{i}] is outside the double range")
 
 
 def to_float_matrix(m: RMatrix, name: str) -> np.ndarray:
@@ -355,5 +382,8 @@ def to_float_matrix(m: RMatrix, name: str) -> np.ndarray:
     entry (e.g. ``A[1][0]``) whose magnitude exceeds the double range."""
     import numpy as np
 
-    return np.array([[_to_float(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)]
-                     for i, row in enumerate(m)], dtype=float)
+    try:
+        return np.array([_floats(row) for row in m], dtype=float)
+    except OverflowError:
+        i, j = divmod(_first_overflow(chain.from_iterable(m)), len(m[0]))
+    raise NumericOverflow(f"{name}[{i}][{j}] is outside the double range")

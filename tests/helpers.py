@@ -138,6 +138,29 @@ def rank_oracle(m) -> int:
     return r
 
 
+def echelon_oracle(rows):
+    """linalg._echelon as the dense forward Bareiss pass: at every pivot p, every
+    remaining row becomes (p*a - f*b) // prev, f its entry in the pivot column and
+    prev the last pivot, whether f is zero or not. Returns the pivot columns, each
+    pivot row from its pivot column on, and the last pivot."""
+    rows = [list(row) for row in rows]
+    pivots, tops, prev = [], [], 1
+    for c in range(len(rows[0])):
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot is None:
+            rows = [row[1:] for row in rows]
+            continue
+        top = rows.pop(pivot)
+        p, tail = top[0], top[1:]
+        rows = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)] for row in rows]
+        prev = p
+        pivots.append(c)
+        tops.append(top)
+        if not rows:
+            break
+    return pivots, tops, prev
+
+
 def inverse_oracle(m):
     """Exact inverse by Gauss-Jordan elimination over Fractions."""
     n = len(m)

@@ -4,10 +4,10 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpmaps import QPMap, linalg, rank_bounds
-from qpmaps.errors import DimensionMismatch, SingularMatrix
+from qpmaps.errors import DimensionMismatch, NumericOverflow, SingularMatrix
 from qpmaps.linalg import (
     augment_column,
     diagonal,
@@ -21,12 +21,15 @@ from qpmaps.linalg import (
     rational,
     rmatrix,
     rvector,
+    to_float_matrix,
+    to_float_vector,
     zero_column_indices,
     zero_row_indices,
 )
 from qpmaps.sampling import random_symplectic_map
 
-from helpers import inverse_oracle, mat_mul_oracle, rank_by_minors, rank_oracle
+from helpers import (echelon_oracle, inverse_oracle, mat_mul_oracle, rank_by_minors,
+                     rank_oracle)
 
 
 def test_rational_coercions():
@@ -330,6 +333,65 @@ def test_rank_bounds_equals_gauss_elimination(data, a, inside):
         assert rep.rank_M == rep.rank_A
 
 
+@st.composite
+def pair_patterned_maps(draw, max_n):
+    """A random symplectic map, n = m even up to max_n, with integer or rational
+    entries: each row of B and column of A sits on one variable pair. With one
+    entry of lam, A or B changed, or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 2 * draw(st.integers(1, max_n // 2))
+    qp = random_symplectic_map(rng, n, n, integer_entries=draw(st.booleans()))
+    if not draw(st.booleans()):
+        return qp
+    lam, a, b = list(qp.lam), [list(row) for row in qp.A], [list(row) for row in qp.B]
+    target = draw(st.sampled_from((lam, a, b)))
+    if target is not lam:
+        target = target[draw(st.integers(0, n - 1))]
+    target[draw(st.integers(0, n - 1))] = draw(small_rationals)
+    return QPMap(lam, a, b)
+
+
+def lam_last(qp):
+    """(A | lam), the matrix that rank_bounds eliminates."""
+    return tuple(row + (v,) for row, v in zip(qp.A, qp.lam))
+
+
+def cleared(m):
+    return [linalg._cleared(row)[0] for row in m]
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Integer rows as _echelon gets them: cleared rows of zero-heavy, upper
+    triangular and row-permuted matrices, of B and (A | lam) of pair-patterned
+    maps, and the rows [D.C | I] of inverse."""
+    kind = draw(st.sampled_from(("matrix", "pairs", "inverse")))
+    if kind == "pairs":
+        qp = draw(pair_patterned_maps(12))
+        return cleared(draw(st.sampled_from((qp.B, lam_last(qp)))))
+    m = draw(st.one_of(any_matrices, square_matrices()) if kind == "matrix" else square_matrices())
+    rows = cleared(m)
+    if kind == "inverse":
+        rows = [r + [int(i == j) for j in range(len(m))] for i, r in enumerate(rows)]
+    return rows
+
+
+@given(rows=echelon_inputs())
+def test_echelon_equals_the_dense_pass(rows):
+    """Rows left alone at zero leads give the same pivots, pivot rows and last
+    pivot as the pass that rescales every row at every pivot."""
+    assert linalg._echelon(rows) == echelon_oracle(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qp=pair_patterned_maps(24))
+def test_rank_bounds_of_pair_patterned_maps_equal_gauss_elimination(qp):
+    rep = rank_bounds(qp)
+    assert rep.rank_B == rank_oracle(qp.B)
+    assert rep.rank_A == rank_oracle(qp.A)
+    assert rep.rank_M == rank_oracle(augment_column(qp.lam, qp.A))
+
+
 @given(m=square_matrices())
 def test_inverse_equals_gauss_jordan(m):
     try:
@@ -537,6 +599,47 @@ def test_singular_matrix_names_rank_and_dependent_column(rows, message):
     with pytest.raises(SingularMatrix, match=f"^matrix is singular: {message} depends on "
                                              "the columns before it$"):
         inverse(rmatrix(rows))
+
+
+# Float copies: numerator / denominator, as float(e) rounds it, near and beyond
+# both ends of the double range.
+
+float_edge_entries = st.one_of(
+    st.builds(Fraction, st.integers(-2**1100, 2**1100), st.integers(1, 2**1100)),
+    st.builds(lambda p, k: Fraction(p, 2**k), st.integers(-2**60, 2**60), st.integers(1000, 1140)),
+    st.sampled_from([Fraction(2**1024 - 2**970 - 1), Fraction(-(2**1024 - 2**970)),
+                     Fraction(1, 2**1074), Fraction(1, 2**1075), Fraction(3, 2**1076)]),
+    small_rationals,
+)
+
+
+def overflows(e):
+    try:
+        float(e)
+    except OverflowError:
+        return True
+    return False
+
+
+@given(m=rational_matrices(kinds=(float_edge_entries,)))
+@example(m=rmatrix([[1, Fraction(2**1024 - 2**970 - 1)], [Fraction(1, 2**1075), 2**1024 - 2**970]]))
+@example(m=rmatrix([[Fraction(3, 2**1076), Fraction(-(10**400), 3)], [10**400, 0]]))
+def test_float_copies_are_float_of_each_entry(m):
+    """Bit for bit the float(e) of every entry, subnormal and rounded to 0 ones
+    included; NumericOverflow names the first entry out of range."""
+    where = [(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if overflows(e)]
+    if where:
+        i, j = where[0]
+        with pytest.raises(NumericOverflow, match=fr"^A\[{i}\]\[{j}\] is outside the double range$"):
+            to_float_matrix(m, "A")
+        with pytest.raises(NumericOverflow, match=fr"^lambda\[{j}\] is outside the double range$"):
+            to_float_vector(m[i], "lambda")
+        return
+    expected = np.array([[float(e) for e in row] for row in m])
+    got = to_float_matrix(m, "A")
+    assert got.dtype == float and got.tobytes() == expected.tobytes()
+    for row, floats in zip(m, expected):
+        assert to_float_vector(row, "lambda").tobytes() == floats.tobytes()
 
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)

@@ -3,12 +3,12 @@
 Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
 operations are exact: no pivot tolerance, no float intermediates. The O(n^3)
 kernels (``mat_mul``, ``rank``, ``inverse``) clear denominators once per row or
-column and work on Python integers. A product packs the cleared columns of its
-right factor into signed slots of at most 8 bytes, one int per row and run of
-such columns (Kronecker substitution): column j's slot holds R*max|c_j|, R the
-largest row 1-norm of the left factor, so a row of the product is one big-int
-multiply-add per inner index and run, decoded once. A column that fits no 8-byte
-slot, wide itself or through a wide left factor, is one dot product per entry.
+column and work on Python integers. A product packs each cleared row of its
+right factor into one int, a signed slot per column (Kronecker substitution).
+Every slot of a product has one width of 1, 2, 4 or 8 bytes that holds R*C, R
+the largest row 1-norm of the left factor and C the largest |entry| of the right
+one, so a row of the product is one big-int multiply-add per inner index, decoded
+once. A product whose R*C fits no 8-byte slot is one dot product per entry.
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
 Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero,
 and which ``inverse`` finishes by back-substitution (Nakos, Turner and Williams,
@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import attrgetter, lshift, mul, truediv
 from struct import Struct, calcsize
@@ -49,8 +49,6 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
 #: A plain ASCII integer, read by int() instead of Fraction's own regex.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-#: The struct code of a signed slot of 1 to 8 bytes, rounded up to 1, 2, 4 or 8 (see _runs)
-_SLOT_CODES = "bhiiqqqq"
 _ZERO = Fraction(0)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -149,44 +147,31 @@ def _fraction(p: int, q: int) -> Fraction:
     return _ZERO if not p else Fraction(p) if q == 1 else Fraction(p, q)
 
 
-def _runs(rows, cols) -> list[tuple]:
-    """The cleared columns (c_j, e_j) of y in runs, for the products r_i.c_j with the
-    cleared rows (r_i, d_i) of x, packed by Kronecker substitution (Harvey,
-    J. Symbolic Comput. 44, 2009) where that pays.
+def _packed(rows, cols):
+    """The numerators r.c_j of a cleared row r of x, as one function of r, for the
+    cleared rows (r_i, d_i) of x and columns (c_j, e_j) of y, packed by Kronecker
+    substitution (Harvey, J. Symbolic Comput. 44, 2009); None if they fit no 8-byte slot.
 
-    Since |r_i.c_j| <= R*max|c_j|, R the largest row 1-norm, column j gets a signed
-    little-endian slot of 1, 2, 4 or 8 bytes that holds it, if one does. A run of such
-    columns packs row k of y to P_k = sum_j c_j[k] << 8*start_j, so that
-    sum_k r_i[k]*P_k is sum_j (r_i.c_j) << 8*start_j: one multiply-add per inner index
-    for the run, each multiply by an |r_i[k]| < 2**63. Adding, then xoring, the top
-    bit of every slot leaves each r_i.c_j as two's complement in its own slot. A run
-    of columns that fit no 8-byte slot stays dot products: packed, each multiply would
-    cost |r_i[k]| times the run's width, which grows with R, quadratic in x's width.
-    A packed run is (P, top bits, struct unpack, bytes, [e_j]), a plain one
-    ([c_j], 0, None, 0, [e_j]).
+    Since |r_i.c_j| <= R*C, R the largest row 1-norm of x and C the largest |c_j[k]|,
+    every column gets a signed little-endian slot of the same w bits (1, 2, 4 or 8
+    bytes) that holds R*C. Row k of y packs to P_k = sum_j c_j[k] << w*j, so that
+    sum_k r[k]*P_k is sum_j (r.c_j) << w*j: one multiply-add per inner index, each
+    by an |r[k]| < 2**63. Adding, then xoring, the top bit of every slot leaves
+    each r.c_j as two's complement in its own slot. Wider than 8 bytes, each multiply
+    would cost |r[k]| times the whole row's width, which grows with R, quadratic in
+    x's width, so the product is left to one dot product per entry.
     """
     norm = max(sum(map(abs, r)) for r, _ in rows)
-    runs = []  # per run: its first column and its slots' struct codes ("" if plain)
-    for j, (c, _) in enumerate(cols):
-        width = (norm * max(map(abs, c))).bit_length() // 8  # slot bytes - 1
-        code = _SLOT_CODES[width] if width < 8 else ""
-        if not runs or bool(runs[-1][1][-1]) != bool(code):
-            runs.append((j, []))
-        runs[-1][1].append(code)
-    ys = list(zip(*(c for c, _ in cols)))
-    out = []
-    for j, codes in runs:
-        k = j + len(codes)
-        dens = [e for _, e in cols[j:k]]
-        if not codes[0]:
-            out.append(([c for c, _ in cols[j:k]], 0, None, 0, dens))
-            continue
-        ends = list(accumulate(map(calcsize, codes)))
-        shifts = [0] + [8 * e for e in ends[:-1]]
-        out.append(([sum(map(lshift, y[j:k], shifts)) for y in ys],
-                    sum(1 << (8 * e - 1) for e in ends),
-                    Struct("<" + "".join(codes)).unpack, ends[-1], dens))
-    return out
+    width = (norm * max(max(map(abs, c)) for c, _ in cols)).bit_length() // 8  # slot bytes - 1
+    if width >= 8:
+        return None
+    code = "bhiiqqqq"[width]  # the signed struct code of that many bytes, rounded up
+    bits, n = 8 * calcsize(code), len(cols)
+    shifts = range(0, bits * n, bits)
+    packed = [sum(map(lshift, y, shifts)) for y in zip(*(c for c, _ in cols))]
+    top = sum(map(lshift, repeat(1 << bits - 1, n), shifts))
+    unpack, size = Struct(f"<{n}{code}").unpack, bits * n // 8
+    return lambda r: unpack(((sum(map(mul, r, packed)) + top) ^ top).to_bytes(size, "little"))
 
 
 class _Entries(dict):
@@ -197,37 +182,27 @@ class _Entries(dict):
         return e
 
 
-def _numerators(r, runs):
-    """Run by run (:func:`_runs`), the numerators r.c_j of a cleared row r of x."""
-    for packed, top, unpack, size, _ in runs:
-        if unpack:
-            yield unpack(((sum(map(mul, r, packed)) + top) ^ top).to_bytes(size, "little"))
-        else:
-            yield [sum(map(mul, r, c)) for c in packed]
-
-
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
     """The exact product x.y.
 
-    Row i of x is cleared to r_i/d_i and column j of y to c_j/e_j, and the columns are
-    taken in runs (:func:`_runs`). For a packed run, row i of x.y is one sum of r_i
-    times the packed rows of y, decoded by one to_bytes and one struct unpack into the
-    numerators r_i.c_j over d_i*e_j, and each distinct entry is one Fraction; a plain
-    run is one dot product per entry. Every zero entry is the same Fraction.
+    Row i of x is cleared to r_i/d_i and column j of y to c_j/e_j. If the product packs
+    (:func:`_packed`), row i of x.y is one sum of r_i times the packed rows of y, decoded
+    by one to_bytes and one struct unpack into the numerators r_i.c_j over d_i*e_j, and
+    each distinct entry is one Fraction; otherwise each entry is one dot product. Every
+    zero entry is the same Fraction.
     """
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
     rows = list(map(_cleared, x))
-    runs = _runs(rows, [_cleared(col) for col in zip(*y)])
-    entries = _Entries()
-    out = []
-    for r, d in rows:
-        row = []
-        for nums, (_, _, unpack, _, dens) in zip(_numerators(r, runs), runs):
-            qs = map(mul, repeat(d), dens)
-            row += map(entries.__getitem__, zip(nums, qs)) if unpack else map(_fraction, nums, qs)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = [_cleared(col) for col in zip(*y)]
+    numerators = _packed(rows, cols)
+    if numerators is None:
+        return tuple(tuple(_fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
+                     for r, d in rows)
+    dens = [e for _, e in cols]
+    entry = _Entries().__getitem__
+    return tuple(tuple(map(entry, zip(numerators(r), map(mul, repeat(d), dens))))
+                 for r, d in rows)
 
 
 def is_inverse(x: RMatrix, y: RMatrix) -> bool:
@@ -243,9 +218,9 @@ def is_inverse(x: RMatrix, y: RMatrix) -> bool:
                                 f"{len(x)}x{len(x[0])} and {len(y)}x{len(y[0])}")
     rows = list(map(_cleared, x))
     cols = [_cleared(col) for col in zip(*y)]
-    runs = _runs(rows, cols)
+    numerators = _packed(rows, cols) or (lambda r: [sum(map(mul, r, c)) for c, _ in cols])
     for i, ((r, d), (_, e)) in enumerate(zip(rows, cols)):
-        nums = list(chain.from_iterable(_numerators(r, runs)))
+        nums = numerators(r)
         if nums[i] != d * e or any(nums[:i]) or any(nums[i + 1:]):
             return False
     return True

@@ -1,6 +1,5 @@
 import time
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -447,8 +446,8 @@ def test_is_inverse_on_a_product_whose_packed_row_reads_as_the_identity():
     assert is_inverse(x, rmatrix([[256, 0], [0, 1]]))
 
 
-# Wide entries: columns too wide for an 8-byte slot, which stay dot products,
-# runs of packed and plain columns, and products at the edge of their slots.
+# Wide entries: products too wide for an 8-byte slot, which stay dot products,
+# one wide column among narrow ones, and products at the edge of their slots.
 
 wide_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**30))
 wide_integers = st.builds(Fraction, st.integers(-10**60, 10**60))
@@ -496,32 +495,40 @@ edge_magnitudes = (st.integers(1, 2**70)
                                       for d in (-1, 0, 1)]))
 
 
-@given(a=edge_magnitudes, c=edge_magnitudes, k=dims,
-       signs=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=6))
-def test_mat_mul_reaches_the_slot_bound_exactly(a, c, k, signs):
+@given(a=edge_magnitudes, c=edge_magnitudes, rest=edge_magnitudes, k=dims,
+       signs=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=6),
+       widest=st.integers(0, 5))
+# only column 1 needs a wide slot: 4 bytes, and past 8 bytes
+@example(a=1, c=2**15, rest=1, k=1, signs=[1, -1], widest=1)
+@example(a=1, c=2**63, rest=1, k=1, signs=[1, -1], widest=1)
+def test_mat_mul_reaches_the_slot_bound_exactly(a, c, rest, k, signs, widest):
     """Rows a and -a of length k, and a zero row, have R = k*a; column j is
-    signs[j]*c throughout. Every entry of the first two rows is +-R*max|c_j|,
-    the bound each slot is sized for, and each column reaches both signs."""
+    signs[j]*c_j throughout, c_j = c in column `widest` and min(rest, c) in the
+    others. Every entry of the first two rows is +-R*c_j, so the widest column
+    reaches R*max|c_j|, the bound the slots are sized for, and each column
+    reaches both signs."""
+    widest %= len(signs)
+    cs = [c if j == widest else min(rest, c) for j in range(len(signs))]
     x = rmatrix([[a] * k, [-a] * k, [0] * k])
-    y = rmatrix([[s * c for s in signs]] * k)
+    y = rmatrix([[s * c_j for s, c_j in zip(signs, cs)]] * k)
     got = mat_mul(x, y)
     assert_identical(got, mat_mul_oracle(x, y))
-    assert {abs(e) for e in got[0] + got[1]} == {k * a * c}
+    assert [abs(e) for e in got[0] + got[1]] == [k * a * c_j for c_j in cs] * 2
 
 
 @given(data=st.data(), k=dims, wide=st.lists(st.booleans(), min_size=2, max_size=12))
-def test_mat_mul_equals_fraction_loop_over_packed_and_plain_runs(data, k, wide):
+def test_a_wide_column_makes_the_whole_product_dot_products(data, k, wide):
     """Column j of y has 25-digit entries where wide[j], too wide for an 8-byte
-    slot, and entries of at most 9 elsewhere: the columns fall into alternating
-    runs of packed and plain columns, in any order."""
+    slot, and entries of at most 9 elsewhere, in any order: one wide column and a
+    nonzero x make every entry a dot product."""
     wide_column = st.builds(lambda sign, p: Fraction(sign * p), st.sampled_from([1, -1]),
                             st.integers(10**24, 10**25))
     x = data.draw(rational_matrices(data.draw(dims), k))
     y = tuple(zip(*(data.draw(st.lists(wide_column if w else small_rationals,
                                        min_size=k, max_size=k)) for w in wide)))
-    runs = linalg._runs(list(map(linalg._cleared, x)), [linalg._cleared(col) for col in zip(*y)])
-    if any(map(any, x)):
-        assert [unpack is None for _, _, unpack, _, _ in runs] == [w for w, _ in groupby(wide)]
+    if any(wide) and any(map(any, x)):
+        cols = [linalg._cleared(col) for col in zip(*y)]
+        assert linalg._packed(list(map(linalg._cleared, x)), cols) is None
     assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
 
 
@@ -549,9 +556,9 @@ def timed_product(x, y):
 @pytest.mark.parametrize("entry", [10**3999 + 7, Fraction(-1, 10**3999 + 7)],
                          ids=["numerator", "denominator"])
 def test_a_4000_digit_entry_costs_a_bounded_time(in_x, entry):
-    """A 13,000-bit entry makes slots that wide: in y those of its column, in x
-    (through R) all of them. Wider than 8 bytes, each such column is a plain dot
-    product per entry, not a slot of one row of 61 such slots."""
+    """A 13,000-bit entry, in x (through R) or in y (through C), makes R*C that
+    wide. Wider than 8 bytes, the whole product is a plain dot product per entry,
+    not a slot of one row of 61 such slots."""
     rng = np.random.default_rng(5)
     x = [[int(e) for e in row] for row in rng.integers(-9, 10, size=(60, 60))]
     y = [[int(e) for e in row] for row in rng.integers(-9, 10, size=(60, 61))]

@@ -12,6 +12,8 @@ and its validation live in the numpy-free :mod:`qpmaps.maps` and are
 re-exported here; this module is the float layer and imports numpy.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveState, NumericOverflow
@@ -121,6 +123,14 @@ def iterate(qp: QPMap, x0, steps: int) -> np.ndarray:
     return traj
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def jacobian(qp: QPMap, x) -> np.ndarray:
     """Exact-formula Jacobian of one step: n x n, or (k, n, n) for k states.
@@ -128,7 +138,17 @@ def jacobian(qp: QPMap, x) -> np.ndarray:
     L[i][j] = (delta_ij + x_i * dphi_i/dx_j) * exp(phi_i), with
     dphi_i/dx_j = sum_p A[i][p] * B[p][j] * q_p(x) / x_j.
     """
+    return _jacobian(qp, x)
+
+
+def _jacobian(qp: QPMap, x) -> np.ndarray:
+    """:func:`jacobian` without an np.errstate of its own, for a caller that
+    already entered one. In place, it gives the bits of (I + (x_i/x_j) d) e."""
     x = as_state(x, qp.n)
     q, ph = _phi(qp, x)
     d = qp.A_f @ (q[..., :, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
-    return (np.eye(qp.n) + (x[..., :, None] / x[..., None, :]) * d) * np.exp(ph)[..., :, None]
+    L = x[..., :, None] / x[..., None, :]
+    L *= d
+    L += _identity(qp.n)
+    L *= np.exp(ph)[..., :, None]
+    return L

@@ -1,9 +1,10 @@
 """Random maps, transformations and states for tests and experiments.
 
 The symplectic generator fills the exact zero pattern (one variable pair
-per quasimonomial row) with nonzero rationals and then halves A and lam
-until two float-safety bounds hold, so that residual and trajectory checks
-run far from double-precision cliffs. Entries always stay within [-3, 3].
+per quasimonomial row) with nonzero rationals and then divides A and lam by
+the least power of two under which two float-safety bounds hold, so that
+residual and trajectory checks run far from double-precision cliffs.
+Entries always stay within [-3, 3].
 """
 
 from fractions import Fraction
@@ -45,29 +46,6 @@ def _qbar(b_value: Fraction) -> float:
     return 4.0 ** abs(float(b_value))
 
 
-def _phi_magnitude_bound(lam, a, b_values) -> float:
-    qbar = [_qbar(v) for v in b_values]
-    worst = 0.0
-    for i, row in enumerate(a):
-        total = abs(float(lam[i])) + sum(abs(float(e)) * qb for e, qb in zip(row, qbar))
-        worst = max(worst, total)
-    return worst
-
-
-def _derivative_bound(a, b_rows, b_values) -> float:
-    qbar = [_qbar(v) for v in b_values]
-    worst = 0.0
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            total = sum(
-                abs(float(a[i][p])) * qbar[p] * abs(float(b_rows[p][j]))
-                for p in range(len(b_rows))
-            )
-            worst = max(worst, 4.0 * total)
-    return worst
-
-
 def random_symplectic_map(rng, n: int, m: int | None = None,
                           integer_entries: bool = False,
                           phi_bound: float | None = DEFAULT_PHI_BOUND,
@@ -78,10 +56,21 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
     With integer_entries=True all entries are drawn from {-2, -1, 1, 2}
     (lam also 0) and the float-safety scaling is skipped, which suits
     classification-only workloads. Otherwise entries are small rationals
-    and A, lam are halved until the documented bounds hold.
+    and A, lam are divided by the least 2**k under which the documented
+    bounds hold; a bound is None (not enforced) or a number > 0.
+
+    Column p of A and row p of B live on pair (i, s+i), i = pair[p], so each
+    dense bound is a maximum of per-pair sums taken in ascending p as
+    (|a_p| * qbar_p) * |b_p|; the rest of a dense sum adds exact +0.0 terms.
+    Halving A and lam halves every term, sum and maximum exactly in floats
+    (away from subnormals), so k counts halvings of the two bounds, and one
+    exact division by 2**k equals k halvings of every entry.
     """
     if n % 2:
         raise ValueError("n must be even")
+    for name, bound in (("phi_bound", phi_bound), ("derivative_bound", derivative_bound)):
+        if bound is not None and not bound > 0:
+            raise ValueError(f"{name} must be None or a number > 0, got {bound!r}")
     s = n // 2
     if m is None:
         m = int(rng.integers(1, 7))
@@ -98,6 +87,21 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
     a_values = [draw() for _ in range(m)]
     lam_half = [draw_lam() for _ in range(s)]
 
+    if not integer_entries:
+        phi_terms, derivative_terms = [[] for _ in range(s)], [[] for _ in range(s)]
+        for i, a, b in zip(pair, a_values, b_values):
+            term = abs(float(a)) * _qbar(b)
+            phi_terms[i].append(term)
+            derivative_terms[i].append(term * abs(float(b)))
+        phi = max(abs(float(v)) + sum(terms) for v, terms in zip(lam_half, phi_terms))
+        derivative = 4.0 * max(map(sum, derivative_terms))
+        k = 0
+        while ((phi_bound is not None and phi > phi_bound)
+               or (derivative_bound is not None and derivative > derivative_bound)):
+            phi, derivative, k = phi / 2, derivative / 2, k + 1
+        a_values = [v / 2**k for v in a_values]
+        lam_half = [v / 2**k for v in lam_half]
+
     zero = Fraction(0)
     b_rows = [
         tuple(b_values[p] if j in (pair[p], s + pair[p]) else zero for j in range(n))
@@ -111,14 +115,6 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
         for i in range(n)
     ]
     lam = list(lam_half) + [-v for v in lam_half]
-
-    if not integer_entries:
-        while ((phi_bound is not None
-                and _phi_magnitude_bound(lam, a_rows, b_values) > phi_bound)
-               or (derivative_bound is not None
-                   and _derivative_bound(a_rows, b_rows, b_values) > derivative_bound)):
-            lam = [v / 2 for v in lam]
-            a_rows = [tuple(e / 2 for e in row) for row in a_rows]
     return new_qp_map(lam, a_rows, b_rows)
 
 

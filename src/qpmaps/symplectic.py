@@ -267,9 +267,13 @@ def symplectic_residual(qp: QPMap, x) -> float:
     at x); for a stack of states, the max over its rows."""
     if qp.n % 2:
         raise OddDimension(f"symplectic residual requires even dimension, got n={qp.n}")
-    from .core import jacobian
+    import numpy as np
 
-    return jacobian_residual(jacobian(qp, x))
+    from .core import _jacobian
+
+    # one np.errstate for both the Jacobian and its residual
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return _jacobian_residual(_jacobian(qp, x))
 
 
 def jacobian_residual(L: np.ndarray) -> float:
@@ -281,9 +285,16 @@ def jacobian_residual(L: np.ndarray) -> float:
     """
     import numpy as np
 
-    S = skew_matrix(L.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(np.abs(L.swapaxes(-1, -2) @ S @ L - S).max(initial=0.0))
+        return _jacobian_residual(L)
+
+
+def _jacobian_residual(L: np.ndarray) -> float:
+    """:func:`jacobian_residual` without an np.errstate of its own."""
+    import numpy as np
+
+    S = skew_matrix(L.shape[-1] // 2)
+    r = float(np.abs(L.swapaxes(-1, -2) @ S @ L - S).max(initial=0.0))
     return r if r < np.inf else np.inf
 
 

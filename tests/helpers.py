@@ -15,7 +15,7 @@ from qpmaps.documents import parse_rational
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
 from qpmaps.errors import DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
-from qpmaps.sampling import random_state
+from qpmaps.sampling import _qbar, random_state
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -106,6 +106,47 @@ def solver_qmt_log_multipliers(qp: QPMap, x0) -> np.ndarray:
     b_prime = to_float_matrix(mat_mul(qp.B, t.C), "B.C")[:, :s]
     q0 = np.exp(b_prime @ np.log(y0[:s]))
     return qp.lam_f[:s] + qp.A_f[:s, :] @ q0
+
+
+def dense_phi_bound(lam, a, b_values) -> float:
+    """max_i |lam_i| + sum_p |A_ip| * qbar_p over every row and entry of A."""
+    qbar = [_qbar(v) for v in b_values]
+    worst = 0.0
+    for i, row in enumerate(a):
+        total = abs(float(lam[i])) + sum(abs(float(e)) * qb for e, qb in zip(row, qbar))
+        worst = max(worst, total)
+    return worst
+
+
+def dense_derivative_bound(a, b_rows, b_values) -> float:
+    """4 * max_ij sum_p |A_ip| qbar_p |B_pj| over every (i, j) and every p."""
+    qbar = [_qbar(v) for v in b_values]
+    worst = 0.0
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            total = sum(
+                abs(float(a[i][p])) * qbar[p] * abs(float(b_rows[p][j]))
+                for p in range(len(b_rows))
+            )
+            worst = max(worst, 4.0 * total)
+    return worst
+
+
+def symplectic_scaling_oracle(qp: QPMap, phi_bound, derivative_bound) -> QPMap:
+    """random_symplectic_map's float-safety scaling by the dense route: halve
+    every entry of A and lam, and evaluate both dense bounds again over every
+    entry, until both hold. qp is the unscaled map of the same draws (both
+    bounds None); b_values[p] is the nonzero entry of row p of B."""
+    lam, a_rows, b_rows = list(qp.lam), list(qp.A), list(qp.B)
+    b_values = [max(row, key=abs) for row in b_rows]
+    while ((phi_bound is not None
+            and dense_phi_bound(lam, a_rows, b_values) > phi_bound)
+           or (derivative_bound is not None
+               and dense_derivative_bound(a_rows, b_rows, b_values) > derivative_bound)):
+        lam = [v / 2 for v in lam]
+        a_rows = [tuple(e / 2 for e in row) for row in a_rows]
+    return new_qp_map(lam, a_rows, b_rows)
 
 
 def mat_mul_oracle(x, y):
@@ -404,6 +445,17 @@ def iterate_oracle(qp: QPMap, x0, steps: int) -> np.ndarray:
                                       partial=np.stack(states))
             states.append(x)
     return np.stack(states)
+
+
+def jacobian_oracle(qp: QPMap, x) -> np.ndarray:
+    """(I + (x_i/x_j) d) e with a fresh np.eye, d = A diag(q) B and e = exp(phi):
+    the out-of-place formula of jacobian, for a state or a stack."""
+    x = as_state(x, qp.n)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        q = np.exp((qp.B_f @ np.log(x)[..., None])[..., 0])
+        ph = qp.lam_f + (qp.A_f @ q[..., None])[..., 0]
+        d = qp.A_f @ (q[..., :, None] * qp.B_f)
+        return (np.eye(qp.n) + (x[..., :, None] / x[..., None, :]) * d) * np.exp(ph)[..., :, None]
 
 
 def jacobian_residual_oracle(L: np.ndarray) -> float:

@@ -31,6 +31,7 @@ from helpers import (
     fd_jacobian,
     first_nonpositive_row_oracle,
     iterate_oracle,
+    jacobian_oracle,
     quasimonomial_oracle,
     relative_gap,
     run_python_afresh,
@@ -333,6 +334,26 @@ EDGE_VALUES = (0.0, -0.0, -1.0, -5e-324, np.nan, np.inf, -np.inf, 5e-324,
                                  st.floats(allow_nan=True, allow_infinity=True))))
 def test_first_nonpositive_row_matches_mask_formula(x):
     assert first_nonpositive_row(x) == first_nonpositive_row_oracle(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((None, 1, 4)),
+       kind=st.sampled_from((1e-3, 1.0, 8.0, "classification")),
+       far=st.sampled_from((1.0, math.exp(300), math.exp(-300))))
+def test_jacobian_equals_the_out_of_place_formula_bitwise(seed, k, kind, far):
+    """The in-place kernel and its cached identity give the bits of
+    (I + (x_i/x_j) d) e, on single states and stacks, also where entries
+    overflow to inf or turn NaN."""
+    rng = np.random.default_rng(seed)
+    if kind == "classification":
+        qp = random_classification_map(rng)
+    else:
+        qp = random_symplectic_map(rng, int(rng.choice((2, 4, 6))), phi_bound=kind)
+    x = random_state(rng, qp.n if k is None else (k, qp.n))
+    x[..., 0] *= far
+    got = jacobian(qp, x)
+    assert got.shape == x.shape + (qp.n,)
+    assert got.tobytes() == jacobian_oracle(qp, x).tobytes()
 
 
 def test_jacobian_errstate_is_restored_under_raise():

@@ -5,14 +5,15 @@ positive denominator) so that serialize -> parse is exact. Files written by
 the transform command may carry "relaxed": true when the result left the
 strict QP form; such documents parse into relaxed maps.
 
-A document's entries are mostly a few short texts ("0", "1", "-1", ...), so
+A document's entries are mostly a few short values ("0", "1", -1, ...), so
 :func:`map_from_document` and :func:`qmt_from_document` parse each distinct
-entry text once per call: a dict from text to Fraction, made by the call,
-shared by lambda, A and B and dropped when it returns. Only JSON strings
-go through it; integers, booleans, floats, arrays and objects are parsed
-(or rejected) one by one, since True == 1 and an array cannot be a key. A
-text is parsed at its first position, so the first bad entry raises there,
-with the message the entry alone would give.
+entry once per call: a dict from JSON string or integer to Fraction, made
+by the call, shared by lambda, A and B and dropped when it returns. An
+entry goes through it when its type is exactly str or int, so 1 and "1"
+are two keys; booleans (True == 1), floats, null, arrays and objects are
+parsed or rejected one by one. An entry is parsed at its first position,
+so the first bad entry raises there, with the message the entry alone
+would give; an integer never fails.
 """
 
 import json
@@ -59,31 +60,32 @@ def _expect_positive_int(doc: dict, key: str) -> int:
     return value
 
 
-def _parse_entries(raw: list, where: str, texts: dict) -> tuple:
-    """Parse a list of entries whose positions are ``where[j]``; ``texts``
-    maps each entry text parsed so far in this document to its Fraction."""
+def _parse_entries(raw: list, where: str, table: dict) -> tuple:
+    """Parse a list of entries whose positions are ``where[j]``; ``table``
+    maps each string or integer entry parsed so far in this document to its
+    Fraction."""
     out = []
     for j, v in enumerate(raw):
-        if type(v) is str:
-            f = texts.get(v)
+        if type(v) is str or type(v) is int:
+            f = table.get(v)
             if f is None:
-                f = texts[v] = parse_rational(v, f"{where}[{j}]")
+                f = table[v] = parse_rational(v, f"{where}[{j}]")
         else:
             f = parse_rational(v, f"{where}[{j}]")
         out.append(f)
     return tuple(out)
 
 
-def _parse_vector(doc: dict, key: str, length: int, texts: dict) -> tuple:
+def _parse_vector(doc: dict, key: str, length: int, table: dict) -> tuple:
     raw = doc.get(key)
     if not isinstance(raw, list):
         raise DocumentError(f"{key}: expected an array")
     if len(raw) != length:
         raise DocumentError(f"{key}: expected {length} entries, got {len(raw)}")
-    return _parse_entries(raw, key, texts)
+    return _parse_entries(raw, key, table)
 
 
-def _parse_matrix(doc: dict, key: str, n_rows: int, n_cols: int, texts: dict) -> tuple:
+def _parse_matrix(doc: dict, key: str, n_rows: int, n_cols: int, table: dict) -> tuple:
     raw = doc.get(key)
     if not isinstance(raw, list):
         raise DocumentError(f"{key}: expected an array of arrays")
@@ -95,7 +97,7 @@ def _parse_matrix(doc: dict, key: str, n_rows: int, n_cols: int, texts: dict) ->
             raise DocumentError(f"{key}[{i}]: expected an array")
         if len(row) != n_cols:
             raise DocumentError(f"{key}[{i}]: expected {n_cols} entries, got {len(row)}")
-        rows.append(_parse_entries(row, f"{key}[{i}]", texts))
+        rows.append(_parse_entries(row, f"{key}[{i}]", table))
     return tuple(rows)
 
 
@@ -124,10 +126,10 @@ def map_from_document(doc) -> QPMap:
         raise DocumentError(f"map document must be a JSON object, got {type(doc).__name__}")
     n = _expect_positive_int(doc, "n")
     m = _expect_positive_int(doc, "m")
-    texts: dict[str, Fraction] = {}
-    lam = _parse_vector(doc, "lambda", n, texts)
-    a = _parse_matrix(doc, "A", n, m, texts)
-    b = _parse_matrix(doc, "B", m, n, texts)
+    table: dict[str | int, Fraction] = {}
+    lam = _parse_vector(doc, "lambda", n, table)
+    a = _parse_matrix(doc, "A", n, m, table)
+    b = _parse_matrix(doc, "B", m, n, table)
     relaxed = doc.get("relaxed", False)
     if not isinstance(relaxed, bool):
         raise DocumentError(f"relaxed: expected true or false, got {relaxed!r}")

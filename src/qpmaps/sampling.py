@@ -27,6 +27,16 @@ DEFAULT_PHI_BOUND = 8.0
 DEFAULT_DERIVATIVE_BOUND = 100.0
 
 
+class _SharedFractions(dict):
+    """Int -> Fraction for one call's integer draws: each value drawn gets one
+    Fraction, made at its first draw, so the exact layer walks few objects.
+    Only drawn values get an entry; a draw range may be huge."""
+
+    def __missing__(self, value: int) -> Fraction:
+        f = self[value] = Fraction(value)
+        return f
+
+
 def random_rational(rng, numerators=_NUMERATORS, denominators=_DENOMINATORS,
                     allow_zero=False) -> Fraction:
     if allow_zero and rng.random() < 0.25:
@@ -76,8 +86,9 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
         m = int(rng.integers(1, 7))
 
     if integer_entries:
-        draw = lambda: Fraction(int(rng.choice((-2, -1, 1, 2))))
-        draw_lam = lambda: Fraction(int(rng.integers(-2, 3)))
+        shared = _SharedFractions()
+        draw = lambda: shared[int(rng.choice((-2, -1, 1, 2)))]
+        draw_lam = lambda: shared[int(rng.integers(-2, 3))]
     else:
         draw = lambda: random_rational(rng)
         draw_lam = lambda: random_rational(rng, allow_zero=True)
@@ -120,13 +131,15 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
 
 def random_valid_map(rng, n: int, m: int, lo: int = -2, hi: int = 2) -> QPMap:
     """A random strict map with integer entries in [lo, hi]."""
+    shared = _SharedFractions()
+
     def nonzero_vector(size):
         while True:
-            v = rng.integers(lo, hi + 1, size=size)
-            if np.any(v != 0):
-                return [Fraction(int(e)) for e in v]
+            v = rng.integers(lo, hi + 1, size=size).tolist()
+            if any(v):
+                return [shared[e] for e in v]
 
-    lam = [Fraction(int(e)) for e in rng.integers(lo, hi + 1, size=n)]
+    lam = [shared[e] for e in rng.integers(lo, hi + 1, size=n).tolist()]
     a_cols = [nonzero_vector(n) for _ in range(m)]
     a_rows = [tuple(a_cols[p][i] for p in range(m)) for i in range(n)]
     b_rows = [tuple(nonzero_vector(n)) for _ in range(m)]
@@ -167,9 +180,10 @@ def random_classification_map(rng, dims=(2, 4, 6), max_m: int = 6) -> QPMap:
 
 def random_qmt(rng, n: int, lo: int = -2, hi: int = 2) -> QMT:
     """A random invertible integer QMT (rejection sampling on singularity)."""
+    shared = _SharedFractions()
     while True:
-        c = rng.integers(lo, hi + 1, size=(n, n))
+        c = rng.integers(lo, hi + 1, size=(n, n)).tolist()
         try:
-            return new_qmt([[int(e) for e in row] for row in c])
+            return new_qmt([tuple(shared[e] for e in row) for row in c])
         except SingularMatrix:
             continue

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qpmaps import QPMap, jacobian, new_qp_map, phi, pull_state, skew_matrix, solver_qmt, step
+from qpmaps import (QMT, QPMap, jacobian, new_qmt, new_qp_map, phi, pull_state, skew_matrix,
+                    solver_qmt, step)
 from qpmaps.core import as_state, first_nonpositive_row
 from qpmaps.documents import parse_rational
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
@@ -147,6 +148,54 @@ def symplectic_scaling_oracle(qp: QPMap, phi_bound, derivative_bound) -> QPMap:
         lam = [v / 2 for v in lam]
         a_rows = [tuple(e / 2 for e in row) for row in a_rows]
     return new_qp_map(lam, a_rows, b_rows)
+
+
+def random_valid_map_oracle(rng, n: int, m: int, lo: int = -2, hi: int = 2) -> QPMap:
+    """sampling.random_valid_map making a new Fraction for every entry."""
+    def nonzero_vector(size):
+        while True:
+            v = rng.integers(lo, hi + 1, size=size)
+            if np.any(v != 0):
+                return [Fraction(int(e)) for e in v]
+
+    lam = [Fraction(int(e)) for e in rng.integers(lo, hi + 1, size=n)]
+    a_cols = [nonzero_vector(n) for _ in range(m)]
+    a_rows = [tuple(a_cols[p][i] for p in range(m)) for i in range(n)]
+    b_rows = [tuple(nonzero_vector(n)) for _ in range(m)]
+    return new_qp_map(lam, a_rows, b_rows)
+
+
+def integer_symplectic_map_oracle(rng, n: int, m: int) -> QPMap:
+    """sampling.random_symplectic_map(rng, n, m, integer_entries=True) making
+    a new Fraction for every draw."""
+    s = n // 2
+    pair = [int(rng.integers(0, s)) for _ in range(m)]
+    b_values = [Fraction(int(rng.choice((-2, -1, 1, 2)))) for _ in range(m)]
+    a_values = [Fraction(int(rng.choice((-2, -1, 1, 2)))) for _ in range(m)]
+    lam_half = [Fraction(int(rng.integers(-2, 3))) for _ in range(s)]
+    zero = Fraction(0)
+    b_rows = [
+        tuple(b_values[p] if j in (pair[p], s + pair[p]) else zero for j in range(n))
+        for p in range(m)
+    ]
+    a_rows = [
+        tuple(
+            a_values[p] if i == pair[p] else (-a_values[p] if i == s + pair[p] else zero)
+            for p in range(m)
+        )
+        for i in range(n)
+    ]
+    return new_qp_map(lam_half + [-v for v in lam_half], a_rows, b_rows)
+
+
+def random_qmt_oracle(rng, n: int, lo: int = -2, hi: int = 2) -> QMT:
+    """sampling.random_qmt making a new Fraction for every entry."""
+    while True:
+        c = rng.integers(lo, hi + 1, size=(n, n))
+        try:
+            return new_qmt([[int(e) for e in row] for row in c])
+        except SingularMatrix:
+            continue
 
 
 def mat_mul_oracle(x, y):
@@ -312,7 +361,7 @@ def check_conditions_oracle(qp: QPMap) -> SymplecticReport:
 
 def map_from_document_oracle(doc) -> QPMap:
     """map_from_document parsing every entry on its own, at its position,
-    with no table of the texts parsed before."""
+    with no table of the entries parsed before."""
     if not isinstance(doc, dict):
         raise DocumentError(f"map document must be a JSON object, got {type(doc).__name__}")
 
@@ -355,6 +404,28 @@ def map_from_document_oracle(doc) -> QPMap:
         raise DocumentError(f"relaxed: expected true or false, got {relaxed!r}")
     try:
         return QPMap(lam, a, b) if relaxed else new_qp_map(lam, a, b)
+    except QPError as exc:
+        raise DocumentError(str(exc)) from exc
+
+
+def qmt_from_document_oracle(doc) -> QMT:
+    """qmt_from_document parsing every entry on its own with parse_rational,
+    at its position, and then calling new_qmt."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"QMT document must be a JSON object, got {type(doc).__name__}")
+    raw = doc.get("C")
+    if not isinstance(raw, list) or not raw:
+        raise DocumentError("C: expected a nonempty array of arrays")
+    n = len(raw)
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise DocumentError(f"C[{i}]: expected an array")
+        if len(row) != n:
+            raise DocumentError(f"C[{i}]: expected {n} entries, got {len(row)}")
+        rows.append(tuple(parse_rational(v, f"C[{i}][{j}]") for j, v in enumerate(row)))
+    try:
+        return new_qmt(rows)
     except QPError as exc:
         raise DocumentError(str(exc)) from exc
 

@@ -24,7 +24,7 @@ from qpmaps.documents import (
 from qpmaps.linalg import rational
 from qpmaps.sampling import random_classification_map, random_qmt, random_valid_map
 
-from helpers import dim2_map, dim4_map, map_from_document_oracle
+from helpers import dim2_map, dim4_map, map_from_document_oracle, qmt_from_document_oracle
 
 
 class TestRationalStrings:
@@ -145,12 +145,14 @@ class TestMapDocuments:
 
 
 #: Entries from a small alphabet: repeated texts, whitespace and sign
-#: variants of one value, U+2212, bad texts, and JSON values that compare
-#: equal to a text's value (1, true) or cannot be a dict key (arrays, objects).
+#: variants of one value, U+2212, bad texts, integers small and large, and
+#: JSON values that compare equal to a table key (1.0, true) or cannot be a
+#: dict key (arrays, objects).
 _ENTRIES = st.one_of(
     st.sampled_from(["0", "1", "-1", "2", " 1", "1 ", "\t1\n", "+1", "\u22121", "-0", "1/2",
                      "2/4", "0.5", "1e0", "1/0", "x", "", "1e4301"]),
-    st.integers(-2, 2), st.booleans(), st.just(0.5), st.none(),
+    st.integers(-2, 2), st.sampled_from([2**64, -2**64, 10**40]), st.booleans(),
+    st.sampled_from([0.5, 1.0]), st.none(),
     st.lists(st.integers(0, 1), max_size=1), st.dictionaries(st.just("1"), st.integers(0, 1)),
 )
 
@@ -173,6 +175,20 @@ def small_alphabet_documents(draw):
     return doc
 
 
+@st.composite
+def small_alphabet_qmt_documents(draw):
+    """QMT documents of n <= 3 whose entries come from _ENTRIES, or mostly
+    from {-2, ..., 2} so that many are invertible; now and then a row of the
+    wrong length."""
+    n = draw(st.integers(1, 3))
+    entries = draw(st.sampled_from([_ENTRIES, st.integers(-2, 2),
+                                    st.one_of(st.integers(-2, 2), _ENTRIES)]))
+    doc = {"C": [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]}
+    if draw(st.integers(0, 9)) == 0:
+        doc["C"][draw(st.integers(0, n - 1))].append(1)
+    return doc
+
+
 def _parse_outcome(parse, doc):
     """(lam, A, B) of the parsed map, or the DocumentError message."""
     try:
@@ -182,8 +198,21 @@ def _parse_outcome(parse, doc):
     return qp.lam, qp.A, qp.B
 
 
+def _qmt_outcome(parse, doc):
+    """The parsed QMT, or the DocumentError message."""
+    try:
+        return parse(doc)
+    except DocumentError as exc:
+        return str(exc)
+
+
 def _fractions(qp):
     return [e for part in (qp.lam, *qp.A, *qp.B) for e in part]
+
+
+def _keys(entries):
+    """The table keys of a document's entries: 1 and "1" are two keys."""
+    return {(type(v), v) for v in entries}
 
 
 class TestParseTable:
@@ -219,12 +248,54 @@ class TestParseTable:
         assert len(ids_first) == len(texts)
         assert not ids_first & {id(e) for e in _fractions(second)}
 
+    def test_int_entries_share_the_table(self):
+        """A JSON integer is parsed once per document, and 1 and "1" are two keys."""
+        doc = map_to_document(random_valid_map(np.random.default_rng(7), 6, 6))
+        for part in (doc["A"], doc["B"]):
+            for row in part[::2]:
+                row[:] = [int(e) for e in row]
+        entries = [v for part in (doc["lambda"], *doc["A"], *doc["B"]) for v in part]
+        assert {type(v) for v in entries} == {int, str}
+        first, second = map_from_document(doc), map_from_document(doc)
+        assert first == second == map_from_document_oracle(doc)
+        ids_first = {id(e) for e in _fractions(first)}
+        assert len(ids_first) == len(_keys(entries))
+        assert not ids_first & {id(e) for e in _fractions(second)}
+
     def test_qmt_parses_share_no_fraction(self):
-        doc = qmt_to_document(new_qmt([[1, 1, 0], [0, -1, 1], [1, 0, 2]]))
-        first, second = qmt_from_document(doc), qmt_from_document(doc)
-        assert first == second
-        ids = [{id(e) for row in t.C + t.C_inv for e in row} for t in (first, second)]
-        assert not ids[0] & ids[1]
+        """Within one call a QMT document of texts or of JSON integers holds one
+        Fraction per distinct entry; two calls share none."""
+        c = [[1, 1, 0, -2], [0, -1, 1, 2], [1, 0, 2, 1], [2, -2, 0, 1]]
+        for doc in (qmt_to_document(new_qmt(c)), {"C": c}):
+            first, second = qmt_from_document(doc), qmt_from_document(doc)
+            assert first == second == new_qmt(c)
+            for t in (first, second):
+                assert len({id(e) for row in t.C for e in row}) == len({e for row in c for e in row})
+            ids = [{id(e) for row in t.C + t.C_inv for e in row} for t in (first, second)]
+            assert not ids[0] & ids[1]
+
+    @pytest.mark.parametrize("c, message", [
+        ([[1, True], [0, 1]], "C[0][1]: expected a rational string or integer, got a boolean"),
+        ([[True, 1], [0, 1]], "C[0][0]: expected a rational string or integer, got a boolean"),
+        ([[1, 1.0], [0, 1]],
+         'C[0][1]: floats are not accepted; use a rational string like "1/2"'),
+    ], ids=["bool-after-int", "bool-first", "float-after-int"])
+    def test_values_equal_to_an_int_are_rejected_where_they_stand(self, c, message):
+        """true == 1 == 1.0, but neither is looked up in the table."""
+        with pytest.raises(DocumentError) as info:
+            qmt_from_document({"C": c})
+        assert str(info.value) == message
+
+    @given(doc=small_alphabet_qmt_documents())
+    @example(doc={"C": [[1, True], [0, 1]]})
+    @example(doc={"C": [[1, "1"], [1.0, 1]]})
+    @example(doc={"C": [[2**64, -2**64], [10**40, 1]]})
+    @example(doc={"C": [[1, 2], [2, 4]]})
+    def test_qmt_equals_parsing_every_entry(self, doc):
+        got = _qmt_outcome(qmt_from_document, doc)
+        assert got == _qmt_outcome(qmt_from_document_oracle, doc)
+        if not isinstance(got, str):
+            assert all(type(e) is Fraction for row in got.C + got.C_inv for e in row)
 
 
 class TestQMTDocuments:

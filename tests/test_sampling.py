@@ -1,4 +1,5 @@
-"""The float-safety scaling of random_symplectic_map against the dense oracle."""
+"""The float-safety scaling of random_symplectic_map against the dense oracle,
+and the integer draws of the generators against per-entry Fraction oracles."""
 
 import math
 import time
@@ -8,9 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpmaps import new_qp_map
-from qpmaps.sampling import random_symplectic_map
+from qpmaps.sampling import random_qmt, random_symplectic_map, random_valid_map
 
-from helpers import dense_derivative_bound, dense_phi_bound, symplectic_scaling_oracle
+from helpers import (
+    dense_derivative_bound,
+    dense_phi_bound,
+    integer_symplectic_map_oracle,
+    random_qmt_oracle,
+    random_valid_map_oracle,
+    symplectic_scaling_oracle,
+)
 
 BOUNDS = st.sampled_from((None, 1e-3, 0.25, 1.0, 8.0, 100.0))
 
@@ -66,3 +74,46 @@ def test_n_200_costs_a_bounded_time():
     qp = random_symplectic_map(rng, 200, 200)
     assert time.perf_counter() - start < 1
     assert (qp.n, qp.m) == (200, 200)
+
+
+def _entries(rows):
+    return [e for row in rows for e in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 12),
+       bounds=st.sampled_from([(-2, 2), (0, 1), (-1, 0), (-3, 5), (-2**40, 2**40)]))
+def test_random_valid_map_equals_per_entry_draws(seed, n, m, bounds):
+    """The same map and the same next draw as a Fraction made per entry, with
+    one Fraction object per value drawn."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_valid_map(rng, n, m, *bounds)
+    assert got == random_valid_map_oracle(oracle_rng, n, m, *bounds)
+    assert rng.random() == oracle_rng.random()
+    entries = [*got.lam, *_entries(got.A), *_entries(got.B)]
+    assert len({id(e) for e in entries}) == len(set(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12).map(lambda s: 2 * s),
+       m=st.integers(1, 30))
+def test_integer_symplectic_map_equals_per_entry_draws(seed, n, m):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_symplectic_map(rng, n, m, integer_entries=True)
+    assert got == integer_symplectic_map_oracle(oracle_rng, n, m)
+    assert rng.random() == oracle_rng.random()
+    drawn = _entries(got.B)  # B holds the drawn values and zeros
+    assert len({id(e) for e in drawn}) == len(set(drawn))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       bounds=st.sampled_from([(-2, 2), (0, 1), (-1, 1), (-2**40, 2**40)]))
+def test_random_qmt_equals_per_entry_draws(seed, n, bounds):
+    """Singular draws are rejected as before, so the RNG ends where it did."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_qmt(rng, n, *bounds)
+    assert got == random_qmt_oracle(oracle_rng, n, *bounds)
+    assert rng.random() == oracle_rng.random()
+    entries = _entries(got.C)
+    assert len({id(e) for e in entries}) == len(set(entries))

@@ -27,10 +27,13 @@ def first_nonpositive_row(x: np.ndarray) -> int | None:
     """Index of the first row of x (a single state is row 0) with a component
     that is not finite and strictly positive; None when there is none.
 
-    Two reductions decide the common all-valid case. A NaN makes min()
+    Two whole-array ufunc reductions, np.minimum.reduce and
+    np.maximum.reduce (the bits of x.min() and x.max() without their Python
+    wrappers), decide the common all-valid case. A NaN makes the minimum
     NaN, which fails 0.0 < min, so only then is the per-entry mask built.
     """
-    if x.size == 0 or (0.0 < x.min() and x.max() < np.inf):
+    if x.size == 0 or (0.0 < np.minimum.reduce(x, axis=None)
+                       and np.maximum.reduce(x, axis=None) < np.inf):
         return None
     ok = (x > 0.0) & (x < np.inf)
     return int(np.argmin(ok.all(axis=-1).reshape(-1)))
@@ -146,9 +149,9 @@ def _jacobian(qp: QPMap, x) -> np.ndarray:
     already entered one. In place, it gives the bits of (I + (x_i/x_j) d) e."""
     x = as_state(x, qp.n)
     q, ph = _phi(qp, x)
-    d = qp.A_f @ (q[..., :, None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
-    L = x[..., :, None] / x[..., None, :]
+    d = qp.A_f @ (q[..., None] * qp.B_f)  # d[i][j] = sum_p A_ip q_p B_pj
+    L = x[..., None] / x[..., None, :]
     L *= d
     L += _identity(qp.n)
-    L *= np.exp(ph)[..., :, None]
+    L *= np.exp(ph)[..., None]
     return L

@@ -3,14 +3,16 @@
 This module is part of the exact layer and imports no numpy. The float
 copies ``lam_f``, ``A_f`` and ``B_f`` are built on first use by the
 ``to_float_*`` converters, which load numpy then; evaluation lives in
-:mod:`qpmaps.core`, which re-exports everything defined here.
+:mod:`qpmaps.core`, which re-exports everything defined here, and
+:func:`float_layer` hands numpy and that module to the exact modules'
+float entry points.
 :class:`FrozenRecord`, the base of the package's immutable value classes,
 also lives here.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, ZeroColumnOfA, ZeroRowOfB
@@ -27,6 +29,19 @@ from .linalg import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+@cache
+def float_layer():
+    """(numpy, :mod:`qpmaps.core`), imported on the first call and returned
+    as they are after it, so a float entry point of a numpy-free module runs
+    no ``import`` per call. Without numpy every call raises
+    ModuleNotFoundError: a cache keeps no exception."""
+    import numpy
+
+    from . import core
+
+    return numpy, core
 
 
 class FrozenRecord:

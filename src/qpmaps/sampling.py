@@ -89,9 +89,13 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
         shared = _SharedFractions()
         draw = lambda: shared[int(rng.choice((-2, -1, 1, 2)))]
         draw_lam = lambda: shared[int(rng.integers(-2, 3))]
+        negate = lambda v: shared[-v.numerator]
+        zero = shared[0]
     else:
         draw = lambda: random_rational(rng)
         draw_lam = lambda: random_rational(rng, allow_zero=True)
+        negate = lambda v: -v
+        zero = Fraction(0)
 
     pair = [int(rng.integers(0, s)) for _ in range(m)]
     b_values = [draw() for _ in range(m)]
@@ -113,19 +117,18 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
         a_values = [v / 2**k for v in a_values]
         lam_half = [v / 2**k for v in lam_half]
 
-    zero = Fraction(0)
     b_rows = [
         tuple(b_values[p] if j in (pair[p], s + pair[p]) else zero for j in range(n))
         for p in range(m)
     ]
     a_rows = [
         tuple(
-            a_values[p] if i == pair[p] else (-a_values[p] if i == s + pair[p] else zero)
+            a_values[p] if i == pair[p] else (negate(a_values[p]) if i == s + pair[p] else zero)
             for p in range(m)
         )
         for i in range(n)
     ]
-    lam = list(lam_half) + [-v for v in lam_half]
+    lam = list(lam_half) + [negate(v) for v in lam_half]
     return new_qp_map(lam, a_rows, b_rows)
 
 
@@ -158,13 +161,15 @@ def random_classification_map(rng, dims=(2, 4, 6), max_m: int = 6) -> QPMap:
     qp = random_symplectic_map(rng, n, m, integer_entries=True)
     if u < 0.8:
         return qp
-    # perturb one entry; retry if the result leaves the strict form
+    # perturb one entry; retry if the result leaves the strict form. A drawn
+    # value reuses the map's Fraction for it, so entries stay shared.
+    shared = _SharedFractions({int(v): v for row in (qp.lam, *qp.A, *qp.B) for v in row})
     for _ in range(100):
         lam = list(qp.lam)
         a = [list(row) for row in qp.A]
         b = [list(row) for row in qp.B]
         target = int(rng.integers(0, 3))
-        value = Fraction(int(rng.integers(-2, 3)))
+        value = shared[int(rng.integers(-2, 3))]
         if target == 0:
             a[int(rng.integers(0, n))][int(rng.integers(0, m))] = value
         elif target == 1:

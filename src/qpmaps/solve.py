@@ -135,11 +135,17 @@ def eval_solution(sol: ClosedFormSolution, t: int | np.ndarray) -> np.ndarray:
     also for an int t too large to convert to a double.
 
     An int t with |t| <= sol.safe_horizon returns without a range check and
-    without entering np.errstate: no flag can be raised there. Every other
-    t is checked, with the same arithmetic and so the same bits.
+    without entering np.errstate: no flag can be raised there. It is
+    computed in one new array, float(t) * log_rate, exponentiated and then
+    multiplied by x0 in place: float(t) is exact for |t| <= 2**53 and IEEE
+    products commute, so these are the bits of x0 * exp(t * log_rate). Every
+    other t is checked with that formula.
     """
     if isinstance(t, int) and abs(t) <= sol.safe_horizon:
-        return sol.x0 * np.exp(t * sol.log_rate)
+        v = float(t) * sol.log_rate
+        np.exp(v, out=v)
+        v *= sol.x0
+        return v
     with np.errstate(over="ignore", under="ignore"):
         try:
             rate = t * sol.log_rate

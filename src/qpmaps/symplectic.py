@@ -10,7 +10,8 @@ condition equations and explains its verdict with exact violation counts
 and witnesses; :func:`check_pattern` tests the equivalent zero pattern of A
 and B and returns only the verdict and the pairing. Both are exact and
 import no numpy; the float residual max |K^T S K - S| of
-:func:`jacobian_residual` loads it, and :mod:`qpmaps.core`, when called.
+:func:`jacobian_residual` loads it, and :mod:`qpmaps.core`, on its first
+call (:func:`qpmaps.maps.float_layer`).
 The conserved pair products x_i * x_{s+i} are
 ``solve_closed_form(qp, x0).invariants_I``.
 """
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OddDimension
 from .linalg import format_rational as _fmt, pivot_columns, rank
-from .maps import QPMap
+from .maps import QPMap, float_layer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -267,13 +268,10 @@ def symplectic_residual(qp: QPMap, x) -> float:
     at x); for a stack of states, the max over its rows."""
     if qp.n % 2:
         raise OddDimension(f"symplectic residual requires even dimension, got n={qp.n}")
-    import numpy as np
-
-    from .core import _jacobian
-
+    np, core = float_layer()
     # one np.errstate for both the Jacobian and its residual
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return _jacobian_residual(_jacobian(qp, x))
+        return _jacobian_residual(core._jacobian(qp, x))
 
 
 def jacobian_residual(L: np.ndarray) -> float:
@@ -283,18 +281,18 @@ def jacobian_residual(L: np.ndarray) -> float:
     max() over residuals cannot drop it and read as a pass. An empty stack,
     shape (0, n, n), has residual 0.0: no state breaks the condition.
     """
-    import numpy as np
-
+    np, _ = float_layer()
     with np.errstate(over="ignore", invalid="ignore"):
         return _jacobian_residual(L)
 
 
 def _jacobian_residual(L: np.ndarray) -> float:
-    """:func:`jacobian_residual` without an np.errstate of its own."""
-    import numpy as np
-
+    """:func:`jacobian_residual` without an np.errstate of its own. The
+    maximum reduces as ndarray.max would, without its Python wrapper."""
+    np, _ = float_layer()
     S = skew_matrix(L.shape[-1] // 2)
-    r = float(np.abs(L.swapaxes(-1, -2) @ S @ L - S).max(initial=0.0))
+    r = float(np.maximum.reduce(np.abs(L.swapaxes(-1, -2) @ S @ L - S), axis=None,
+                                initial=0.0))
     return r if r < np.inf else np.inf
 
 

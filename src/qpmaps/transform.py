@@ -6,7 +6,8 @@ and is a topological conjugacy, so transformed maps are dynamically equivalent.
 The product B.M is therefore identical for all members of a class
 and is the M matrix of the class's canonical Lotka-Volterra representative.
 All of this is exact and imports no numpy; the float state maps
-``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, when called.
+``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on their
+first call (:func:`qpmaps.maps.float_layer`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linalg import (
     to_float_matrix,
     zero_column_indices,
 )
-from .maps import FrozenRecord, QPMap, strictness_violations
+from .maps import FrozenRecord, QPMap, float_layer, strictness_violations
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,16 +130,14 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
 
 def push_state(t: QMT, y) -> np.ndarray:
     """Map transformed coordinates to original ones, row by row: x_i = prod_j y_j**C[i][j]."""
-    from .core import as_state, monomials
-
-    return monomials(t.C_f, as_state(y, t.n))
+    _, core = float_layer()
+    return core.monomials(t.C_f, core.as_state(y, t.n))
 
 
 def pull_state(t: QMT, x) -> np.ndarray:
     """Map original coordinates to transformed ones, row by row: y_j = prod_i x_i**C_inv[j][i]."""
-    from .core import as_state, monomials
-
-    return monomials(t.C_inv_f, as_state(x, t.n))
+    _, core = float_layer()
+    return core.monomials(t.C_inv_f, core.as_state(x, t.n))
 
 
 def class_invariant(qp: QPMap) -> RMatrix:

@@ -1,9 +1,11 @@
 """The exact layer runs without numpy; the float names load it on first use.
 
-Each check runs in a fresh interpreter, since this test process has long
-imported numpy.
+Each check of what loads runs in a fresh interpreter, since this test
+process has long imported numpy; the count of imports per residual call
+runs here.
 """
 
+import builtins
 import json
 import os
 import subprocess
@@ -13,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import qpmaps
+from qpmaps import symplectic
+
+from helpers import dim4_map
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -93,6 +98,47 @@ def test_float_subcommand_without_numpy_exits_2(args):
     [(code, out, err)] = json.loads(_python("-c", RUNNER, "blocked", json.dumps([argv])))
     assert (code, out) == (2, "")
     assert err == f"qpmap {args[0]} needs numpy, which is not installed\n"
+
+
+def test_residual_runs_no_import_after_its_first_call(monkeypatch):
+    """The float layer is resolved once (maps.float_layer), not per call."""
+    qp, x = dim4_map(), [1.0, 2.0, 0.5, 1.5]
+    first = symplectic.symplectic_residual(qp, x)
+    calls = []
+    real_import = builtins.__import__
+
+    def counting_import(*args, **kwargs):
+        calls.append(args[0])
+        return real_import(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    results = [symplectic.symplectic_residual(qp, x) for _ in range(10)]
+    monkeypatch.undo()
+    assert calls == []
+    assert results == [first] * 10
+
+
+def test_float_entry_points_without_numpy_raise_on_every_call():
+    """A cache keeps no exception: each call raises ModuleNotFoundError anew,
+    and importing the numpy-free modules still loads no numpy."""
+    out = _python("-c", """if True:
+        import sys
+        sys.modules["numpy"] = None
+        import qpmaps.symplectic as symplectic, qpmaps.transform as transform
+        qp = symplectic.QPMap((1, -1), ((2,), (-2,)), ((1, 1),))
+        t = transform.solver_qmt(1)
+        calls = [lambda: symplectic.symplectic_residual(qp, (1.0, 2.0)),
+                 lambda: symplectic.jacobian_residual(None),
+                 lambda: transform.push_state(t, (1.0, 2.0)),
+                 lambda: transform.pull_state(t, (1.0, 2.0))]
+        for call in calls * 2:
+            try:
+                call()
+            except ModuleNotFoundError as exc:
+                print(exc.name)
+        print(sys.modules["numpy"])
+    """)
+    assert out.split() == ["numpy"] * 8 + ["None"]
 
 
 def test_import_qpmaps_loads_no_numpy_until_a_float_name_is_used():

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpmaps import new_qp_map
-from qpmaps.sampling import random_qmt, random_symplectic_map, random_valid_map
+from qpmaps.sampling import (
+    random_classification_map,
+    random_qmt,
+    random_symplectic_map,
+    random_valid_map,
+)
 
 from helpers import (
     dense_derivative_bound,
@@ -104,6 +109,21 @@ def test_integer_symplectic_map_equals_per_entry_draws(seed, n, m):
     assert rng.random() == oracle_rng.random()
     drawn = _entries(got.B)  # B holds the drawn values and zeros
     assert len({id(e) for e in drawn}) == len(set(drawn))
+    # the negated halves of A and lam, and the zeros, reuse the drawn values
+    entries = [*got.lam, *_entries(got.A), *drawn]
+    assert len({id(e) for e in entries}) == len(set(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_classification_map_holds_one_fraction_per_value(seed):
+    """Generic, symplectic and perturbed maps alike; a perturbation takes the
+    map's own Fraction for the value it draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        qp = random_classification_map(rng)
+        entries = [*qp.lam, *_entries(qp.A), *_entries(qp.B)]
+        assert len({id(e) for e in entries}) == len(set(entries))
 
 
 @settings(max_examples=40, deadline=None)

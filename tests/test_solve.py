@@ -212,7 +212,8 @@ def test_eval_solution_matches_the_checked_formula(seed, phi_bound, data):
     sol = ClosedFormSolution(s=n // 2, x0=x0, log_k=log_k, invariants_I=x0[: n // 2])
     horizon = sol.safe_horizon
     reach = max(2 * horizon, 2)
-    times = [0, horizon, -horizon, horizon + 1, -horizon - 1,
+    # True is an int equal to 1: the fast branch takes it as float(True)
+    times = [0, horizon, -horizon, horizon + 1, -horizon - 1, True,
              *data.draw(st.lists(st.integers(-reach, reach), min_size=5, max_size=5))]
     for t in times:
         try:

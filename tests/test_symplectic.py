@@ -34,6 +34,7 @@ from helpers import (
     dim2_map,
     dim2_variant,
     dim4_map,
+    jacobian_oracle,
     jacobian_residual_oracle,
     symplectic_product_block,
     trivial_lv_map,
@@ -325,9 +326,18 @@ class TestNumericOracles:
             for jac in (jacobian(qp, xs[0]), jacobian(qp, xs)):
                 got, want = jacobian_residual(jac), jacobian_residual_oracle(jac)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            # symplectic_residual itself (n is even), on a single state and a stack
+            for x in (xs[0], xs):
+                got = symplectic_residual(qp, x)
+                want = jacobian_residual_oracle(jacobian_oracle(qp, x))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
         qp = new_qp_map(("1000", "0"), (("1",), ("1",)), (("1", "1"),))
-        jac = jacobian(qp, random_state(rng, (3, 2)))
+        xs = random_state(rng, (3, 2))
+        jac = jacobian(qp, xs)
         assert jacobian_residual(jac) == jacobian_residual_oracle(jac) == np.inf
+        for x in (xs[0], xs):  # exp(1000) overflows every Jacobian
+            assert symplectic_residual(qp, x) == np.inf
+            assert jacobian_residual_oracle(jacobian_oracle(qp, x)) == np.inf
 
     def test_empty_stack_residual_is_zero(self):
         for qp in (dim2_map(), dim4_map()):

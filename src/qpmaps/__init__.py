@@ -52,22 +52,6 @@ from .transform import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QPMap", "as_state", "iterate", "jacobian", "new_qp_map",
-    "phi", "quasimonomials", "step", "strictness_violations",
-    "DegenerateResult", "DimensionMismatch", "DocumentError", "NonPositiveState",
-    "NotSymplectic", "NumericOverflow", "OddDimension", "QPError",
-    "SingularMatrix", "ZeroColumnOfA", "ZeroRowOfB",
-    "ClosedFormSolution", "PairAsymptotics", "classify_asymptotics",
-    "eval_solution", "solve_closed_form", "verify_solution",
-    "ConditionVerdict", "RankReport", "SymplecticReport", "Witness",
-    "check_conditions", "check_pattern", "jacobian_residual", "rank_bounds",
-    "skew_matrix", "symplectic_residual",
-    "QMT", "apply_qmt", "class_invariant", "lv_canonical", "new_qmt",
-    "pull_state", "push_state", "solver_qmt",
-    "__version__",
-]
-
 #: The float layer: these names load their module, and numpy, on first use.
 _FLOAT_NAMES = {
     "core": ("as_state", "iterate", "jacobian", "phi", "quasimonomials", "step"),
@@ -75,6 +59,20 @@ _FLOAT_NAMES = {
               "eval_solution", "solve_closed_form", "verify_solution"),
 }
 _FLOAT_HOME = {name: module for module, names in _FLOAT_NAMES.items() for name in names}
+
+__all__ = [
+    "QPMap", "new_qp_map", "strictness_violations",
+    "DegenerateResult", "DimensionMismatch", "DocumentError", "NonPositiveState",
+    "NotSymplectic", "NumericOverflow", "OddDimension", "QPError",
+    "SingularMatrix", "ZeroColumnOfA", "ZeroRowOfB",
+    "ConditionVerdict", "RankReport", "SymplecticReport", "Witness",
+    "check_conditions", "check_pattern", "jacobian_residual", "rank_bounds",
+    "skew_matrix", "symplectic_residual",
+    "QMT", "apply_qmt", "class_invariant", "lv_canonical", "new_qmt",
+    "pull_state", "push_state", "solver_qmt",
+    *_FLOAT_HOME,
+    "__version__",
+]
 
 
 def __getattr__(name):

@@ -13,14 +13,12 @@ iterate and verify import the float layer (and numpy) when they start, and
 exit 2 with one line on stderr when numpy is not installed.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
+import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from .documents import (
     load_map,
@@ -46,9 +44,6 @@ from .symplectic import (
     rank_bounds,
 )
 from .transform import apply_qmt, class_invariant, lv_canonical, new_qmt, solver_qmt
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -76,19 +71,24 @@ class _Output:
     def info(self, message: str) -> None:
         print(message, file=sys.stderr if self.out_path is None else sys.stdout)
 
-    def write_data(self, blocks) -> None:
-        """Write an iterable of text pieces, each as soon as it is produced."""
-        if self.out_path is None:
-            sys.stdout.writelines(blocks)
-        else:
+    def write_data(self, blocks) -> bool:
+        """Write an iterable of text pieces, each as soon as it is produced; False
+        when the reader of stdout closed it (``| head``): stdout is then os.devnull."""
+        if self.out_path is not None:
             with open(self.out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(blocks)
+            return True
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return False
+        return True
 
 
-def _parse_x0(text: str, n: int) -> np.ndarray:
+def _parse_x0(text: str, n: int) -> list[float]:
     """The --x0 state, checked before any verdict so a bad state is an input error."""
-    from .core import as_state
-
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise DocumentError(f"--x0 must have {n} comma-separated components, got {len(parts)}")
@@ -98,7 +98,9 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
             values.append(float(parse_rational(p, f"--x0[{i}]")))
         except OverflowError:
             raise DocumentError(f"--x0[{i}]: {p!r} is outside the double range") from None
-    return as_state(values, n)
+        if not values[-1] > 0.0:  # <= 0, or too small to be a nonzero double
+            raise DocumentError(f"--x0[{i}]: {p!r} is not a positive double")
+    return values
 
 
 def _matrix_text(m) -> str:
@@ -149,7 +151,8 @@ def cmd_check(args) -> int:
         print(f"  pattern classifier: {pattern_note}")
     if report.is_symplectic and report.pairing is not None:
         text = " ".join(
-            f"p{p + 1}->i={ip}" if ip is not None else f"p{p + 1}->(inert)"
+            f"p{p + 1}->i={ip}" if ip is not None
+            else f"p{p + 1}->{'(inert)' if p in zero_cols else '(constant)'}"
             for p, ip in enumerate(report.pairing)
         )
         print(f"  pairing: {text}")
@@ -246,7 +249,8 @@ def cmd_solve(args) -> int:
             written[1:] = [t]  # [t] for the first row, then [first, t]
             yield t, state
 
-    out.write_data(trajectory_csv_lines(qp.n, rows()))
+    if not out.write_data(trajectory_csv_lines(qp.n, rows())):
+        return EXIT_OK  # rows past the closed pipe were never evaluated: no overflow to name
     gaps = ((t_min, written[0] - 1), (written[-1] + 1, t_max)) if written else ((t_min, t_max),)
     skipped = ", ".join(f"{a}..{b}" if a < b else f"{a}" for a, b in gaps if a <= b)
     if skipped:
@@ -343,7 +347,7 @@ def cmd_verify(args) -> int:
     import numpy as np
 
     from .core import jacobian
-    from .sampling import random_state
+    from .sampling import STATE_BOX, random_state
 
     qp = load_map(args.map_file)
     if qp.n % 2:
@@ -380,7 +384,8 @@ def cmd_verify(args) -> int:
                                   " no numeric check is possible")
         max_resid = max(max_resid, resid)
         max_det = max(max_det, det)
-    print(f"sampled {args.samples} states log-uniformly in [0.5, 2]^{qp.n} (seed {args.seed})")
+    box = "[%g, %g]" % STATE_BOX
+    print(f"sampled {args.samples} states log-uniformly in {box}^{qp.n} (seed {args.seed})")
     print(f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}")
     print(f"max |det(K) - 1|: {max_det:.3e}")
     ok = max_resid <= args.tol and max_det <= args.tol

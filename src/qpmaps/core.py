@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveState, NumericOverflow
-from .maps import QPMap, new_qp_map, strictness_violations  # re-exported
+from .maps import QPMap, new_qp_map  # re-exported
 
 #: Steps the first trajectory buffer of :func:`iterate` holds; it doubles as needed.
 _FIRST_ROWS = 1024

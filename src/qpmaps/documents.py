@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import DocumentError, QPError
-from .linalg import format_rational, rational  # format_rational is re-exported
+from .linalg import rational
 from .maps import QPMap, new_qp_map, strictness_violations
 from .transform import QMT, new_qmt
 
@@ -175,23 +175,11 @@ def load_map(path) -> QPMap:
         raise DocumentError(f"{path}: {exc}") from None
 
 
-def save_map(qp: QPMap, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(map_to_document(qp), fh, indent=2)
-        fh.write("\n")
-
-
 def load_qmt(path) -> QMT:
     try:
         return qmt_from_document(_load_json(path))
     except DocumentError as exc:
         raise DocumentError(f"{path}: {exc}") from None
-
-
-def save_qmt(t: QMT, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(qmt_to_document(t), fh, indent=2)
-        fh.write("\n")
 
 
 def format_float(value: float) -> str:
@@ -200,17 +188,9 @@ def format_float(value: float) -> str:
 
 
 def trajectory_csv_lines(n: int, rows) -> Iterator[str]:
-    """The lines of :func:`trajectory_csv`, each made as it is read from the
-    (t, state) pairs of ``rows``, so a trajectory is never held as text."""
+    """Trajectory CSV: header t,x1,...,xn, then a row per (t, state) pair of
+    ``rows``, LF endings; each line is made as it is read, never all at once."""
     yield "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
     for t, state in rows:
         yield f"{t}," + ",".join(format_float(v) for v in state) + "\n"
 
-
-def trajectory_csv(n: int, times, states) -> str:
-    """CSV text with header t,x1,...,xn; one row per time, LF line endings.
-
-    A row of Python floats (an array's ``.tolist()``) prints the same text
-    as the numpy row and formats faster than numpy scalars do.
-    """
-    return "".join(trajectory_csv_lines(n, zip(times, states)))

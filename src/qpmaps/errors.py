@@ -56,15 +56,13 @@ class SingularMatrix(QPError):
 class DegenerateResult(QPError):
     """A construction left the strict QP form (zero column of A or zero row of B).
 
-    The relaxed result is still available on the exception so callers can
-    continue with it deliberately.
+    The relaxed map, ``result``, lets callers continue with it deliberately;
+    ``strictness_violations(result)`` names its zero columns and rows.
     """
 
-    def __init__(self, message, result=None, zero_a_columns=(), zero_b_rows=()):
+    def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-        self.zero_a_columns = tuple(zero_a_columns)
-        self.zero_b_rows = tuple(zero_b_rows)
 
 
 class DocumentError(QPError):

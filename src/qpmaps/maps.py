@@ -3,7 +3,7 @@
 This module is part of the exact layer and imports no numpy. The float
 copies ``lam_f``, ``A_f`` and ``B_f`` are built on first use by the
 ``to_float_*`` converters, which load numpy then; evaluation lives in
-:mod:`qpmaps.core`, which re-exports everything defined here, and
+:mod:`qpmaps.core`, which re-exports ``QPMap`` and ``new_qp_map``, and
 :func:`float_layer` hands numpy and that module to the exact modules'
 float entry points.
 :class:`FrozenRecord`, the base of the package's immutable value classes,

@@ -12,11 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from .core import QPMap, new_qp_map
-from .errors import SingularMatrix, ZeroColumnOfA, ZeroRowOfB
+from .errors import SingularMatrix
 from .transform import QMT, new_qmt
 
 _NUMERATORS = (1, 2, 3)
 _DENOMINATORS = (1, 2)
+#: The interval (lo, hi) each component of a random state is drawn from.
+STATE_BOX = (0.5, 2.0)
 
 #: Bound on max_i |lam_i| + sum_p |A_ip| * qbar_p (qbar_p = largest
 #: quasimonomial value over [0.5, 2]^n); keeps exp() arguments small during
@@ -37,18 +39,17 @@ class _SharedFractions(dict):
         return f
 
 
-def random_rational(rng, numerators=_NUMERATORS, denominators=_DENOMINATORS,
-                    allow_zero=False) -> Fraction:
+def random_rational(rng, allow_zero=False) -> Fraction:
     if allow_zero and rng.random() < 0.25:
         return Fraction(0)
     sign = -1 if rng.random() < 0.5 else 1
-    return Fraction(sign * int(rng.choice(numerators)), int(rng.choice(denominators)))
+    return Fraction(sign * int(rng.choice(_NUMERATORS)), int(rng.choice(_DENOMINATORS)))
 
 
-def random_state(rng, n: int | tuple[int, int], lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    """A state sampled log-uniformly in [lo, hi]^n; n = (k, n) gives a stack
-    of k states, the same numbers as k single draws in turn."""
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+def random_state(rng, n: int | tuple[int, int]) -> np.ndarray:
+    """A state sampled log-uniformly in [lo, hi]^n, (lo, hi) = STATE_BOX; n = (k, n)
+    gives a stack of k states, the same numbers as k single draws in turn."""
+    return np.exp(rng.uniform(np.log(STATE_BOX[0]), np.log(STATE_BOX[1]), size=n))
 
 
 def _qbar(b_value: Fraction) -> float:
@@ -147,40 +148,6 @@ def random_valid_map(rng, n: int, m: int, lo: int = -2, hi: int = 2) -> QPMap:
     a_rows = [tuple(a_cols[p][i] for p in range(m)) for i in range(n)]
     b_rows = [tuple(nonzero_vector(n)) for _ in range(m)]
     return new_qp_map(lam, a_rows, b_rows)
-
-
-def random_classification_map(rng, dims=(2, 4, 6), max_m: int = 6) -> QPMap:
-    """A random valid map for classifier cross-checks: a mix of generic maps,
-    exactly patterned symplectic maps and minimally perturbed ones, all with
-    entries in {-2, ..., 2}."""
-    n = int(rng.choice(dims))
-    m = int(rng.integers(1, max_m + 1))
-    u = rng.random()
-    if u < 0.5:
-        return random_valid_map(rng, n, m)
-    qp = random_symplectic_map(rng, n, m, integer_entries=True)
-    if u < 0.8:
-        return qp
-    # perturb one entry; retry if the result leaves the strict form. A drawn
-    # value reuses the map's Fraction for it, so entries stay shared.
-    shared = _SharedFractions({int(v): v for row in (qp.lam, *qp.A, *qp.B) for v in row})
-    for _ in range(100):
-        lam = list(qp.lam)
-        a = [list(row) for row in qp.A]
-        b = [list(row) for row in qp.B]
-        target = int(rng.integers(0, 3))
-        value = shared[int(rng.integers(-2, 3))]
-        if target == 0:
-            a[int(rng.integers(0, n))][int(rng.integers(0, m))] = value
-        elif target == 1:
-            b[int(rng.integers(0, m))][int(rng.integers(0, n))] = value
-        else:
-            lam[int(rng.integers(0, n))] = value
-        try:
-            return new_qp_map(lam, a, b)
-        except (ZeroColumnOfA, ZeroRowOfB):
-            continue
-    return qp
 
 
 def random_qmt(rng, n: int, lo: int = -2, hi: int = 2) -> QMT:

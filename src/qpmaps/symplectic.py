@@ -73,7 +73,8 @@ class SymplecticReport(NamedTuple):
 
     ``pairing`` (present when symplectic) assigns each quasimonomial row p
     its 1-based variable-pair index i_p: row p of B and column p of A are
-    supported exactly on the pair (i_p, s+i_p).
+    supported exactly on the pair (i_p, s+i_p). None marks a zero column p
+    of A (inert) or one on several pairs, whose row p of B is zero (constant).
     """
 
     is_symplectic: bool

@@ -120,11 +120,7 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
             if zero_rows:
                 parts.append(f"zero rows of B': {list(zero_rows)}")
             raise DegenerateResult(
-                "transformed map left the strict QP form (" + "; ".join(parts) + ")",
-                result=result,
-                zero_a_columns=zero_cols,
-                zero_b_rows=zero_rows,
-            )
+                "transformed map left the strict QP form (" + "; ".join(parts) + ")", result)
     return result
 
 
@@ -166,8 +162,5 @@ def lv_canonical(qp: QPMap) -> QPMap:
     if zero_cols:
         raise DegenerateResult(
             f"canonical Lotka-Volterra form is degenerate: columns {list(zero_cols)}"
-            " of B.A are zero",
-            result=result,
-            zero_a_columns=zero_cols,
-        )
+            " of B.A are zero", result)
     return result

@@ -1,5 +1,6 @@
 """Fixture maps and brute-force oracles shared across the test suite."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,11 +13,13 @@ import numpy as np
 from qpmaps import (QMT, QPMap, jacobian, new_qmt, new_qp_map, phi, pull_state, skew_matrix,
                     solver_qmt, step)
 from qpmaps.core import as_state, first_nonpositive_row
-from qpmaps.documents import parse_rational
+from qpmaps.documents import map_to_document, parse_rational, qmt_to_document, trajectory_csv_lines
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
-from qpmaps.errors import DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix
+from qpmaps.errors import (DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix,
+                           ZeroColumnOfA, ZeroRowOfB)
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
-from qpmaps.sampling import _qbar, random_state
+from qpmaps.sampling import (_SharedFractions, _qbar, random_state, random_symplectic_map,
+                             random_valid_map)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -573,3 +576,58 @@ def verify_report_oracle(qp: QPMap, samples: int, seed: int, tol: float) -> str:
             f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}\n"
             f"max |det(K) - 1|: {max_det:.3e}\n"
             f"{'PASS' if ok else 'FAIL'} (tolerance {tol:g})\n")
+
+
+def save_map(qp: QPMap, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(map_to_document(qp), fh, indent=2)
+        fh.write("\n")
+
+
+def save_qmt(t: QMT, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(qmt_to_document(t), fh, indent=2)
+        fh.write("\n")
+
+
+def trajectory_csv(n: int, times, states) -> str:
+    """CSV text with header t,x1,...,xn; one row per time, LF line endings.
+
+    A row of Python floats (an array's ``.tolist()``) prints the same text
+    as the numpy row and formats faster than numpy scalars do.
+    """
+    return "".join(trajectory_csv_lines(n, zip(times, states)))
+
+
+def random_classification_map(rng, dims=(2, 4, 6), max_m: int = 6) -> QPMap:
+    """A random valid map for classifier cross-checks: a mix of generic maps,
+    exactly patterned symplectic maps and minimally perturbed ones, all with
+    entries in {-2, ..., 2}."""
+    n = int(rng.choice(dims))
+    m = int(rng.integers(1, max_m + 1))
+    u = rng.random()
+    if u < 0.5:
+        return random_valid_map(rng, n, m)
+    qp = random_symplectic_map(rng, n, m, integer_entries=True)
+    if u < 0.8:
+        return qp
+    # perturb one entry; retry if the result leaves the strict form. A drawn
+    # value reuses the map's Fraction for it, so entries stay shared.
+    shared = _SharedFractions({int(v): v for row in (qp.lam, *qp.A, *qp.B) for v in row})
+    for _ in range(100):
+        lam = list(qp.lam)
+        a = [list(row) for row in qp.A]
+        b = [list(row) for row in qp.B]
+        target = int(rng.integers(0, 3))
+        value = shared[int(rng.integers(-2, 3))]
+        if target == 0:
+            a[int(rng.integers(0, n))][int(rng.integers(0, m))] = value
+        elif target == 1:
+            b[int(rng.integers(0, m))][int(rng.integers(0, n))] = value
+        else:
+            lam[int(rng.integers(0, n))] = value
+        try:
+            return new_qp_map(lam, a, b)
+        except (ZeroColumnOfA, ZeroRowOfB):
+            continue
+    return qp

@@ -28,18 +28,21 @@ from qpmaps import (
     verify_solution,
 )
 from qpmaps.cli import main
-from qpmaps.documents import map_from_document, map_to_document, save_map
+from qpmaps.documents import map_from_document, map_to_document
 from qpmaps.errors import NonPositiveState, NumericOverflow
 from qpmaps.linalg import diagonal, is_zero
-from qpmaps.sampling import (
-    random_classification_map,
-    random_qmt,
-    random_state,
-    random_symplectic_map,
-)
+from qpmaps.sampling import random_qmt, random_state, random_symplectic_map
 from qpmaps.transform import pull_state
 
-from helpers import dim2_map, dim4_map, fd_jacobian, relative_gap, symplectic_product_block
+from helpers import (
+    dim2_map,
+    dim4_map,
+    fd_jacobian,
+    random_classification_map,
+    relative_gap,
+    save_map,
+    symplectic_product_block,
+)
 
 
 def report(num, name, ok, extra=""):

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,16 +12,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpmaps.cli import main
-from qpmaps.documents import map_to_document, save_map, save_qmt
+from qpmaps.documents import map_to_document
 from qpmaps import NumericOverflow, check_conditions, new_qmt, new_qp_map
 from qpmaps.solve import eval_solution, solve_closed_form
 from qpmaps.sampling import random_symplectic_map, random_valid_map
 
 from helpers import (
+    SRC,
     dim2_map,
     dim2_variant,
     dim4_map,
     run_python_afresh,
+    save_map,
+    save_qmt,
     trivial_lv_map,
     verify_report_oracle,
 )
@@ -113,6 +119,18 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         out = capsys.readouterr().out
         assert "pattern classifier: skipped (relaxed map)" in out
+        assert "pairing: p1->(inert) p2->(inert)\n" in out
+
+    def test_constant_quasimonomial_is_not_inert(self, tmp_path, capsys):
+        """A zero row of B is the constant 1; when its A column spans two
+        pairs it drives both (log_k = [1, 1]), so it is not inert."""
+        path = tmp_path / "constant.qpmap.json"
+        path.write_text(json.dumps({"n": 4, "m": 1, "relaxed": True, "lambda": ["0"] * 4,
+                                    "A": [["1"], ["1"], ["-1"], ["-1"]], "B": [["0"] * 4]}))
+        assert main(["check", str(path)]) == 0
+        assert "  pairing: p1->(constant)\n" in capsys.readouterr().out
+        assert main(["solve", str(path), "--x0", "1,1,1,1", "--t-max", "0"]) == 0
+        assert "log multipliers log_k: [1, 1]\n" in capsys.readouterr().err
 
     def test_zero_denominator_exit_2(self, tmp_path, capsys):
         doc = map_to_document(dim2_map())
@@ -220,7 +238,7 @@ class TestCheck:
 class TestSolve:
     def test_nonpositive_x0_exit_2_before_the_verdict(self, variant_file, capsys):
         code = main(["solve", variant_file, "--x0", "0,1", "--t-max", "2"])
-        assert_one_line_exit_2(code, capsys, "state components must be finite and strictly positive")
+        assert_one_line_exit_2(code, capsys, "--x0[0]: '0' is not a positive double\n")
 
     def test_csv_matches_closed_form(self, dim2_file, tmp_path, capsys):
         out_path = tmp_path / "sol.csv"
@@ -276,7 +294,12 @@ class TestSolve:
     @pytest.mark.parametrize("command", [["solve", "--t-max", "3"], ["iterate", "--steps", "3"]])
     def test_negative_x0_one_line_exit_2(self, dim2_file, command, capsys):
         code = main([command[0], dim2_file, "--x0", "-1,2", *command[1:]])
-        assert_one_line_exit_2(code, capsys, "state components must be finite and strictly")
+        assert_one_line_exit_2(code, capsys, "--x0[0]: '-1' is not a positive double\n")
+
+    @pytest.mark.parametrize("command", [["solve", "--t-max", "1"], ["iterate", "--steps", "1"]])
+    def test_x0_rounding_to_zero_names_the_component(self, dim2_file, command, capsys):
+        code = main([command[0], dim2_file, "--x0", "1,1e-400", *command[1:]])
+        assert_one_line_exit_2(code, capsys, "--x0[1]: '1e-400' is not a positive double\n")
 
     def test_x0_outside_double_range_exit_2(self, dim2_file, capsys):
         assert main(["solve", dim2_file, "--x0", "1,1e400", "--t-max", "3"]) == 2
@@ -432,6 +455,29 @@ def test_solve_streams_its_rows(tmp_path):
     assert solve_kb - peak_kb() <= 15 * 1024
     with open(out_path, encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 300_002
+
+
+@pytest.mark.parametrize("command", [["iterate", "--steps"], ["solve", "--t-max"]])
+def test_closed_stdout_ends_the_command_quietly(tmp_path, command):
+    """A reader that takes one row and closes the pipe, as `| head -1` does:
+    exit 0, and stderr holds what the same command prints with stdout intact
+    (nothing for iterate), no pipe error and no overflow warning."""
+    path = tmp_path / "k1.qpmap.json"  # log k = 0: every row is representable
+    save_map(new_qp_map((-1, 1), ((1,), (-1,)), ((1, 1),)), path)
+    argv = [sys.executable, "-m", "qpmaps", command[0], str(path), "--x0", "1,1",
+            command[1], "20000"]  # ~900 kB of rows, far more than a pipe buffers
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    intact = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            timeout=120)
+    assert intact.returncode == 0
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"t,x1,x2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == intact.stderr
+    if command[0] == "iterate":
+        assert err == b""
 
 
 class TestIterate:

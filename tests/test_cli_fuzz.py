@@ -177,7 +177,8 @@ def test_any_rational_entries_keep_the_contract(workdir, doc, command, data):
 
 
 #: --x0 components that are not a finite positive double.
-BAD_X0 = st.sampled_from(("abc", "1/0", "", "1e400", "1e99999", "0", "-1", "1e-400"))
+BAD_X0 = st.sampled_from(("abc", "1/0", "", "1e400", "1e99999", "0", "-0", "-1", "-2/3",
+                          "1e-400", "1e-324"))
 
 
 @st.composite
@@ -229,3 +230,17 @@ def test_argument_error_exits_2(workdir, doc, data):
     qmt_path = workdir / "bad.qmt.json"
     qmt_path.write_text(json.dumps({"C": qmt}))
     assert_input_error(data.draw(argument_errors(str(path), doc["n"], str(qmt_path), workdir)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=map_documents(), command=st.sampled_from(("solve", "iterate")), data=st.data())
+def test_bad_x0_component_is_named(workdir, doc, command, data):
+    """One bad --x0 component, anywhere, exits 2 with one line naming its index."""
+    path = workdir / "x0.qpmap.json"
+    path.write_text(json.dumps(doc))
+    i = data.draw(st.integers(0, doc["n"] - 1))
+    parts = ["1"] * doc["n"]
+    parts[i] = data.draw(BAD_X0)
+    code, out, err = run(argv_for(command, str(path), ",".join(parts), data.draw))
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"--x0[{i}]: ") and err.count("\n") == 1, err

@@ -19,12 +19,7 @@ from qpmaps import (
     step,
 )
 from qpmaps.core import first_nonpositive_row
-from qpmaps.sampling import (
-    random_classification_map,
-    random_state,
-    random_symplectic_map,
-    random_valid_map,
-)
+from qpmaps.sampling import random_state, random_symplectic_map, random_valid_map
 
 from helpers import (
     dim2_map,
@@ -33,6 +28,7 @@ from helpers import (
     iterate_oracle,
     jacobian_oracle,
     quasimonomial_oracle,
+    random_classification_map,
     relative_gap,
     run_python_afresh,
     trivial_lv_map,

@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from qpmaps import DocumentError, QPMap, new_qmt
 from qpmaps.documents import (
     format_float,
-    format_rational,
     load_map,
     load_qmt,
     map_from_document,
@@ -17,14 +16,20 @@ from qpmaps.documents import (
     parse_rational,
     qmt_from_document,
     qmt_to_document,
+)
+from qpmaps.linalg import format_rational, rational
+from qpmaps.sampling import random_qmt, random_valid_map
+
+from helpers import (
+    dim2_map,
+    dim4_map,
+    map_from_document_oracle,
+    qmt_from_document_oracle,
+    random_classification_map,
     save_map,
     save_qmt,
     trajectory_csv,
 )
-from qpmaps.linalg import rational
-from qpmaps.sampling import random_classification_map, random_qmt, random_valid_map
-
-from helpers import dim2_map, dim4_map, map_from_document_oracle, qmt_from_document_oracle
 
 
 class TestRationalStrings:

@@ -174,7 +174,7 @@ def test_core_keeps_the_map_names():
     import qpmaps.core as core
     import qpmaps.maps as maps
 
-    for name in ("QPMap", "new_qp_map", "strictness_violations"):
+    for name in ("QPMap", "new_qp_map"):
         assert getattr(core, name) is getattr(maps, name) is getattr(qpmaps, name)
     assert qpmaps.core is core
     assert qpmaps.solve.solve_closed_form is qpmaps.solve_closed_form

@@ -9,17 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpmaps import new_qp_map
-from qpmaps.sampling import (
-    random_classification_map,
-    random_qmt,
-    random_symplectic_map,
-    random_valid_map,
-)
+from qpmaps.sampling import random_qmt, random_symplectic_map, random_valid_map
 
 from helpers import (
     dense_derivative_bound,
     dense_phi_bound,
     integer_symplectic_map_oracle,
+    random_classification_map,
     random_qmt_oracle,
     random_valid_map_oracle,
     symplectic_scaling_oracle,

@@ -21,12 +21,7 @@ from qpmaps import (
     strictness_violations,
     symplectic_residual,
 )
-from qpmaps.sampling import (
-    random_classification_map,
-    random_state,
-    random_symplectic_map,
-    random_valid_map,
-)
+from qpmaps.sampling import random_state, random_symplectic_map, random_valid_map
 from qpmaps.symplectic import WITNESS_LIMIT, PatternVerdict
 
 from helpers import (
@@ -36,6 +31,7 @@ from helpers import (
     dim4_map,
     jacobian_oracle,
     jacobian_residual_oracle,
+    random_classification_map,
     symplectic_product_block,
     trivial_lv_map,
 )

@@ -62,6 +62,22 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _write_stdout(blocks) -> bool:
+    """Write an iterable of text pieces to stdout; False when its reader closed it
+    (``| head``): stdout is then os.devnull, so no later write or flush fails."""
+    try:
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
+def _print_lines(lines) -> None:
+    _write_stdout(f"{line}\n" for line in lines)
+
+
 class _Output:
     """Routes data to --out or stdout, and the summary to the free stream."""
 
@@ -69,22 +85,19 @@ class _Output:
         self.out_path = out_path
 
     def info(self, message: str) -> None:
-        print(message, file=sys.stderr if self.out_path is None else sys.stdout)
+        if self.out_path is None:
+            _err(message)
+        else:
+            _print_lines([message])
 
     def write_data(self, blocks) -> bool:
         """Write an iterable of text pieces, each as soon as it is produced; False
-        when the reader of stdout closed it (``| head``): stdout is then os.devnull."""
+        when the reader of stdout closed it."""
         if self.out_path is not None:
             with open(self.out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(blocks)
             return True
-        try:
-            sys.stdout.writelines(blocks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return False
-        return True
+        return _write_stdout(blocks)
 
 
 def _parse_x0(text: str, n: int) -> list[float]:
@@ -140,36 +153,39 @@ def cmd_check(args) -> int:
     elif relaxed:
         pattern_note = "skipped (relaxed map)"
 
+    lines = []
+    say = lines.append
     if report.is_symplectic:
-        print(f"SYMPLECTIC (n={qp.n}, s={report.s})")
+        say(f"SYMPLECTIC (n={qp.n}, s={report.s})")
     else:
-        print(f"NOT SYMPLECTIC (n={qp.n})")
+        say(f"NOT SYMPLECTIC (n={qp.n})")
         if report.reason:
-            print(f"  reason: {report.reason}")
-    _print_conditions(report, print)
+            say(f"  reason: {report.reason}")
+    _print_conditions(report, say)
     if pattern_note:
-        print(f"  pattern classifier: {pattern_note}")
+        say(f"  pattern classifier: {pattern_note}")
     if report.is_symplectic and report.pairing is not None:
         text = " ".join(
             f"p{p + 1}->i={ip}" if ip is not None
             else f"p{p + 1}->{'(inert)' if p in zero_cols else '(constant)'}"
             for p, ip in enumerate(report.pairing)
         )
-        print(f"  pairing: {text}")
+        say(f"  pairing: {text}")
 
     ranks = rank_bounds(qp)
     if ranks.bound_satisfied is None:
         bound_text = "n/a (odd n)"
     else:
         bound_text = "satisfied" if ranks.bound_satisfied else "violated"
-    print(f"  ranks: rank_A={ranks.rank_A} rank_B={ranks.rank_B} rank_M={ranks.rank_M}"
-          f"; bound rank_B<=s and rank_M<=s: {bound_text}")
+    say(f"  ranks: rank_A={ranks.rank_A} rank_B={ranks.rank_B} rank_M={ranks.rank_M}"
+        f"; bound rank_B<=s and rank_M<=s: {bound_text}")
 
     bm = class_invariant(qp)
     if is_zero(bm):
-        print(f"  class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)")
+        say(f"  class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)")
     else:
-        print(f"  class invariant B.M: {_matrix_text(bm)} (nonzero)")
+        say(f"  class invariant B.M: {_matrix_text(bm)} (nonzero)")
+    _print_lines(lines)
     return EXIT_OK if report.is_symplectic else EXIT_NEGATIVE
 
 
@@ -328,12 +344,13 @@ def cmd_canonical(args) -> int:
     bm = augment_column(lv.lam, lv.A)  # B.M: (lam | A) of the canonical map
     if degenerate:
         if is_zero(bm):
-            print(f"class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)")
-            print("canonical representative is trivial (identity map); no document written")
+            _print_lines([f"class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)",
+                          "canonical representative is trivial (identity map);"
+                          " no document written"])
             return EXIT_OK
-        print(f"class invariant B.M: {_matrix_text(bm)}")
-        print(f"canonical representative is degenerate: {degenerate}")
-        print(f"raw canonical matrix (lam_c | A_c): {_matrix_text(bm)}")
+        _print_lines([f"class invariant B.M: {_matrix_text(bm)}",
+                      f"canonical representative is degenerate: {degenerate}",
+                      f"raw canonical matrix (lam_c | A_c): {_matrix_text(bm)}"])
         return EXIT_OK
     doc = map_to_document(lv)
     out = _Output(args.out)
@@ -364,7 +381,7 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     if args.samples == 0:
         _err("warning: no samples requested; the pass is vacuous")
-        print("PASS (vacuous: 0 samples)")
+        _print_lines(["PASS (vacuous: 0 samples)"])
         return EXIT_OK
 
     rng = np.random.default_rng(args.seed)
@@ -385,11 +402,11 @@ def cmd_verify(args) -> int:
         max_resid = max(max_resid, resid)
         max_det = max(max_det, det)
     box = "[%g, %g]" % STATE_BOX
-    print(f"sampled {args.samples} states log-uniformly in {box}^{qp.n} (seed {args.seed})")
-    print(f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}")
-    print(f"max |det(K) - 1|: {max_det:.3e}")
     ok = max_resid <= args.tol and max_det <= args.tol
-    print(f"{'PASS' if ok else 'FAIL'} (tolerance {args.tol:g})")
+    _print_lines([f"sampled {args.samples} states log-uniformly in {box}^{qp.n} (seed {args.seed})",
+                  f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}",
+                  f"max |det(K) - 1|: {max_det:.3e}",
+                  f"{'PASS' if ok else 'FAIL'} (tolerance {args.tol:g})"])
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

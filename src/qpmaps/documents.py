@@ -139,10 +139,6 @@ def map_from_document(doc) -> QPMap:
         raise DocumentError(str(exc)) from exc
 
 
-def qmt_to_document(t: QMT) -> dict:
-    return {"C": _matrix_entries(t.C, "C")}
-
-
 def qmt_from_document(doc) -> QMT:
     if not isinstance(doc, dict):
         raise DocumentError(f"QMT document must be a JSON object, got {type(doc).__name__}")

@@ -205,27 +205,6 @@ def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
                  for r, d in rows)
 
 
-def is_inverse(x: RMatrix, y: RMatrix) -> bool:
-    """True iff x.y is the identity; raises DimensionMismatch unless x and y are both n x n.
-
-    Decided on the numerators of :func:`mat_mul`, building no Fraction: with row i of x
-    equal to r_i/d_i and column j of y to c_j/e_j, (x.y)[i][j] = r_i.c_j/(d_i*e_j),
-    which is 1 iff r_i.c_j = d_i*e_j and 0 iff r_i.c_j = 0.
-    """
-    n = len(x)
-    if len(x[0]) != n or len(y) != n or len(y[0]) != n:
-        raise DimensionMismatch(f"is_inverse needs two n x n matrices, got "
-                                f"{len(x)}x{len(x[0])} and {len(y)}x{len(y[0])}")
-    rows = list(map(_cleared, x))
-    cols = [_cleared(col) for col in zip(*y)]
-    numerators = _packed(rows, cols) or (lambda r: [sum(map(mul, r, c)) for c, _ in cols])
-    for i, ((r, d), (_, e)) in enumerate(zip(rows, cols)):
-        nums = numerators(r)
-        if nums[i] != d * e or any(nums[:i]) or any(nums[i + 1:]):
-            return False
-    return True
-
-
 def augment_column(col, m: RMatrix) -> RMatrix:
     """Prepend a column: rows become (col_i, m_i1, ..., m_ik)."""
     col = rvector(col)

@@ -29,14 +29,9 @@ DEFAULT_PHI_BOUND = 8.0
 DEFAULT_DERIVATIVE_BOUND = 100.0
 
 
-class _SharedFractions(dict):
-    """Int -> Fraction for one call's integer draws: each value drawn gets one
-    Fraction, made at its first draw, so the exact layer walks few objects.
-    Only drawn values get an entry; a draw range may be huge."""
-
-    def __missing__(self, value: int) -> Fraction:
-        f = self[value] = Fraction(value)
-        return f
+#: The one Fraction of each integer in [-2, 2], the range of every integer draw,
+#: so the maps and QMTs drawn hold one object per value and the exact layer walks few.
+_SMALL_INTEGERS = {v: Fraction(v) for v in range(-2, 3)}
 
 
 def random_rational(rng, allow_zero=False) -> Fraction:
@@ -59,16 +54,14 @@ def _qbar(b_value: Fraction) -> float:
 
 def random_symplectic_map(rng, n: int, m: int | None = None,
                           integer_entries: bool = False,
-                          phi_bound: float | None = DEFAULT_PHI_BOUND,
-                          derivative_bound: float | None = DEFAULT_DERIVATIVE_BOUND,
-                          ) -> QPMap:
+                          phi_bound: float = DEFAULT_PHI_BOUND) -> QPMap:
     """A random symplectic map of even dimension n.
 
     With integer_entries=True all entries are drawn from {-2, -1, 1, 2}
     (lam also 0) and the float-safety scaling is skipped, which suits
     classification-only workloads. Otherwise entries are small rationals
-    and A, lam are divided by the least 2**k under which the documented
-    bounds hold; a bound is None (not enforced) or a number > 0.
+    and A, lam are divided by the least 2**k under which phi_bound, a number
+    > 0, and DEFAULT_DERIVATIVE_BOUND hold.
 
     Column p of A and row p of B live on pair (i, s+i), i = pair[p], so each
     dense bound is a maximum of per-pair sums taken in ascending p as
@@ -79,19 +72,17 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
     """
     if n % 2:
         raise ValueError("n must be even")
-    for name, bound in (("phi_bound", phi_bound), ("derivative_bound", derivative_bound)):
-        if bound is not None and not bound > 0:
-            raise ValueError(f"{name} must be None or a number > 0, got {bound!r}")
+    if phi_bound is None or not phi_bound > 0:
+        raise ValueError(f"phi_bound must be a number > 0, got {phi_bound!r}")
     s = n // 2
     if m is None:
         m = int(rng.integers(1, 7))
 
     if integer_entries:
-        shared = _SharedFractions()
-        draw = lambda: shared[int(rng.choice((-2, -1, 1, 2)))]
-        draw_lam = lambda: shared[int(rng.integers(-2, 3))]
-        negate = lambda v: shared[-v.numerator]
-        zero = shared[0]
+        draw = lambda: _SMALL_INTEGERS[int(rng.choice((-2, -1, 1, 2)))]
+        draw_lam = lambda: _SMALL_INTEGERS[int(rng.integers(-2, 3))]
+        negate = lambda v: _SMALL_INTEGERS[-v.numerator]
+        zero = _SMALL_INTEGERS[0]
     else:
         draw = lambda: random_rational(rng)
         draw_lam = lambda: random_rational(rng, allow_zero=True)
@@ -112,8 +103,7 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
         phi = max(abs(float(v)) + sum(terms) for v, terms in zip(lam_half, phi_terms))
         derivative = 4.0 * max(map(sum, derivative_terms))
         k = 0
-        while ((phi_bound is not None and phi > phi_bound)
-               or (derivative_bound is not None and derivative > derivative_bound)):
+        while phi > phi_bound or derivative > DEFAULT_DERIVATIVE_BOUND:
             phi, derivative, k = phi / 2, derivative / 2, k + 1
         a_values = [v / 2**k for v in a_values]
         lam_half = [v / 2**k for v in lam_half]
@@ -133,29 +123,27 @@ def random_symplectic_map(rng, n: int, m: int | None = None,
     return new_qp_map(lam, a_rows, b_rows)
 
 
-def random_valid_map(rng, n: int, m: int, lo: int = -2, hi: int = 2) -> QPMap:
-    """A random strict map with integer entries in [lo, hi]."""
-    shared = _SharedFractions()
-
+def random_valid_map(rng, n: int, m: int) -> QPMap:
+    """A random strict map with integer entries in [-2, 2]."""
     def nonzero_vector(size):
         while True:
-            v = rng.integers(lo, hi + 1, size=size).tolist()
+            v = rng.integers(-2, 3, size=size).tolist()
             if any(v):
-                return [shared[e] for e in v]
+                return [_SMALL_INTEGERS[e] for e in v]
 
-    lam = [shared[e] for e in rng.integers(lo, hi + 1, size=n).tolist()]
+    lam = [_SMALL_INTEGERS[e] for e in rng.integers(-2, 3, size=n).tolist()]
     a_cols = [nonzero_vector(n) for _ in range(m)]
     a_rows = [tuple(a_cols[p][i] for p in range(m)) for i in range(n)]
     b_rows = [tuple(nonzero_vector(n)) for _ in range(m)]
     return new_qp_map(lam, a_rows, b_rows)
 
 
-def random_qmt(rng, n: int, lo: int = -2, hi: int = 2) -> QMT:
-    """A random invertible integer QMT (rejection sampling on singularity)."""
-    shared = _SharedFractions()
+def random_qmt(rng, n: int) -> QMT:
+    """A random invertible QMT with integer entries in [-2, 2] (rejection sampling
+    on singularity)."""
     while True:
-        c = rng.integers(lo, hi + 1, size=(n, n)).tolist()
+        c = rng.integers(-2, 3, size=(n, n)).tolist()
         try:
-            return new_qmt([tuple(shared[e] for e in row) for row in c])
+            return new_qmt([tuple(_SMALL_INTEGERS[e] for e in row) for row in c])
         except SingularMatrix:
             continue

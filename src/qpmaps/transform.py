@@ -5,7 +5,8 @@ It maps QP maps to QP maps with M' = C^-1 M and B' = B C, where M = (lam | A),
 and is a topological conjugacy, so transformed maps are dynamically equivalent.
 The product B.M is therefore identical for all members of a class
 and is the M matrix of the class's canonical Lotka-Volterra representative.
-All of this is exact and imports no numpy; the float state maps
+A QMT is built from C alone: its exact inverse is derived once, when the
+record is made. All of this is exact and imports no numpy; the float state maps
 ``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on their
 first call (:func:`qpmaps.maps.float_layer`).
 """
@@ -21,7 +22,6 @@ from .linalg import (
     augment_column,
     identity,
     inverse,
-    is_inverse,
     mat_mul,
     rmatrix,
     to_float_matrix,
@@ -36,20 +36,20 @@ if TYPE_CHECKING:
 class QMT(FrozenRecord):
     """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
 
-    Construction checks that C and C_inv are n x n (DimensionMismatch) and that
-    C.C_inv = I exactly, by the exact product (:func:`qpmaps.linalg.is_inverse`).
+    Built from C alone: C_inv is its exact inverse (:func:`qpmaps.linalg.inverse`),
+    derived when the record is made. A C that is not square raises
+    DimensionMismatch, a singular one SingularMatrix.
     """
 
     __match_args__ = _fields = ("C", "C_inv")
     C: RMatrix
     C_inv: RMatrix
 
-    def __init__(self, C, C_inv):
+    def __init__(self, C):
         c = rmatrix(C)
-        c_inv = rmatrix(C_inv)
-        if not is_inverse(c, c_inv):
-            raise ValueError("C_inv is not the exact inverse of C")
-        self._init(c, c_inv)
+        if len(c) != len(c[0]):
+            raise DimensionMismatch(f"QMT matrix must be square, got {len(c)}x{len(c[0])}")
+        self._init(c, inverse(c))
 
     @property
     def n(self) -> int:
@@ -65,14 +65,8 @@ class QMT(FrozenRecord):
 
 
 def new_qmt(C) -> QMT:
-    """Build a QMT from its matrix, computing the exact inverse.
-
-    Raises SingularMatrix when det(C) = 0.
-    """
-    c = rmatrix(C)
-    if len(c) != len(c[0]):
-        raise DimensionMismatch(f"QMT matrix must be square, got {len(c)}x{len(c[0])}")
-    return QMT(c, inverse(c))
+    """The QMT of matrix C, with its exact inverse; raises SingularMatrix when det(C) = 0."""
+    return QMT(C)
 
 
 def solver_qmt(s: int) -> QMT:
@@ -93,8 +87,7 @@ def solver_qmt(s: int) -> QMT:
         [-one if j == i + s else zero for j in range(2 * s)]
         for i in range(s)
     ]
-    m = rmatrix(c)
-    return QMT(m, m)
+    return new_qmt(c)
 
 
 def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:

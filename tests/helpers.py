@@ -13,13 +13,13 @@ import numpy as np
 from qpmaps import (QMT, QPMap, jacobian, new_qmt, new_qp_map, phi, pull_state, skew_matrix,
                     solver_qmt, step)
 from qpmaps.core import as_state, first_nonpositive_row
-from qpmaps.documents import map_to_document, parse_rational, qmt_to_document, trajectory_csv_lines
+from qpmaps.documents import _matrix_entries, map_to_document, parse_rational, trajectory_csv_lines
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
 from qpmaps.errors import (DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix,
                            ZeroColumnOfA, ZeroRowOfB)
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
-from qpmaps.sampling import (_SharedFractions, _qbar, random_state, random_symplectic_map,
-                             random_valid_map)
+from qpmaps.sampling import (_SMALL_INTEGERS, _qbar, random_rational, random_state,
+                             random_symplectic_map, random_valid_map)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,14 +140,12 @@ def dense_derivative_bound(a, b_rows, b_values) -> float:
 def symplectic_scaling_oracle(qp: QPMap, phi_bound, derivative_bound) -> QPMap:
     """random_symplectic_map's float-safety scaling by the dense route: halve
     every entry of A and lam, and evaluate both dense bounds again over every
-    entry, until both hold. qp is the unscaled map of the same draws (both
-    bounds None); b_values[p] is the nonzero entry of row p of B."""
+    entry, until both hold. qp is the unscaled map of the same draws
+    (symplectic_map_oracle); b_values[p] is the nonzero entry of row p of B."""
     lam, a_rows, b_rows = list(qp.lam), list(qp.A), list(qp.B)
     b_values = [max(row, key=abs) for row in b_rows]
-    while ((phi_bound is not None
-            and dense_phi_bound(lam, a_rows, b_values) > phi_bound)
-           or (derivative_bound is not None
-               and dense_derivative_bound(a_rows, b_rows, b_values) > derivative_bound)):
+    while (dense_phi_bound(lam, a_rows, b_values) > phi_bound
+           or dense_derivative_bound(a_rows, b_rows, b_values) > derivative_bound):
         lam = [v / 2 for v in lam]
         a_rows = [tuple(e / 2 for e in row) for row in a_rows]
     return new_qp_map(lam, a_rows, b_rows)
@@ -168,14 +166,20 @@ def random_valid_map_oracle(rng, n: int, m: int, lo: int = -2, hi: int = 2) -> Q
     return new_qp_map(lam, a_rows, b_rows)
 
 
-def integer_symplectic_map_oracle(rng, n: int, m: int) -> QPMap:
-    """sampling.random_symplectic_map(rng, n, m, integer_entries=True) making
-    a new Fraction for every draw."""
+def symplectic_map_oracle(rng, n: int, m: int, integer_entries: bool) -> QPMap:
+    """sampling.random_symplectic_map(rng, n, m, integer_entries) before its
+    float-safety scaling: the same draws, making a new Fraction for every draw."""
+    if integer_entries:
+        draw = lambda: Fraction(int(rng.choice((-2, -1, 1, 2))))
+        draw_lam = lambda: Fraction(int(rng.integers(-2, 3)))
+    else:
+        draw = lambda: random_rational(rng)
+        draw_lam = lambda: random_rational(rng, allow_zero=True)
     s = n // 2
     pair = [int(rng.integers(0, s)) for _ in range(m)]
-    b_values = [Fraction(int(rng.choice((-2, -1, 1, 2)))) for _ in range(m)]
-    a_values = [Fraction(int(rng.choice((-2, -1, 1, 2)))) for _ in range(m)]
-    lam_half = [Fraction(int(rng.integers(-2, 3))) for _ in range(s)]
+    b_values = [draw() for _ in range(m)]
+    a_values = [draw() for _ in range(m)]
+    lam_half = [draw_lam() for _ in range(s)]
     zero = Fraction(0)
     b_rows = [
         tuple(b_values[p] if j in (pair[p], s + pair[p]) else zero for j in range(n))
@@ -584,6 +588,10 @@ def save_map(qp: QPMap, path) -> None:
         fh.write("\n")
 
 
+def qmt_to_document(t: QMT) -> dict:
+    return {"C": _matrix_entries(t.C, "C")}
+
+
 def save_qmt(t: QMT, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(qmt_to_document(t), fh, indent=2)
@@ -612,14 +620,13 @@ def random_classification_map(rng, dims=(2, 4, 6), max_m: int = 6) -> QPMap:
     if u < 0.8:
         return qp
     # perturb one entry; retry if the result leaves the strict form. A drawn
-    # value reuses the map's Fraction for it, so entries stay shared.
-    shared = _SharedFractions({int(v): v for row in (qp.lam, *qp.A, *qp.B) for v in row})
+    # value is the sampler's one Fraction for it, as the map's entries are.
     for _ in range(100):
         lam = list(qp.lam)
         a = [list(row) for row in qp.A]
         b = [list(row) for row in qp.B]
         target = int(rng.integers(0, 3))
-        value = shared[int(rng.integers(-2, 3))]
+        value = _SMALL_INTEGERS[int(rng.integers(-2, 3))]
         if target == 0:
             a[int(rng.integers(0, n))][int(rng.integers(0, m))] = value
         elif target == 1:

@@ -480,6 +480,50 @@ def test_closed_stdout_ends_the_command_quietly(tmp_path, command):
         assert err == b""
 
 
+def test_closed_stdout_keeps_the_check_verdict(tmp_path):
+    """`qpmap check | head -c 100` on a map whose B.M line is ~77 kB, more than a
+    pipe buffers: the reader closes stdout while check writes, and check still
+    exits 1, its verdict, with nothing on stderr."""
+    path = tmp_path / "big.qpmap.json"
+    save_map(random_valid_map(np.random.default_rng(1), 4, 150), path)
+    argv = [sys.executable, "-m", "qpmaps", "check", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"NOT SYMPLECTIC (n=4)")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "{variant}"], 1),
+    (["check", "{dim2}"], 0),
+    (["canonical", "{dim2}"], 0),
+    (["verify", "{dim2}"], 0),
+    (["verify", "{variant}"], 1),
+    (["verify", "{dim2}", "--samples", "0"], 0),
+    (["transform", "{dim2}", "--scale", "2", "--out", "{out}"], 0),
+    (["solve", "{dim2}", "--x0", "1,2", "--t-max", "3", "--out", "{out}"], 0),
+], ids=["check-1", "check-0", "canonical-trivial", "verify-pass", "verify-fail",
+        "verify-vacuous", "transform-out", "solve-out"])
+def test_every_stdout_write_survives_a_closed_reader(argv, code, dim2_file, variant_file,
+                                                     tmp_path, monkeypatch, capsys):
+    """Each command that writes to stdout, with stdout a pipe whose reader is
+    gone: the exit code and stderr are those of an intact stdout."""
+    argv = [a.format(dim2=dim2_file, variant=variant_file, out=tmp_path / "out")
+            for a in argv]
+    assert main(argv) == code
+    intact_err = capsys.readouterr().err
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(argv) == code
+        monkeypatch.undo()
+    assert capsys.readouterr().err == intact_err
+
+
 class TestIterate:
     def test_trivial_map_constant_rows(self, tmp_path):
         path = tmp_path / "trivial.qpmap.json"
@@ -620,6 +664,18 @@ class TestTransform:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert "after: n/a (degenerate" in captured.out
+
+    @pytest.mark.parametrize("c, message", [
+        ([["1", "2"], ["2", "4"]],
+         "matrix is singular: rank 1 of 2, column 1 depends on the columns before it"),
+        ([["1", "2"]], "C[0]: expected 1 entries, got 2"),
+        ([["1", "2", "3"], ["0", "1", "2"]], "C[0]: expected 2 entries, got 3"),
+    ], ids=["singular", "one-row", "two-rows"])
+    def test_singular_or_non_square_qmt_exit_2(self, dim2_file, tmp_path, c, message, capsys):
+        qmt_path = tmp_path / "bad.qmt.json"
+        qmt_path.write_text(json.dumps({"C": c}))
+        assert main(["transform", dim2_file, "--qmt", str(qmt_path)]) == 2
+        assert capsys.readouterr() == ("", f"{qmt_path}: {message}\n")
 
     def test_round_trip_through_check(self, dim2_file, tmp_path):
         out_path = tmp_path / "out.qpmap.json"

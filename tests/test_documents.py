@@ -15,7 +15,6 @@ from qpmaps.documents import (
     map_to_document,
     parse_rational,
     qmt_from_document,
-    qmt_to_document,
 )
 from qpmaps.linalg import format_rational, rational
 from qpmaps.sampling import random_qmt, random_valid_map
@@ -25,6 +24,7 @@ from helpers import (
     dim4_map,
     map_from_document_oracle,
     qmt_from_document_oracle,
+    qmt_to_document,
     random_classification_map,
     save_map,
     save_qmt,

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpmaps import QPMap, linalg, rank_bounds
+from qpmaps import QPMap, linalg, new_qmt, rank_bounds
 from qpmaps.errors import DimensionMismatch, NumericOverflow, SingularMatrix
 from qpmaps.linalg import (
     augment_column,
     diagonal,
     identity,
     inverse,
-    is_inverse,
     is_zero,
     mat_mul,
     pivot_columns,
@@ -25,7 +24,7 @@ from qpmaps.linalg import (
     zero_column_indices,
     zero_row_indices,
 )
-from qpmaps.sampling import random_symplectic_map
+from qpmaps.sampling import random_qmt, random_symplectic_map
 
 from helpers import (echelon_oracle, inverse_oracle, mat_mul_oracle, rank_by_minors,
                      rank_oracle)
@@ -391,61 +390,6 @@ def test_rank_bounds_of_pair_patterned_maps_equal_gauss_elimination(qp):
     assert rep.rank_M == rank_oracle(augment_column(qp.lam, qp.A))
 
 
-@given(m=square_matrices())
-def test_inverse_equals_gauss_jordan(m):
-    try:
-        expected = inverse_oracle(m)
-    except SingularMatrix:
-        with pytest.raises(SingularMatrix) as raised:
-            inverse(m)
-        # the rank, and the first column whose prefix rank does not grow
-        n, r = len(m), rank_oracle(m)
-        col = next(c for c in range(n) if rank_oracle(tuple(row[:c + 1] for row in m)) == c)
-        assert str(raised.value) == (f"matrix is singular: rank {r} of {n}, "
-                                     f"column {col} depends on the columns before it")
-        return
-    assert_identical(inverse(m), expected)
-
-
-def assert_is_inverse_equals_the_fraction_product(data, m, moved, kinds=small_kinds):
-    """is_inverse decides x.y = I on the numerators of mat_mul; the Fraction product
-    (mat_mul_oracle) is the reference, for the true inverse of m (any y if m is
-    singular), for it with one entry moved by `moved` and for an arbitrary y."""
-    n = len(m)
-    try:
-        m_inv = inverse(m)
-    except SingularMatrix:
-        m_inv = data.draw(rational_matrices(n, n, kinds))
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    off = [list(row) for row in m_inv]
-    off[i][j] += moved
-    for y in (m_inv, rmatrix(off), data.draw(rational_matrices(n, n, kinds))):
-        assert is_inverse(m, y) == (mat_mul_oracle(m, y) == identity(n))
-
-
-@given(data=st.data(), m=square_matrices())
-def test_is_inverse_equals_the_fraction_product(data, m):
-    assert_is_inverse_equals_the_fraction_product(data, m, data.draw(small_rationals.filter(bool)))
-
-
-def test_is_inverse_needs_two_squares_of_one_size():
-    # unchecked, map() would stop at the shorter row, and the 2x3 x.I read as I
-    for x, y in [([[1, 0, 5], [0, 1, 7]], [[1, 0], [0, 1]]),
-                 ([[1, 0], [0, 1]], [[1, 0, 5], [0, 1, 7]]),
-                 ([[1, 0], [0, 1]], [[1, 0], [0, 1], [0, 0]]),
-                 ([[1]], [[1, 0], [0, 1]])]:
-        with pytest.raises(DimensionMismatch, match="is_inverse needs two n x n matrices"):
-            is_inverse(rmatrix(x), rmatrix(y))
-
-
-def test_is_inverse_on_a_product_whose_packed_row_reads_as_the_identity():
-    # x.y = [[0, 1/256], [0, 1]]: packed in 1-byte slots, row 0 of the numerators
-    # reads 0 + 1 << 8, the same integer as d_0*e_0 = 256 in slot 0
-    x, y = rmatrix([["1/256", 0], [0, 1]]), rmatrix([[0, 1], [0, 1]])
-    assert not is_inverse(x, y)
-    assert is_inverse(x, rmatrix([[256, 0], [0, 1]]))
-
-
 # Wide entries: products too wide for an 8-byte slot, which stay dot products,
 # one wide column among narrow ones, and products at the edge of their slots.
 
@@ -538,10 +482,38 @@ def wide_squares(draw):
     return draw(rational_matrices(n, n, wide_kinds))
 
 
-@given(data=st.data(), m=wide_squares(), moved=st.sampled_from([Fraction(1, 10**40),
-                                                                 Fraction(-1, 10**40)]))
-def test_is_inverse_equals_the_fraction_product_on_wide_entries(data, m, moved):
-    assert_is_inverse_equals_the_fraction_product(data, m, moved, wide_kinds)
+@st.composite
+def qmt_matrices(draw):
+    """C of a random_qmt draw: n <= 8, or n >= 30, where C^-1 is too wide to pack."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_qmt(rng, draw(st.integers(1, 8) | st.integers(30, 32))).C
+
+
+@settings(deadline=None)  # the oracle takes ~0.2 s at n = 30
+@given(m=st.one_of(square_matrices(), wide_squares(), qmt_matrices()))
+def test_inverse_equals_gauss_jordan(m):
+    """inverse(m), and the C_inv a QMT derives from C = m, equal the Fraction
+    Gauss-Jordan inverse, whose product with m is the identity; a singular m
+    names its rank and first dependent column, in inverse and new_qmt alike."""
+    try:
+        expected = inverse_oracle(m)
+    except SingularMatrix:
+        # the rank, and the first column whose prefix rank does not grow
+        n, r = len(m), rank_oracle(m)
+        col = next(c for c in range(n) if rank_oracle(tuple(row[:c + 1] for row in m)) == c)
+        message = (f"matrix is singular: rank {r} of {n}, "
+                   f"column {col} depends on the columns before it")
+        for build in (inverse, new_qmt):
+            with pytest.raises(SingularMatrix) as raised:
+                build(m)
+            assert str(raised.value) == message
+        return
+    assert_identical(inverse(m), expected)
+    assert_identical(new_qmt(m).C_inv, expected)
+    assert mat_mul(m, expected) == identity(len(m))
+    if len(m) >= 30:  # the product is the dot-product side of mat_mul
+        cols = [linalg._cleared(col) for col in zip(*expected)]
+        assert linalg._packed(list(map(linalg._cleared, m)), cols) is None
 
 
 def timed_product(x, y):

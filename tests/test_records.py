@@ -14,6 +14,7 @@ from qpmaps import (
     ConditionVerdict,
     DimensionMismatch,
     QPMap,
+    SingularMatrix,
     solve_closed_form,
 )
 from qpmaps.sampling import random_qmt, random_valid_map
@@ -39,7 +40,7 @@ def test_equal_data_gives_equal_records_with_equal_hashes(pair):
     qp, t = pair
     twin = QPMap(lam=[str(v) for v in qp.lam], A=as_text(qp.A), B=as_text(qp.B))
     assert twin == qp and hash(twin) == hash(qp)
-    t_twin = QMT(as_text(t.C), as_text(t.C_inv))
+    t_twin = QMT(as_text(t.C))
     assert t_twin == t and hash(t_twin) == hash(t)
     shifted = QPMap(tuple(v + 1 for v in qp.lam), qp.A, qp.B)
     assert shifted != qp
@@ -95,12 +96,12 @@ def test_direct_construction_still_validates(pair):
         QPMap(qp.lam[:-1], qp.A, qp.B)
     with pytest.raises(DimensionMismatch):
         QPMap(qp.lam, qp.A, qp.B[:-1])
-    with pytest.raises(DimensionMismatch):
-        QMT(t.C + t.C[:1], t.C_inv)
-    with pytest.raises(DimensionMismatch):
-        QMT(t.C, t.C_inv[:-1])
-    with pytest.raises(ValueError, match="not the exact inverse"):
-        QMT(t.C, tuple(tuple(2 * e for e in row) for row in t.C_inv))
+    with pytest.raises(DimensionMismatch, match="QMT matrix must be square"):
+        QMT(t.C + t.C[:1])
+    with pytest.raises(SingularMatrix):
+        QMT(((0,) * t.n,) + t.C[1:])
+    with pytest.raises(TypeError):
+        QMT(t.C, t.C_inv)
 
 
 def test_repr_reads_back():

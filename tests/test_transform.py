@@ -26,7 +26,8 @@ from qpmaps import (
 from qpmaps.linalg import augment_column, diagonal, identity, is_zero, mat_mul, rmatrix
 from qpmaps.sampling import random_qmt, random_state, random_symplectic_map, random_valid_map
 
-from helpers import dim2_map, dim2_variant, dim4_map, mat_mul_oracle, random_classification_map
+from helpers import (dim2_map, dim2_variant, dim4_map, inverse_oracle, mat_mul_oracle,
+                     random_classification_map)
 
 
 class TestQMTConstruction:
@@ -52,23 +53,29 @@ class TestQMTConstruction:
             new_qmt([[1, 2]])
 
     def test_wrong_inverse_rejected(self):
+        """A QMT is built from C alone: a second matrix, the exact inverse
+        included, is refused, so no caller can pass a wrong one."""
         c = diagonal([1, 2])
-        QMT(c, diagonal([1, "1/2"]))  # the exact inverse is accepted
-        for wrong in (c, diagonal([1, "1/3"]), identity(2)):
-            with pytest.raises(ValueError, match="not the exact inverse"):
+        for wrong in (diagonal([1, "1/2"]), c, diagonal([1, "1/3"]), identity(2)):
+            with pytest.raises(TypeError):
                 QMT(c, wrong)
+        assert QMT(c) == new_qmt(c) and QMT(c).C_inv == diagonal([1, "1/2"])
 
     def test_inverse_off_in_one_entry_rejected(self):
+        """The derived C_inv is the Gauss-Jordan inverse, and the product check
+        the tests use in place of a check at construction, C.C_inv = C_inv.C = I,
+        rejects C_inv with any one entry moved."""
         c = rmatrix([["1/2", "-2/3", 0], [3, "5/7", "-1/4"], [0, 2, "7/5"]])
         c_inv = new_qmt(c).C_inv
-        QMT(c, c_inv)
+        assert c_inv == inverse_oracle(c)
+        assert mat_mul(c, c_inv) == mat_mul(c_inv, c) == identity(3)
         for i in range(3):
             for j in range(3):
                 for delta in (Fraction(1, 10**9), -c_inv[i][j] or Fraction(1)):
                     off = [list(row) for row in c_inv]
                     off[i][j] += delta
-                    with pytest.raises(ValueError, match="not the exact inverse"):
-                        QMT(c, off)
+                    off = rmatrix(off)
+                    assert mat_mul(c, off) != identity(3) and mat_mul(off, c) != identity(3)
 
 
 class TestApplyQMT:

@@ -178,15 +178,12 @@ def load_qmt(path) -> QMT:
         raise DocumentError(f"{path}: {exc}") from None
 
 
-def format_float(value: float) -> str:
-    """17 significant digits: enough to round-trip any double."""
-    return f"{value:.17g}"
-
-
 def trajectory_csv_lines(n: int, rows) -> Iterator[str]:
     """Trajectory CSV: header t,x1,...,xn, then a row per (t, state) pair of
-    ``rows``, LF endings; each line is made as it is read, never all at once."""
+    ``rows``, LF endings; each line is made as it is read, never all at once.
+    Values print with 17 significant digits, enough to round-trip any double."""
     yield "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
+    row = "%d" + ",%.17g" * n + "\n"  # one format per row, not one call per value
     for t, state in rows:
-        yield f"{t}," + ",".join(format_float(v) for v in state) + "\n"
+        yield row % (t, *state)
 

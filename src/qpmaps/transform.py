@@ -36,12 +36,13 @@ if TYPE_CHECKING:
 class QMT(FrozenRecord):
     """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
 
-    Built from C alone: C_inv is its exact inverse (:func:`qpmaps.linalg.inverse`),
-    derived when the record is made. A C that is not square raises
+    Built from C alone, its only field: C_inv is its exact inverse
+    (:func:`qpmaps.linalg.inverse`), derived when the record is made, so the
+    repr reads back and records compare by C. A C that is not square raises
     DimensionMismatch, a singular one SingularMatrix.
     """
 
-    __match_args__ = _fields = ("C", "C_inv")
+    __match_args__ = _fields = ("C",)
     C: RMatrix
     C_inv: RMatrix
 
@@ -49,7 +50,8 @@ class QMT(FrozenRecord):
         c = rmatrix(C)
         if len(c) != len(c[0]):
             raise DimensionMismatch(f"QMT matrix must be square, got {len(c)}x{len(c[0])}")
-        self._init(c, inverse(c))
+        self._init(c)
+        object.__setattr__(self, "C_inv", inverse(c))
 
     @property
     def n(self) -> int:

@@ -598,6 +598,11 @@ def save_qmt(t: QMT, path) -> None:
         fh.write("\n")
 
 
+def format_float(value: float) -> str:
+    """17 significant digits: enough to round-trip any double."""
+    return f"{value:.17g}"
+
+
 def trajectory_csv(n: int, times, states) -> str:
     """CSV text with header t,x1,...,xn; one row per time, LF line endings.
 

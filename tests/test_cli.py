@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -6,16 +7,17 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpmaps.cli import main
+from qpmaps.cli import main, run
 from qpmaps.documents import map_to_document
 from qpmaps import NumericOverflow, check_conditions, new_qmt, new_qp_map
 from qpmaps.solve import eval_solution, solve_closed_form
-from qpmaps.sampling import random_symplectic_map, random_valid_map
+from qpmaps.sampling import random_state, random_symplectic_map, random_valid_map
 
 from helpers import (
     SRC,
@@ -522,6 +524,98 @@ def test_every_stdout_write_survives_a_closed_reader(argv, code, dim2_file, vari
         assert main(argv) == code
         monkeypatch.undo()
     assert capsys.readouterr().err == intact_err
+
+
+FIXTURES = SRC.parent / "fixtures"
+# (argv, exit code): every subcommand on the fixtures and on maps generated at
+# n = 8, the exit-2 cases among them, and two usage errors that argparse raises.
+PROCESS_CASES = [
+    (["check", "{dim2}"], 0), (["check", "{dim2_variant}"], 1), (["check", "{dim4}"], 0),
+    (["check", "{sym8}"], 0), (["check", "{generic8}"], 1), (["check", "{malformed}"], 2),
+    (["check", "{dim2}.missing"], 2),
+    (["solve", "{dim2}", "--x0", "1,2", "--t-min", "-20", "--t-max", "20", "--out", "{out}"], 0),
+    (["solve", "{dim2}", "--x0", "1,2", "--t-min", "-400", "--t-max", "300"], 0),
+    (["solve", "{sym8}", "--x0", "{x0}", "--t-min", "-200", "--t-max", "200"], 0),
+    (["solve", "{dim2_variant}", "--x0", "1,2", "--t-max", "10"], 1),
+    (["solve", "{dim2}", "--x0", "1,1e-400", "--t-max", "1"], 2),
+    (["iterate", "{dim2}", "--x0", "1,2", "--steps", "30"], 0),
+    (["iterate", "{sym8}", "--x0", "{x0}", "--steps", "200", "--out", "{out}"], 0),
+    (["iterate", "{dim2}", "--x0", "1,1", "--steps", "300"], 0),
+    (["iterate", "{generic8}", "--x0", "1,1,1,1,1,1,1,1", "--steps", "50"], 0),
+    (["transform", "{dim2}", "--qmt", "{diag12}"], 0),
+    (["transform", "{dim2_variant}", "--qmt", "{solver_s1}", "--out", "{out}"], 0),
+    (["transform", "{dim4}", "--solver-c"], 0),
+    (["transform", "{sym8}", "--scale", "-1/3"], 0),
+    (["transform", "{dim2}", "--scale", "0"], 2),
+    (["canonical", "{dim2_variant}"], 0), (["canonical", "{dim4}"], 0),
+    (["canonical", "{generic8}", "--out", "{out}"], 0),
+    (["verify", "{dim2_variant}"], 1), (["verify", "{dim4}", "--samples", "300"], 0),
+    (["verify", "{sym8}", "--samples", "300", "--seed", "7"], 0),
+    (["verify", "{generic8}", "--samples", "50"], 2),
+    (["check"], 2), (["solve", "{dim2}", "--x0", "1,1"], 2),
+]
+
+
+@pytest.fixture(scope="module")
+def process_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("process")
+    rng = np.random.default_rng(26)
+    paths = {name: str(FIXTURES / f"{name}.qpmap.json") for name in ("dim2", "dim2_variant", "dim4")}
+    paths.update(diag12=str(FIXTURES / "diag12.qmt.json"),
+                 solver_s1=str(FIXTURES / "solver_s1.qmt.json"),
+                 malformed=str(tmp / "malformed.qpmap.json"), out=str(tmp / "out"))
+    for name, qp in (("sym8", random_symplectic_map(rng, 8, 8, phi_bound=0.25)),
+                     ("generic8", random_valid_map(rng, 8, 8))):
+        paths[name] = str(tmp / f"{name}.qpmap.json")
+        save_map(qp, paths[name])
+    paths["x0"] = ",".join(repr(v) for v in random_state(rng, 8).tolist())
+    (tmp / "malformed.qpmap.json").write_text('{"n": 2, "m": 1, "lambda": ["1", "1/0"]}')
+    return paths
+
+
+def _take_out_file(path):
+    """The bytes of the --out file, which is then removed; None when there is none."""
+    path = Path(path)
+    data = path.read_bytes() if path.exists() else None
+    path.unlink(missing_ok=True)
+    return data
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CASES,
+                         ids=[f"{i}-{argv[0]}-{code}" for i, (argv, code) in enumerate(PROCESS_CASES)])
+def test_process_matches_in_process_main(argv, code, process_paths):
+    """`python -m qpmaps` (which ends through cli.run) writes the same exit code,
+    stdout, stderr and --out bytes as main() in this process, and main() leaves
+    no object frozen."""
+    argv = [a.format(**process_paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            in_code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            in_code = exc.code
+    assert gc.get_freeze_count() == 0
+    in_file = _take_out_file(process_paths["out"])
+    proc = subprocess.run([sys.executable, "-m", "qpmaps", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert (in_code, out.getvalue().encode(), err.getvalue().encode()) == \
+        (proc.returncode, proc.stdout, proc.stderr)
+    assert in_code == code
+    assert _take_out_file(process_paths["out"]) == in_file
+
+
+@pytest.mark.parametrize("argv, code", [(["check", "{dim2}"], 0), (["check", "{dim2_variant}"], 1),
+                                        (["check"], 2)])
+def test_run_exits_with_the_code_of_main_after_freezing(argv, code, process_paths, monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(sys, "argv", ["qpmap", *(a.format(**process_paths) for a in argv)])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 class TestIterate:

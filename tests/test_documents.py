@@ -8,13 +8,13 @@ from hypothesis import example, given, strategies as st
 
 from qpmaps import DocumentError, QPMap, new_qmt
 from qpmaps.documents import (
-    format_float,
     load_map,
     load_qmt,
     map_from_document,
     map_to_document,
     parse_rational,
     qmt_from_document,
+    trajectory_csv_lines,
 )
 from qpmaps.linalg import format_rational, rational
 from qpmaps.sampling import random_qmt, random_valid_map
@@ -22,6 +22,7 @@ from qpmaps.sampling import random_qmt, random_valid_map
 from helpers import (
     dim2_map,
     dim4_map,
+    format_float,
     map_from_document_oracle,
     qmt_from_document_oracle,
     qmt_to_document,
@@ -339,11 +340,23 @@ class TestQMTDocuments:
 
 
 class TestCSV:
-    def test_format_float_round_trips_doubles(self):
+    def test_every_csv_field_round_trips_doubles(self):
+        """Every field of the rows prints as format_float does and reads back
+        as its double: magnitudes over 10**-300..10**300, the subnormal, normal
+        and largest edges, and signed zeros."""
         rng = np.random.default_rng(91)
-        for _ in range(200):
-            v = float(np.exp(rng.uniform(-300, 300)) * rng.choice([1, -1]))
-            assert float(format_float(v)) == v
+        edges = [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 0.0, 1.0, 0.1]
+        values = (np.exp(rng.uniform(-690, 690, 1986)) * rng.choice([1, -1], 1986)).tolist()
+        values += edges + [-v for v in edges]
+        rows = [(t, values[k:k + 8]) for t, k in enumerate(range(0, len(values), 8), start=-3)]
+        lines = list(trajectory_csv_lines(8, rows))
+        assert lines[0] == "t,x1,x2,x3,x4,x5,x6,x7,x8\n"
+        for (t, state), line in zip(rows, lines[1:], strict=True):
+            assert line.endswith("\n")
+            fields = line[:-1].split(",")
+            assert fields == [str(t)] + [format_float(v) for v in state]
+            assert [float(f) for f in fields[1:]] == state
 
     def test_header_and_rows(self):
         text = trajectory_csv(2, [0, 1], [np.array([1.0, 2.0]), np.array([3.0, 4.5])])

@@ -15,6 +15,7 @@ from qpmaps import (
     DimensionMismatch,
     QPMap,
     SingularMatrix,
+    new_qmt,
     solve_closed_form,
 )
 from qpmaps.sampling import random_qmt, random_valid_map
@@ -108,6 +109,11 @@ def test_repr_reads_back():
     qp = dim2_map()
     assert repr(qp).startswith("QPMap(lam=(Fraction(1, 1), Fraction(-1, 1)), A=")
     assert eval(repr(qp), {"QPMap": QPMap, "Fraction": Fraction}) == qp
+    t = new_qmt([[1, 1], [0, 2]])
+    assert repr(t) == ("QMT(C=((Fraction(1, 1), Fraction(1, 1)),"
+                       " (Fraction(0, 1), Fraction(2, 1))))")
+    clone = eval(repr(t), {"QMT": QMT, "Fraction": Fraction})
+    assert clone == t and clone.C_inv == t.C_inv
 
 
 def test_closed_form_solution_keeps_identity_equality():

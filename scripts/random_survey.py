@@ -15,10 +15,9 @@ import numpy as np
 
 from qpmaps import (
     iterate,
-    jacobian,
     quasimonomials,
+    sampled_residuals,
     solve_closed_form,
-    symplectic_residual,
     verify_solution,
 )
 from qpmaps.sampling import random_state, random_symplectic_map
@@ -39,10 +38,9 @@ def main():
     for k in range(args.maps):
         n = (2, 4, 6)[k % 3]
         qp = random_symplectic_map(rng, n)
-        states = random_state(rng, (args.states_per_map, n))
-        worst["residual"] = max(worst["residual"], symplectic_residual(qp, states))
-        dets = np.linalg.det(jacobian(qp, states))
-        worst["det"] = max(worst["det"], float(np.max(np.abs(dets - 1.0))))
+        residual, det = sampled_residuals(qp, args.states_per_map, rng)
+        worst["residual"] = max(worst["residual"], residual)
+        worst["det"] = max(worst["det"], det)
 
         x0 = random_state(rng, n)
         sol = solve_closed_form(qp, x0)

@@ -34,8 +34,8 @@ from .symplectic import (
     Witness,
     check_conditions,
     check_pattern,
-    jacobian_residual,
     rank_bounds,
+    sampled_residuals,
     skew_matrix,
     symplectic_residual,
 )
@@ -55,8 +55,8 @@ __version__ = "0.1.0"
 #: The float layer: these names load their module, and numpy, on first use.
 _FLOAT_NAMES = {
     "core": ("as_state", "iterate", "jacobian", "phi", "quasimonomials", "step"),
-    "solve": ("ClosedFormSolution", "PairAsymptotics", "classify_asymptotics",
-              "eval_solution", "solve_closed_form", "verify_solution"),
+    "solve": ("ClosedFormSolution", "PairAsymptotics", "classify_asymptotics", "eval_solution",
+              "representable_times", "solve_closed_form", "verify_solution"),
 }
 _FLOAT_HOME = {name: module for module, names in _FLOAT_NAMES.items() for name in names}
 
@@ -66,7 +66,7 @@ __all__ = [
     "NotSymplectic", "NumericOverflow", "OddDimension", "QPError",
     "SingularMatrix", "ZeroColumnOfA", "ZeroRowOfB",
     "ConditionVerdict", "RankReport", "SymplecticReport", "Witness",
-    "check_conditions", "check_pattern", "jacobian_residual", "rank_bounds",
+    "check_conditions", "check_pattern", "rank_bounds", "sampled_residuals",
     "skew_matrix", "symplectic_residual",
     "QMT", "apply_qmt", "class_invariant", "lv_canonical", "new_qmt",
     "pull_state", "push_state", "solver_qmt",

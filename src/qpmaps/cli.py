@@ -28,7 +28,8 @@ from .documents import load_map, load_qmt, map_to_document, parse_rational
 from .errors import DegenerateResult, QPError
 from .linalg import augment_column, diagonal, format_rational, is_zero
 from .maps import strictness_violations
-from .symplectic import WITNESS_LIMIT, check_conditions, check_pattern, rank_bounds
+from .symplectic import (RESIDUAL_TOLERANCE, WITNESS_LIMIT, check_conditions, check_pattern,
+                         rank_bounds)
 from .transform import apply_qmt, class_invariant, lv_canonical, new_qmt, solver_qmt
 
 EXIT_OK = 0
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numeric symplecticity check on random states")
     p.add_argument("map_file")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOLERANCE)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=None)  # cli_float.cmd_verify
     return parser

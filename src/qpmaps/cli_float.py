@@ -5,12 +5,10 @@ check, transform and canonical never compile it. Each command imports the
 float layer (and numpy) when it starts.
 """
 
-import math
-
 from .cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, _err, _Output, _print_lines
 from .documents import load_map, parse_rational, trajectory_csv_lines
 from .errors import DocumentError, NotSymplectic, NumericOverflow
-from .symplectic import jacobian_residual
+from .symplectic import sampled_residuals
 
 
 def _parse_x0(text: str, n: int) -> list[float]:
@@ -41,7 +39,8 @@ def _failing_conditions_text(report) -> str:
 
 
 def cmd_solve(args) -> int:
-    from .solve import classify_asymptotics, eval_solution, solve_closed_form, verify_solution
+    from .solve import (classify_asymptotics, eval_solution, representable_times,
+                        solve_closed_form, verify_solution)
 
     qp = load_map(args.map_file)
     x0 = _parse_x0(args.x0, qp.n)
@@ -85,29 +84,11 @@ def cmd_solve(args) -> int:
     else:
         out.info("verification skipped: no forward steps requested")
 
-    # exp(t * log k_i) leaves the double range once |t log k_i| > 746, so only
-    # |t| <= 746 / max|log k_i| can be written; every t when all log k_i are 0.
-    max_rate = max(abs(v) for v in sol.log_k.tolist())
-    limit = 746 / max_rate if max_rate else math.inf
-    lo, hi = t_min, t_max
-    if limit < max(-t_min, t_max):
-        lo, hi = max(t_min, -math.floor(limit)), min(t_max, math.floor(limit))
-    written = []  # the first and the last written t; every t between them is written
-
-    def rows():
-        for t in range(lo, hi + 1):
-            try:
-                state = eval_solution(sol, t).tolist()
-            except NumericOverflow:
-                if written:  # each coordinate is monotone in t: no later t is representable
-                    break
-                continue
-            written[1:] = [t]  # [t] for the first row, then [first, t]
-            yield t, state
-
-    if not out.write_data(trajectory_csv_lines(qp.n, rows())):
-        return EXIT_OK  # rows past the closed pipe were never evaluated: no overflow to name
-    gaps = ((t_min, written[0] - 1), (written[-1] + 1, t_max)) if written else ((t_min, t_max),)
+    times = representable_times(sol, t_min, t_max)
+    rows = ((t, eval_solution(sol, t).tolist()) for t in times)
+    if not out.write_data(trajectory_csv_lines(qp.n, rows)):
+        return EXIT_OK  # the reader closed stdout and takes no more: end quietly
+    gaps = ((t_min, times.start - 1), (times.stop, t_max)) if times else ((t_min, t_max),)
     skipped = ", ".join(f"{a}..{b}" if a < b else f"{a}" for a, b in gaps if a <= b)
     if skipped:
         _err(f"warning: overflow at t in {skipped}; those rows were omitted")
@@ -138,10 +119,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import numpy as np
-
-    from .core import jacobian
-    from .sampling import STATE_BOX, random_state
+    from .sampling import STATE_BOX
 
     qp = load_map(args.map_file)
     if qp.n % 2:
@@ -161,23 +139,7 @@ def cmd_verify(args) -> int:
         _print_lines(["PASS (vacuous: 0 samples)"])
         return EXIT_OK
 
-    rng = np.random.default_rng(args.seed)
-    # Chunks bound memory for any --samples: no Jacobian array exceeds 2**16 floats.
-    chunk = max(1, 2**16 // (qp.n * max(qp.n, qp.m)))
-    max_resid = max_det = 0.0
-    for start in range(0, args.samples, chunk):
-        jac = jacobian(qp, random_state(rng, (min(chunk, args.samples - start), qp.n)))
-        resid = jacobian_residual(jac)
-        # LU of a Jacobian with inf entries divides by zero: the NaN is caught below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            det = float(np.abs(np.linalg.det(jac) - 1.0).max())
-        # max() would drop a NaN and report a pass, so a non-finite chunk stops here
-        if not (np.isfinite(resid) and np.isfinite(det)):
-            raise NumericOverflow(f"samples {start + 1}-{start + len(jac)}: a Jacobian, its"
-                                  " residual or its determinant leaves the double range;"
-                                  " no numeric check is possible")
-        max_resid = max(max_resid, resid)
-        max_det = max(max_det, det)
+    max_resid, max_det = sampled_residuals(qp, args.samples, args.seed)
     box = "[%g, %g]" % STATE_BOX
     ok = max_resid <= args.tol and max_det <= args.tol
     _print_lines([f"sampled {args.samples} states log-uniformly in {box}^{qp.n} (seed {args.seed})",

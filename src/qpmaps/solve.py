@@ -10,13 +10,8 @@ for i <= s. The solver change of variables (see
 the first s coordinates become the conserved pair products and the rest
 evolve by the constant factor k_i per step. The test suite checks that
 route against phi. A state is evaluated as x(0) * exp(t * log_rate) with
-log_rate = (log k, -log k); exp(0) = 1 makes t = 0 give x(0) exactly.
-
-Whether that value is in range is decided once per solution: inside its
-safe horizon (every integer |t| <= T) no log-magnitude can pass SAFE_LOG,
-so no floating-point flag is raised and every state is positive and
-finite. Only times beyond it, numpy integers and columns of times are
-range-checked, under np.errstate.
+log_rate = (log k, -log k); :func:`eval_solution` decides once per
+solution, by its safe horizon, which times need a range check.
 """
 
 import math
@@ -160,6 +155,30 @@ def eval_solution(sol: ClosedFormSolution, t: int | np.ndarray) -> np.ndarray:
             raise NumericOverflow(f"closed-form state at t={t} leaves the representable"
                                   " positive range", time_index=t)
         return out
+
+
+def representable_times(sol: ClosedFormSolution, t_min: int, t_max: int) -> range:
+    """The times t_min..t_max at which :func:`eval_solution` returns a state.
+
+    Every coordinate of x0 * exp(t * log_rate) is monotone in t, so these
+    times form one run around t = 0 (where the state is x0), empty when
+    t_min..t_max misses it. Bisection finds each end, with no range constant.
+    """
+    def last_fit(inside, outside):  # inside fits and outside does not
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            try:
+                eval_solution(sol, mid)
+            except NumericOverflow:
+                outside = mid
+            else:
+                inside = mid
+        return inside
+
+    # t = 0 gives x0; t_min - 1 and t_max + 1 count as not fitting and are never evaluated
+    lo = last_fit(0, t_min - 1) if t_min <= 0 else t_min
+    hi = last_fit(0, t_max + 1) if t_max >= 0 else t_max
+    return range(lo, hi + 1)
 
 
 def classify_asymptotics(sol: ClosedFormSolution) -> list[PairAsymptotics]:

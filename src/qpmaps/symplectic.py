@@ -9,11 +9,9 @@ classifiers cross-check each other: :func:`check_conditions` evaluates the
 condition equations and explains its verdict with exact violation counts
 and witnesses; :func:`check_pattern` tests the equivalent zero pattern of A
 and B and returns only the verdict and the pairing. Both are exact and
-import no numpy; the float residual max |K^T S K - S| of
-:func:`jacobian_residual` loads it, and :mod:`qpmaps.core`, on its first
-call (:func:`qpmaps.maps.float_layer`).
-The conserved pair products x_i * x_{s+i} are
-``solve_closed_form(qp, x0).invariants_I``.
+import no numpy; the float residuals max |K^T S K - S| of
+:func:`symplectic_residual` and :func:`sampled_residuals` load it, and
+:mod:`qpmaps.core`, on their first call (:func:`qpmaps.maps.float_layer`).
 """
 
 from __future__ import annotations
@@ -23,14 +21,14 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import OddDimension
+from .errors import NumericOverflow, OddDimension
 from .linalg import format_rational as _fmt, pivot_columns, rank
 from .maps import QPMap, float_layer
 
 if TYPE_CHECKING:
     import numpy as np
 
-#: Verdicts are exact; this tolerance only applies to the float residual oracles.
+#: Verdicts are exact; this tolerance applies only to float residuals (qpmap verify --tol).
 RESIDUAL_TOLERANCE = 1e-9
 #: Witnesses kept per condition; ConditionVerdict.count is the exact total.
 WITNESS_LIMIT = 5
@@ -275,20 +273,40 @@ def symplectic_residual(qp: QPMap, x) -> float:
         return _jacobian_residual(core._jacobian(qp, x))
 
 
-def jacobian_residual(L: np.ndarray) -> float:
-    """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them.
+def sampled_residuals(qp: QPMap, samples: int, rng) -> tuple[float, float]:
+    """Max |K^T S K - S| and max |det K - 1| over the Jacobians K at ``samples``
+    states of :func:`qpmaps.sampling.random_state`, drawn in chunks of at most
+    2**16 Jacobian floats from ``np.random.default_rng(rng)`` (a seed or a
+    Generator). A chunk whose Jacobian, residual or determinant is not finite
+    raises NumericOverflow naming its samples: max() would drop a NaN."""
+    if qp.n % 2:
+        raise OddDimension(f"sampled residuals require even dimension, got n={qp.n}")
+    np, core = float_layer()
+    from .sampling import random_state
 
-    inf when a Jacobian or the residual is not finite (NaN included), so
-    max() over residuals cannot drop it and read as a pass. An empty stack,
-    shape (0, n, n), has residual 0.0: no state breaks the condition.
-    """
-    np, _ = float_layer()
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _jacobian_residual(L)
+    rng = np.random.default_rng(rng)
+    chunk = max(1, 2**16 // (qp.n * max(qp.n, qp.m)))
+    max_resid = max_det = 0.0
+    # LU of a Jacobian with inf entries divides by zero: the NaN is caught below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, samples, chunk):
+            # core.jacobian is looked up per call, so a wrapper of it sees every chunk
+            jac = core.jacobian(qp, random_state(rng, (min(chunk, samples - start), qp.n)))
+            resid = _jacobian_residual(jac)
+            det = float(np.abs(np.linalg.det(jac) - 1.0).max())
+            if not (np.isfinite(resid) and np.isfinite(det)):
+                raise NumericOverflow(f"samples {start + 1}-{start + len(jac)}: a Jacobian, its"
+                                      " residual or its determinant leaves the double range;"
+                                      " no numeric check is possible")
+            max_resid = max(max_resid, resid)
+            max_det = max(max_det, det)
+    return max_resid, max_det
 
 
 def _jacobian_residual(L: np.ndarray) -> float:
-    """:func:`jacobian_residual` without an np.errstate of its own. The
+    """Max-abs entry of K^T S K - S over a Jacobian K or a stack of them, under
+    the caller's np.errstate: inf when it is not finite (NaN included), so
+    max() cannot drop it; 0.0 for an empty stack, which no state breaks. The
     maximum reduces as ndarray.max would, without its Python wrapper."""
     np, _ = float_layer()
     S = skew_matrix(L.shape[-1] // 2)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qpmaps import (QMT, QPMap, jacobian, new_qmt, new_qp_map, phi, pull_state, skew_matrix,
-                    solver_qmt, step)
+from qpmaps import (QMT, QPMap, eval_solution, jacobian, new_qmt, new_qp_map, phi, pull_state,
+                    skew_matrix, solver_qmt, step)
 from qpmaps.core import as_state, first_nonpositive_row
 from qpmaps.documents import _matrix_entries, map_to_document, parse_rational, trajectory_csv_lines
 from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
@@ -509,6 +509,19 @@ def eval_solution_oracle(sol, t) -> np.ndarray:
     return out
 
 
+def representable_times_oracle(sol, t_min: int, t_max: int) -> list[int]:
+    """solve.representable_times by a linear scan: every t in t_min..t_max at
+    which eval_solution returns a state, without assuming they form a run."""
+    times = []
+    for t in range(t_min, t_max + 1):
+        try:
+            eval_solution(sol, t)
+        except NumericOverflow:
+            continue
+        times.append(t)
+    return times
+
+
 def iterate_oracle(qp: QPMap, x0, steps: int) -> np.ndarray:
     """core.iterate with one array per state, stacked at the end: the states
     x(0), ..., x(steps), or NumericOverflow with the stack of those before
@@ -538,7 +551,7 @@ def jacobian_oracle(qp: QPMap, x) -> np.ndarray:
 
 def jacobian_residual_oracle(L: np.ndarray) -> float:
     """max |K^T S K - S| with S built afresh by np.block, and inf for a
-    residual that is not finite: the formula of jacobian_residual."""
+    residual that is not finite: the formula of symplectic_residual."""
     s = L.shape[-1] // 2
     z, i = np.zeros((s, s)), np.eye(s)
     S = np.block([[z, -i], [i, z]])
@@ -563,9 +576,9 @@ def symplectic_product_block(qp: QPMap, x) -> np.ndarray:
             - L[..., :s, s:].swapaxes(-1, -2) @ L[..., s:, :s])
 
 
-def verify_report_oracle(qp: QPMap, samples: int, seed: int, tol: float) -> str:
-    """The report of `qpmap verify`, computed one sample at a time: draw a
-    state, form its Jacobian K, and take |K^T.S.K - S| and |det K - 1|."""
+def sampled_residuals_oracle(qp: QPMap, samples: int, seed: int) -> tuple[float, float]:
+    """symplectic.sampled_residuals one sample at a time: draw a state, form
+    its Jacobian K, and take the maxima of |K^T.S.K - S| and |det K - 1|."""
     rng = np.random.default_rng(seed)
     s_mat = skew_matrix(qp.n // 2)
     max_resid = 0.0
@@ -575,6 +588,13 @@ def verify_report_oracle(qp: QPMap, samples: int, seed: int, tol: float) -> str:
         jac = jacobian(qp, x)
         max_resid = max(max_resid, float(np.max(np.abs(jac.T @ s_mat @ jac - s_mat))))
         max_det = max(max_det, abs(float(np.linalg.det(jac)) - 1.0))
+    return max_resid, max_det
+
+
+def verify_report_oracle(qp: QPMap, samples: int, seed: int, tol: float) -> str:
+    """The report of `qpmap verify`, from the per-sample maxima of
+    sampled_residuals_oracle."""
+    max_resid, max_det = sampled_residuals_oracle(qp, samples, seed)
     ok = max_resid <= tol and max_det <= tol
     return (f"sampled {samples} states log-uniformly in [0.5, 2]^{qp.n} (seed {seed})\n"
             f"max symplecticity residual |K^T.S.K - S|: {max_resid:.3e}\n"

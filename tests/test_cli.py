@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qpmaps.cli import main, run
 from qpmaps.documents import map_to_document
-from qpmaps import NumericOverflow, check_conditions, new_qmt, new_qp_map
-from qpmaps.solve import eval_solution, solve_closed_form
+from qpmaps import check_conditions, new_qmt, new_qp_map
+from qpmaps.solve import solve_closed_form
 from qpmaps.sampling import random_state, random_symplectic_map, random_valid_map
 
 from helpers import (
@@ -24,6 +24,7 @@ from helpers import (
     dim2_map,
     dim2_variant,
     dim4_map,
+    representable_times_oracle,
     run_python_afresh,
     save_map,
     save_qmt,
@@ -404,13 +405,7 @@ def test_solve_writes_exactly_the_representable_times(solve_dir, lam, a, b, x0, 
     save_map(qp, path)
     t_min, t_max = t_range
     sol = solve_closed_form(qp, [float(v) for v in x0])
-    representable = []
-    for t in range(t_min, t_max + 1):
-        try:
-            eval_solution(sol, t)
-            representable.append(t)
-        except NumericOverflow:
-            pass
+    representable = representable_times_oracle(sol, t_min, t_max)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["solve", str(path), "--x0", ",".join(x0), "--t-min", str(t_min),
@@ -472,11 +467,11 @@ def test_closed_stdout_ends_the_command_quietly(tmp_path, command):
     intact = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                             timeout=120)
     assert intact.returncode == 0
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"t,x1,x2\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"t,x1,x2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert err == intact.stderr
     if command[0] == "iterate":
         assert err == b""
@@ -490,11 +485,11 @@ def test_closed_stdout_keeps_the_check_verdict(tmp_path):
     save_map(random_valid_map(np.random.default_rng(1), 4, 150), path)
     argv = [sys.executable, "-m", "qpmaps", "check", str(path)]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(100).startswith(b"NOT SYMPLECTIC (n=4)")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b"NOT SYMPLECTIC (n=4)")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert err == b""
 
 

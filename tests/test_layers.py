@@ -132,7 +132,7 @@ def test_float_entry_points_without_numpy_raise_on_every_call():
         qp = symplectic.QPMap((1, -1), ((2,), (-2,)), ((1, 1),))
         t = transform.solver_qmt(1)
         calls = [lambda: symplectic.symplectic_residual(qp, (1.0, 2.0)),
-                 lambda: symplectic.jacobian_residual(None),
+                 lambda: symplectic.sampled_residuals(qp, 1, 0),
                  lambda: transform.push_state(t, (1.0, 2.0)),
                  lambda: transform.pull_state(t, (1.0, 2.0))]
         for call in calls * 2:

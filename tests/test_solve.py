@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpmaps import (
     NonPositiveState,
@@ -15,6 +15,7 @@ from qpmaps import (
     iterate,
     new_qp_map,
     phi,
+    representable_times,
     solve_closed_form,
     step,
     verify_solution,
@@ -27,6 +28,7 @@ from helpers import (
     dim2_variant,
     dim4_map,
     eval_solution_oracle,
+    representable_times_oracle,
     solver_qmt_log_multipliers,
 )
 
@@ -224,6 +226,61 @@ def test_eval_solution_matches_the_checked_formula(seed, phi_bound, data):
             assert got.value.time_index == exc.time_index
         else:
             assert eval_solution(sol, t).tobytes() == want.tobytes()
+
+
+class TestRepresentableTimes:
+    def test_dim2_fixture_from_a_unit_start(self):
+        # log k = 3 on dim2 from (1, 1): exp(3 t) leaves the doubles past |t| = 236
+        sol = solve_closed_form(dim2_map(), [1, 1])
+        assert representable_times(sol, 200, 300) == range(200, 237)
+        assert not representable_times(sol, -300, -250)
+        assert representable_times(sol, -10**12, 0) == range(-236, 1)
+        assert representable_times(sol, -10**12, 10**12) == range(-236, 237)
+        assert representable_times(sol, 5, 5) == range(5, 6)
+        assert not representable_times(sol, 500, 500)
+
+    def test_all_rates_zero_write_every_time_in_the_double_range(self):
+        sol = solve_closed_form(fixed_point_map(), [1, 1])
+        assert representable_times(sol, -10**300, 10**300) == range(-10**300, 10**300 + 1)
+        # float(t) overflows past the largest double, about 1.8e308
+        run = representable_times(sol, 0, 10**309)
+        assert 1.79e308 < run.stop - 1 < 1.8e308
+        with pytest.raises(NumericOverflow):
+            eval_solution(sol, run.stop)
+
+
+#: Per-pair rates whose runs end near |t| = 236, 2**53 (700 / 2**53 = 7.8e-14)
+#: and 10**300, or nowhere in the double range (0 and the smallest subnormal).
+RATES = (0.0, 3.0, -3.0, 1e-3, 7.8e-14, -7.8e-14, 7e-298, -7e-298, 5e-324)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_k=st.lists(st.sampled_from(RATES), min_size=1, max_size=3),
+       x0=st.data(), center=st.sampled_from(("zero", "start", "stop", 2**53, 10**300)),
+       sign=st.sampled_from((1, -1)), offset=st.integers(-150, 150), width=st.integers(0, 300))
+@example(log_k=[0.0, 0.0], x0=None, center=10**300, sign=-1, offset=-150, width=300)
+def test_representable_times_is_the_linear_scan(log_k, x0, center, sign, offset, width):
+    """On windows of up to 301 times around t = 0, around either end of the
+    run over the whole double range, and around +-2**53 and +-10**300: the
+    bisected run equals the times at which eval_solution returns a state."""
+    s = len(log_k)
+    state = ([1.0] * 2 * s if x0 is None else
+             x0.draw(st.lists(st.sampled_from((1.0, 0.5, 2.0, 1e-300, 1e300)),
+                              min_size=2 * s, max_size=2 * s)))
+    state = np.array(state)
+    # eval_solution reads no invariant
+    sol = ClosedFormSolution(s=s, x0=state, log_k=np.array(log_k), invariants_I=state[:s])
+    if center == "zero":
+        t = 0
+    elif center == "start":
+        t = representable_times(sol, -10**308, 0).start
+    elif center == "stop":
+        t = representable_times(sol, 0, 10**308).stop
+    else:
+        t = sign * center
+    t_min = t + offset
+    times = representable_times(sol, t_min, t_min + width)
+    assert list(times) == representable_times_oracle(sol, t_min, t_min + width)
 
 
 class TestClassifyAsymptotics:

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpmaps import (
+    NumericOverflow,
     OddDimension,
     QPMap,
     check_conditions,
     check_pattern,
     iterate,
     jacobian,
-    jacobian_residual,
     new_qp_map,
     quasimonomials,
     rank_bounds,
+    sampled_residuals,
     skew_matrix,
     strictness_violations,
     symplectic_residual,
@@ -32,6 +33,7 @@ from helpers import (
     jacobian_oracle,
     jacobian_residual_oracle,
     random_classification_map,
+    sampled_residuals_oracle,
     symplectic_product_block,
     trivial_lv_map,
 )
@@ -310,8 +312,10 @@ class TestNumericOracles:
         xs = random_state(np.random.default_rng(6), (5, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert jacobian_residual(jacobian(qp, xs)) == np.inf
+            assert symplectic_residual(qp, xs) == np.inf
             assert symplectic_residual(qp, xs[0]) == np.inf
+            with pytest.raises(NumericOverflow, match="^samples 1-5: a Jacobian"):
+                sampled_residuals(qp, 5, 6)
         assert max(0.0, symplectic_residual(qp, xs)) > 1e-9
 
     def test_jacobian_residual_matches_block_formula_bitwise(self):
@@ -319,20 +323,18 @@ class TestNumericOracles:
         for _ in range(200):
             qp = random_classification_map(rng)
             xs = random_state(rng, (int(rng.integers(1, 6)), qp.n))
-            for jac in (jacobian(qp, xs[0]), jacobian(qp, xs)):
-                got, want = jacobian_residual(jac), jacobian_residual_oracle(jac)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            # symplectic_residual itself (n is even), on a single state and a stack
+            # on a single state and a stack (n is even)
             for x in (xs[0], xs):
                 got = symplectic_residual(qp, x)
-                want = jacobian_residual_oracle(jacobian_oracle(qp, x))
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert np.float64(got).tobytes() == np.float64(
+                    jacobian_residual_oracle(jacobian(qp, x))).tobytes()
+                assert np.float64(got).tobytes() == np.float64(
+                    jacobian_residual_oracle(jacobian_oracle(qp, x))).tobytes()
         qp = new_qp_map(("1000", "0"), (("1",), ("1",)), (("1", "1"),))
         xs = random_state(rng, (3, 2))
-        jac = jacobian(qp, xs)
-        assert jacobian_residual(jac) == jacobian_residual_oracle(jac) == np.inf
         for x in (xs[0], xs):  # exp(1000) overflows every Jacobian
             assert symplectic_residual(qp, x) == np.inf
+            assert jacobian_residual_oracle(jacobian(qp, x)) == np.inf
             assert jacobian_residual_oracle(jacobian_oracle(qp, x)) == np.inf
 
     def test_empty_stack_residual_is_zero(self):
@@ -340,6 +342,20 @@ class TestNumericOracles:
             empty = np.ones((0, qp.n))
             assert jacobian(qp, empty).shape == (0, qp.n, qp.n)
             assert symplectic_residual(qp, empty) == 0.0
+
+    def test_sampled_residuals_are_the_per_sample_maxima(self):
+        """One chunked draw gives the maxima of the per-sample loop, from a seed
+        and from the Generator it seeds alike."""
+        rng = np.random.default_rng(12)
+        maps = [dim2_map(), dim2_variant(), dim4_map(1, 1),
+                *(random_symplectic_map(rng, n) for n in (2, 4, 6, 8)),
+                random_symplectic_map(rng, 16, 16)]
+        for qp in maps:
+            for samples, seed in ((700, 42), (7, 1), (1, 0)):
+                want = sampled_residuals_oracle(qp, samples, seed)
+                assert sampled_residuals(qp, samples, seed) == want
+                assert sampled_residuals(qp, samples, np.random.default_rng(seed)) == want
+            assert sampled_residuals(qp, 0, 3) == (0.0, 0.0)
 
     def test_skew_matrix_is_shared_and_read_only(self):
         for s in (1, 2, 5):
@@ -354,6 +370,8 @@ class TestNumericOracles:
         qp = new_qp_map((1, 0, -1), ((1,), (1,), (1,)), ((1, 1, 1),))
         with pytest.raises(OddDimension):
             symplectic_residual(qp, [1, 1, 1])
+        with pytest.raises(OddDimension):
+            sampled_residuals(qp, 1, 0)
         with pytest.raises(OddDimension):
             symplectic_product_block(qp, [1, 1, 1])
 

@@ -7,6 +7,9 @@ verification failed), 2 = input error, 3 = internal invariant breach.
 Machine-readable data (CSV, JSON documents) goes to --out when given,
 otherwise to standard output; in the latter case the human summary moves to
 standard error so stdout stays parseable. Errors always go to stderr.
+transform and canonical write a result that left the strict QP form
+(DegenerateResult) as a relaxed document, after one "warning: ...; written
+with relaxed flag" line on stderr.
 
 check, transform and canonical are exact and run without numpy; solve,
 iterate and verify live in :mod:`qpmaps.cli_float`, import the float layer
@@ -26,7 +29,7 @@ import sys
 
 from .documents import load_map, load_qmt, map_to_document, parse_rational
 from .errors import DegenerateResult, QPError
-from .linalg import augment_column, diagonal, format_rational, is_zero
+from .linalg import diagonal, format_rational, is_zero
 from .maps import strictness_violations
 from .symplectic import (RESIDUAL_TOLERANCE, WITNESS_LIMIT, check_conditions, check_pattern,
                          rank_bounds)
@@ -177,49 +180,42 @@ def cmd_transform(args) -> int:
         qmt = load_qmt(args.qmt)
 
     before = check_conditions(qp).is_symplectic
-    degenerate = False
     try:
-        result = apply_qmt(qp, qmt)
+        result, degenerate = apply_qmt(qp, qmt), None
     except DegenerateResult as exc:
-        result = exc.result
-        degenerate = True
-        _err(f"warning: {exc}")
-
-    doc = map_to_document(result)
-    out = _Output(args.out)
-    if degenerate:
-        after_text = "n/a (degenerate result, written with relaxed flag)"
-    else:
-        after = check_conditions(result).is_symplectic
-        after_text = "yes" if after else "no"
-    out.info(f"symplectic before: {'yes' if before else 'no'}; after: {after_text}")
-    out.write_data([json.dumps(doc, indent=2) + "\n"])
-    return EXIT_OK
+        result, degenerate = exc.result, exc
+    after = check_conditions(result).is_symplectic
+    summary = f"symplectic before: {'yes' if before else 'no'}; after: {'yes' if after else 'no'}"
+    return _write_map(result, degenerate, args.out, summary)
 
 
 def cmd_canonical(args) -> int:
     qp = load_map(args.map_file)
-    degenerate = None
     try:
-        lv = lv_canonical(qp)
+        lv, degenerate = lv_canonical(qp), None
     except DegenerateResult as exc:
         lv, degenerate = exc.result, exc
-    bm = augment_column(lv.lam, lv.A)  # B.M: (lam | A) of the canonical map
-    if degenerate:
-        if is_zero(bm):
+        if not any(lv.lam) and is_zero(lv.A):  # B.M = 0
             _print_lines([f"class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)",
                           "canonical representative is trivial (identity map);"
                           " no document written"])
             return EXIT_OK
-        _print_lines([f"class invariant B.M: {_matrix_text(bm)}",
-                      f"canonical representative is degenerate: {degenerate}",
-                      f"raw canonical matrix (lam_c | A_c): {_matrix_text(bm)}"])
-        return EXIT_OK
-    doc = map_to_document(lv)
-    out = _Output(args.out)
-    out.info(f"class invariant B.M: {_matrix_text(bm)}")
-    out.info(f"canonical Lotka-Volterra representative has {lv.n} variables")
-    out.write_data([json.dumps(doc, indent=2) + "\n"])
+    return _write_map(lv, degenerate, args.out,
+                      f"canonical Lotka-Volterra representative has {lv.n} variables")
+
+
+def _write_map(qp, degenerate, out_path, summary) -> int:
+    """The end of transform and canonical: the document is built and --out
+    written before any line is printed, so either failing exits 2 with one line."""
+    text = json.dumps(map_to_document(qp), indent=2) + "\n"
+    out = _Output(out_path)
+    if out_path is not None:
+        out.write_data([text])
+    if degenerate is not None:
+        _err(f"warning: {degenerate}; written with relaxed flag")
+    out.info(summary)
+    if out_path is None:
+        out.write_data([text])
     return EXIT_OK
 
 

@@ -56,8 +56,10 @@ class SingularMatrix(QPError):
 class DegenerateResult(QPError):
     """A construction left the strict QP form (zero column of A or zero row of B).
 
-    The relaxed map, ``result``, lets callers continue with it deliberately;
-    ``strictness_violations(result)`` names its zero columns and rows.
+    Raised by ``apply_qmt`` (strict) and ``lv_canonical``, with one message
+    format: "<what> left the strict QP form (zero columns of A: [...]; zero
+    rows of B: [...])". The relaxed map, ``result``, lets callers continue
+    with it deliberately.
     """
 
     def __init__(self, message, result=None):

@@ -25,7 +25,6 @@ from .linalg import (
     mat_mul,
     rmatrix,
     to_float_matrix,
-    zero_column_indices,
 )
 from .maps import FrozenRecord, QPMap, float_layer, strictness_violations
 
@@ -98,25 +97,15 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
     Column 0 of M' is lam' = C^-1 lam and the rest is A' = C^-1 A. A QMT
     can push a map out of the strict QP form by creating a zero row in B'
     or a zero column in A'. With strict=True this raises DegenerateResult
-    carrying the relaxed result; with strict=False the relaxed map is
-    returned silently.
+    carrying the relaxed result ("transformed map left the strict QP form
+    (...)"); with strict=False the relaxed map is returned silently.
     """
     if t.n != qp.n:
         raise DimensionMismatch(f"QMT is {t.n}x{t.n} but map has n={qp.n}")
     m2 = mat_mul(t.C_inv, augment_column(qp.lam, qp.A))
     result = QPMap(tuple(row[0] for row in m2), tuple(row[1:] for row in m2),
                    mat_mul(qp.B, t.C))
-    if strict:
-        zero_cols, zero_rows = strictness_violations(result)
-        if zero_cols or zero_rows:
-            parts = []
-            if zero_cols:
-                parts.append(f"zero columns of A': {list(zero_cols)}")
-            if zero_rows:
-                parts.append(f"zero rows of B': {list(zero_rows)}")
-            raise DegenerateResult(
-                "transformed map left the strict QP form (" + "; ".join(parts) + ")", result)
-    return result
+    return _strict(result, "transformed map") if strict else result
 
 
 def push_state(t: QMT, y) -> np.ndarray:
@@ -146,16 +135,18 @@ def lv_canonical(qp: QPMap) -> QPMap:
     Returns the m-variable map with M_c = B.M and B_c = I. When B.A has a
     zero column the representative leaves the strict QP form (for symplectic
     maps it is always the trivial identity map); DegenerateResult is raised
-    carrying the relaxed map, whose (lam | A) is still B.M.
+    carrying the relaxed map, whose (lam | A) is still B.M ("canonical
+    Lotka-Volterra representative left the strict QP form (...)").
     """
     mc = class_invariant(qp)
-    lam_c = tuple(row[0] for row in mc)
-    a_c = tuple(row[1:] for row in mc)
-    b_c = identity(qp.m)
-    result = QPMap(lam_c, a_c, b_c)
-    zero_cols = zero_column_indices(a_c)
-    if zero_cols:
-        raise DegenerateResult(
-            f"canonical Lotka-Volterra form is degenerate: columns {list(zero_cols)}"
-            " of B.A are zero", result)
+    return _strict(QPMap(tuple(row[0] for row in mc), tuple(row[1:] for row in mc),
+                         identity(qp.m)), "canonical Lotka-Volterra representative")
+
+
+def _strict(result: QPMap, what: str) -> QPMap:
+    """result when it is in the strict QP form, else DegenerateResult carrying it."""
+    zero_cols, zero_rows = strictness_violations(result)
+    if zero_cols or zero_rows:
+        raise DegenerateResult(f"{what} left the strict QP form (zero columns of A:"
+                               f" {list(zero_cols)}; zero rows of B: {list(zero_rows)})", result)
     return result

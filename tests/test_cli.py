@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpmaps.cli import main, run
-from qpmaps.documents import map_to_document
-from qpmaps import check_conditions, new_qmt, new_qp_map
+from qpmaps.documents import load_map, map_from_document, map_to_document
+from qpmaps import check_conditions, class_invariant, new_qmt, new_qp_map
+from qpmaps.linalg import augment_column, identity, is_zero
 from qpmaps.solve import solve_closed_form
 from qpmaps.sampling import random_state, random_symplectic_map, random_valid_map
 
@@ -73,6 +74,23 @@ def huge_bm_file(tmp_path):
     path.write_text(json.dumps({"n": 2, "m": 1, "lambda": ["1e3000", "-1e3000"],
                                 "A": [["2"], ["-2"]], "B": [["1e3000", "1"]]}))
     return str(path)
+
+
+@pytest.fixture
+def degenerate_file(tmp_path):
+    """B.M = [[2, 0, 0], [2, 0, 0]]: nonzero, but B.A is the zero matrix, so the
+    canonical form leaves the strict QP class."""
+    path = tmp_path / "degen.qpmap.json"
+    save_map(new_qp_map((1, 1), ((1, -1), (-1, 1)), ((1, 1), (1, 1))), path)
+    return str(path)
+
+
+DEGENERATE_CANONICAL_ERR = (
+    "warning: canonical Lotka-Volterra representative left the strict QP form"
+    " (zero columns of A: [0, 1]; zero rows of B: []); written with relaxed flag\n"
+    "canonical Lotka-Volterra representative has 2 variables\n")
+DEGENERATE_CANONICAL_DOC = {"n": 2, "m": 2, "lambda": ["2", "2"], "A": [["0", "0"], ["0", "0"]],
+                            "B": [["1", "0"], ["0", "1"]], "relaxed": True}
 
 
 def assert_one_line_exit_2(code, capsys, start):
@@ -750,9 +768,12 @@ class TestTransform:
                      "--out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
         assert doc["relaxed"] is True
-        captured = capsys.readouterr()
-        assert "warning" in captured.err
-        assert "after: n/a (degenerate" in captured.out
+        # the relaxed result is classified like any other map
+        assert capsys.readouterr() == (
+            "symplectic before: yes; after: yes\n",
+            "warning: transformed map left the strict QP form (zero columns of A: [0, 1];"
+            " zero rows of B: []); written with relaxed flag\n")
+        assert main(["check", str(out_path)]) == 0
 
     @pytest.mark.parametrize("c, message", [
         ([["1", "2"], ["2", "4"]],
@@ -794,21 +815,32 @@ class TestCanonical:
         assert doc["B"] == [["1", "0"], ["0", "1"]]
         assert doc["lambda"] == ["1", "0"]
 
-    def test_entry_too_long_to_read_back_exit_2(self, huge_bm_file, capsys):
+    def test_entry_too_long_to_read_back_exit_2(self, huge_bm_file, tmp_path, capsys):
         # lambda_c = (B.M)[0][0] has 6,000 digits: no document could be read back
         code = main(["canonical", huge_bm_file])
         assert_one_line_exit_2(code, capsys, "lambda[0]: exact value has too many digits")
+        # also on a degenerate class (B.A = 0), before its warning: lambda_c[0] = 2*10**6000
+        path = tmp_path / "huge_degenerate.qpmap.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "lambda": ["1e3000", "1e3000"],
+                                    "A": [["1", "-1"], ["-1", "1"]],
+                                    "B": [["1e3000", "1e3000"], ["1", "1"]]}))
+        code = main(["canonical", str(path)])
+        assert_one_line_exit_2(code, capsys, "lambda[0]: exact value has too many digits")
 
-    def test_degenerate_reported_not_fatal(self, tmp_path, capsys):
-        # B.M = [[2, 0, 0], [2, 0, 0]]: nonzero, but B.A is the zero matrix,
-        # so the canonical form leaves the strict QP class.
-        qp = new_qp_map((1, 1), ((1, -1), (-1, 1)), ((1, 1), (1, 1)))
-        path = tmp_path / "degen.qpmap.json"
-        save_map(qp, path)
-        assert main(["canonical", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "degenerate" in out
-        assert "raw canonical matrix" in out
+    def test_degenerate_reported_not_fatal(self, degenerate_file, capsys):
+        assert main(["canonical", degenerate_file]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == DEGENERATE_CANONICAL_ERR
+        # written relaxed: (lam | A) is still B.M = [[2, 0, 0], [2, 0, 0]]
+        assert json.loads(captured.out) == DEGENERATE_CANONICAL_DOC
+
+    def test_degenerate_class_writes_out(self, degenerate_file, tmp_path, capsys):
+        out_path = tmp_path / "lv.qpmap.json"
+        assert main(["canonical", degenerate_file, "--out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text()) == DEGENERATE_CANONICAL_DOC
+        summary, warning = DEGENERATE_CANONICAL_ERR.splitlines(keepends=True)[::-1]
+        assert capsys.readouterr() == (summary, warning)
+        assert main(["check", str(out_path)]) == 1
 
     def test_class_invariant_computed_once(self, variant_file, capsys, monkeypatch):
         import qpmaps.transform
@@ -820,10 +852,69 @@ class TestCanonical:
         assert main(["canonical", variant_file]) == 0
         assert len(calls) == 1
         captured = capsys.readouterr()
-        assert captured.err == ("class invariant B.M: [[-1, -2]]\n"
-                                "canonical Lotka-Volterra representative has 1 variables\n")
+        # B.M = [[-1, -2]] is the document's (lam | A) and is not printed again
+        assert captured.err == "canonical Lotka-Volterra representative has 1 variables\n"
         assert json.loads(captured.out) == {
             "n": 1, "m": 1, "lambda": ["-1"], "A": [["-2"]], "B": [["1"]]}
+
+
+@pytest.mark.parametrize("argv", [["transform", "{dim2}", "--scale", "2"],
+                                  ["canonical", "{variant}"], ["canonical", "{degenerate}"]],
+                         ids=["transform", "canonical", "canonical-degenerate"])
+def test_unwritable_out_exit_2_before_any_line(argv, dim2_file, variant_file, degenerate_file,
+                                               tmp_path, capsys):
+    out_path = tmp_path / "missing" / "out.qpmap.json"
+    argv = [a.format(dim2=dim2_file, variant=variant_file, degenerate=degenerate_file)
+            for a in argv]
+    code = main([*argv, "--out", str(out_path)])
+    assert_one_line_exit_2(code, capsys, "[Errno 2] No such file or directory")
+
+
+def one_rule_documents():
+    """The fixtures, and seeded strict maps each with a relaxed twin (a zeroed A column)."""
+    docs = {name: json.loads((FIXTURES / f"{name}.qpmap.json").read_text())
+            for name in ("dim2", "dim2_variant", "dim4")}
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        qp = (random_symplectic_map(rng, 4) if seed % 4 == 0
+              else random_valid_map(rng, 1 + seed % 4, 1 + seed % 3))
+        doc = docs[f"strict{seed}"] = map_to_document(qp)
+        relaxed = docs[f"relaxed{seed}"] = json.loads(json.dumps(doc)) | {"relaxed": True}
+        for row in relaxed["A"]:
+            row[seed % qp.m] = "0"
+    return docs
+
+
+ONE_RULE_DOCUMENTS = one_rule_documents()
+
+
+@pytest.mark.parametrize("name", ONE_RULE_DOCUMENTS)
+def test_transform_and_canonical_write_what_check_reads(name, tmp_path, capsys):
+    """transform's after: verdict is check's on the written document; canonical
+    writes (lam | A) = B.M and B = I, relaxed exactly when B.A has a zero column."""
+    path = tmp_path / "in.qpmap.json"
+    path.write_text(json.dumps(ONE_RULE_DOCUMENTS[name]))
+    qp = load_map(path)
+    out_path = tmp_path / "out.qpmap.json"
+    for qmt in (["--scale", "2"], ["--scale", "-1/3"], *([["--solver-c"]] * (1 - qp.n % 2))):
+        assert main(["transform", str(path), *qmt, "--out", str(out_path)]) == 0
+        after = capsys.readouterr().out.rsplit("; after: ", 1)[1]
+        assert main(["check", str(out_path)]) == {"yes\n": 0, "no\n": 1}[after]
+        capsys.readouterr()
+    out_path.unlink()
+
+    bm = class_invariant(qp)
+    assert main(["canonical", str(path), "--out", str(out_path)]) == 0
+    if is_zero(bm):
+        assert "canonical representative is trivial" in capsys.readouterr().out
+        assert not out_path.exists()
+        return
+    doc = json.loads(out_path.read_text())
+    lv = map_from_document(doc)
+    assert augment_column(lv.lam, lv.A) == bm
+    assert lv.B == identity(qp.m)
+    assert doc.get("relaxed", False) == any(
+        all(row[j] == 0 for row in bm) for j in range(1, qp.m + 1))
 
 
 class TestVerify:

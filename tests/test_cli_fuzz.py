@@ -42,6 +42,8 @@ def assert_input_error(argv):
     code, out, err = run(argv)
     assert code == 2, (argv, code, out, err)
     assert err.strip(), argv
+    if "--out" in argv:  # an unwritable --out: no line before the error
+        assert out == "", (argv, out)
 
 
 def argv_for(command, path, x0, draw):
@@ -167,6 +169,14 @@ def test_any_rational_entries_keep_the_contract(workdir, doc, command, data):
         key = data.draw(st.sampled_from(("lambda", "A", "B")))
         row = doc[key] if key == "lambda" else data.draw(st.sampled_from(doc[key]))
         row[data.draw(st.integers(0, len(row) - 1))] = data.draw(RATIONALS)
+    if data.draw(st.booleans()):  # a relaxed map: a zeroed A column or B row
+        doc["relaxed"] = True
+        zeroed = data.draw(st.integers(0, doc["m"] - 1))
+        if data.draw(st.booleans()):
+            for row in doc["A"]:
+                row[zeroed] = "0"
+        else:
+            doc["B"][zeroed] = ["0"] * doc["n"]
     path = workdir / "exotic.qpmap.json"
     path.write_text(json.dumps(doc))
     x0 = ",".join(data.draw(st.sampled_from(("1", "0.5", "2", "3/2", "1e-3")))
@@ -206,6 +216,7 @@ def argument_errors(draw, path, n, qmt_path, workdir):
         return [command, path, *draw(st.sampled_from((
             ("--scale", "0"), ("--scale", "abc"), ("--scale", "1/0"), ("--scale", "1e99999"),
             ("--qmt", qmt_path), ("--qmt", str(workdir / "missing.qmt.json")),
+            ("--scale", "2", "--out", str(workdir / "missing" / "map.json")),
             ("--solver-c",) if n % 2 else ("--scale", "0"))))]
     if command == "verify":
         if n % 2:

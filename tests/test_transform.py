@@ -276,6 +276,17 @@ class TestLVCanonical:
         assert lv.lam == (Fraction(-1),)
         assert lv.A == ((Fraction(-2),),)
 
+    def test_same_message_format_as_apply_qmt(self):
+        with pytest.raises(DegenerateResult) as canonical:
+            lv_canonical(new_qp_map((1, 1), ((1, -1), (-1, 1)), ((1, 1), (1, 1))))  # B.A = 0
+        with pytest.raises(DegenerateResult) as transformed:
+            apply_qmt(QPMap((0, 0), ((1, 0), (1, 0)), ((1, 1), (0, 0))),
+                      new_qmt([[1, 1], [-1, 1]]))
+        assert str(canonical.value) == ("canonical Lotka-Volterra representative left the strict"
+                                        " QP form (zero columns of A: [0, 1]; zero rows of B: [])")
+        assert str(transformed.value) == ("transformed map left the strict QP form"
+                                          " (zero columns of A: [1]; zero rows of B: [1])")
+
 
 class TestSolverQMT:
     def test_s1_block(self):

@@ -69,13 +69,26 @@ def _print_lines(lines) -> None:
 
 
 class _Output:
-    """Routes data to --out or stdout, and the summary to the free stream."""
+    """Routes data to --out or stdout, and the summary to the free stream.
+
+    --out is opened (created or truncated) when the _Output is made, so a
+    command makes it before its first line and an unwritable path exits 2
+    with one line; leaving the ``with`` block closes it.
+    """
 
     def __init__(self, out_path):
-        self.out_path = out_path
+        self.file = None if out_path is None else open(out_path, "w", encoding="utf-8",
+                                                        newline="\n")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.file is not None:
+            self.file.close()
 
     def info(self, message: str) -> None:
-        if self.out_path is None:
+        if self.file is None:
             _err(message)
         else:
             _print_lines([message])
@@ -83,9 +96,8 @@ class _Output:
     def write_data(self, blocks) -> bool:
         """Write an iterable of text pieces, each as soon as it is produced; False
         when the reader of stdout closed it."""
-        if self.out_path is not None:
-            with open(self.out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(blocks)
+        if self.file is not None:
+            self.file.writelines(blocks)
             return True
         return _write_stdout(blocks)
 
@@ -208,14 +220,15 @@ def _write_map(qp, degenerate, out_path, summary) -> int:
     """The end of transform and canonical: the document is built and --out
     written before any line is printed, so either failing exits 2 with one line."""
     text = json.dumps(map_to_document(qp), indent=2) + "\n"
-    out = _Output(out_path)
-    if out_path is not None:
-        out.write_data([text])
-    if degenerate is not None:
-        _err(f"warning: {degenerate}; written with relaxed flag")
-    out.info(summary)
-    if out_path is None:
-        out.write_data([text])
+    with _Output(out_path) as out:
+        if out.file is not None:
+            out.write_data([text])
+            out.file.flush()  # a failed write still exits 2 before any line
+        if degenerate is not None:
+            _err(f"warning: {degenerate}; written with relaxed flag")
+        out.info(summary)
+        if out.file is None:
+            out.write_data([text])
     return EXIT_OK
 
 
@@ -322,7 +335,3 @@ def run():
     finally:  # also on argparse's SystemExit
         gc.freeze()
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    run()

@@ -60,34 +60,34 @@ def cmd_solve(args) -> int:
         _err(f"not symplectic: {_failing_conditions_text(exc.report)}")
         return EXIT_NEGATIVE
 
-    out = _Output(args.out)
-    out.info("log multipliers log_k: ["
-             + ", ".join(f"{v:.17g}" for v in sol.log_k) + "]")
-    out.info("conserved products I_i = x_i*x_{s+i}: ["
-             + ", ".join(f"{v:.17g}" for v in sol.invariants_I) + "]")
-    for pa in classify_asymptotics(sol):
-        line = f"pair {pa.i}: {pa.kind}"
-        if pa.kind == "split":
-            line += " (one variable tends to zero, its partner diverges)"
-        if pa.note:
-            line += f" [{pa.note}]"
-        out.info(line)
+    with _Output(args.out) as out:  # --out is made before the first line
+        out.info("log multipliers log_k: ["
+                 + ", ".join(f"{v:.17g}" for v in sol.log_k) + "]")
+        out.info("conserved products I_i = x_i*x_{s+i}: ["
+                 + ", ".join(f"{v:.17g}" for v in sol.invariants_I) + "]")
+        for pa in classify_asymptotics(sol):
+            line = f"pair {pa.i}: {pa.kind}"
+            if pa.kind == "split":
+                line += " (one variable tends to zero, its partner diverges)"
+            if pa.note:
+                line += f" [{pa.note}]"
+            out.info(line)
 
-    steps = min(t_max, 30)
-    if steps >= 1:
-        try:
-            resid = verify_solution(qp, sol, steps)
-            out.info(f"verification against {steps} iterated steps:"
-                     f" max log-space deviation {resid:.3e}")
-        except NumericOverflow as exc:
-            out.info(f"verification skipped: {exc}")
-    else:
-        out.info("verification skipped: no forward steps requested")
+        steps = min(t_max, 30)
+        if steps >= 1:
+            try:
+                resid = verify_solution(qp, sol, steps)
+                out.info(f"verification against {steps} iterated steps:"
+                         f" max log-space deviation {resid:.3e}")
+            except NumericOverflow as exc:
+                out.info(f"verification skipped: {exc}")
+        else:
+            out.info("verification skipped: no forward steps requested")
 
-    times = representable_times(sol, t_min, t_max)
-    rows = ((t, eval_solution(sol, t).tolist()) for t in times)
-    if not out.write_data(trajectory_csv_lines(qp.n, rows)):
-        return EXIT_OK  # the reader closed stdout and takes no more: end quietly
+        times = representable_times(sol, t_min, t_max)
+        rows = ((t, eval_solution(sol, t).tolist()) for t in times)
+        if not out.write_data(trajectory_csv_lines(qp.n, rows)):
+            return EXIT_OK  # the reader closed stdout and takes no more: end quietly
     gaps = ((t_min, times.start - 1), (times.stop, t_max)) if times else ((t_min, t_max),)
     skipped = ", ".join(f"{a}..{b}" if a < b else f"{a}" for a, b in gaps if a <= b)
     if skipped:
@@ -103,18 +103,21 @@ def cmd_iterate(args) -> int:
     if args.steps < 0:
         _err("--steps must be nonnegative")
         return EXIT_INPUT
-    out = _Output(args.out)
+    overflow = None
     try:
         traj = iterate(qp, x0, args.steps)
     except NumericOverflow as exc:
         if exc.partial is None:  # a map entry outside the double range
             raise
-        traj = exc.partial
-        _err(f"warning: overflow at t={exc.time_index}; truncating"
-             f" (last valid t={len(traj) - 1})")
-    # row by row: one tolist() of the whole trajectory would hold every value
-    # as a Python float at once
-    out.write_data(trajectory_csv_lines(qp.n, ((t, row.tolist()) for t, row in enumerate(traj))))
+        traj, overflow = exc.partial, exc
+    with _Output(args.out) as out:  # --out is made before the first line
+        if overflow is not None:
+            _err(f"warning: overflow at t={overflow.time_index}; truncating"
+                 f" (last valid t={len(traj) - 1})")
+        # row by row: one tolist() of the whole trajectory would hold every value
+        # as a Python float at once
+        out.write_data(trajectory_csv_lines(qp.n, ((t, row.tolist())
+                                                   for t, row in enumerate(traj))))
     return EXIT_OK
 
 

@@ -7,23 +7,32 @@ strict QP form; such documents parse into relaxed maps.
 
 A document's entries are mostly a few short values ("0", "1", -1, ...), so
 :func:`map_from_document` and :func:`qmt_from_document` parse each distinct
-entry once per call: a dict from JSON string or integer to Fraction, made
-by the call, shared by lambda, A and B and dropped when it returns. An
-entry goes through it when its type is exactly str or int, so 1 and "1"
-are two keys; booleans (True == 1), floats, null, arrays and objects are
-parsed or rejected one by one. An entry is parsed at its first position,
-so the first bad entry raises there, with the message the entry alone
-would give; an integer never fails.
+entry once per call: a table from JSON string to Fraction, made by the call,
+shared by lambda, A and B and dropped when it returns, so that a row of
+strings is one lookup per entry. JSON integers share a table of their own,
+so 1 and "1" are two entries; booleans (True == 1), floats, null, arrays and
+objects are parsed or rejected one by one. An entry is parsed at its first
+position, so the first bad entry raises there, with the message the entry
+alone would give; an integer never fails.
+
+The same table gives the integer form the exact kernels read (the cleared
+rows of B, of M = (lam | A) and of C; see :class:`qpmaps.maps.QPMap`): a
+row's denominator d is the lcm of its distinct strings' denominators, and
+its numerators are looked up in a table, one per distinct d, of the
+numerator over d of each string met in a row with that d; so the work stays
+linear in the document however many entries and denominators differ. A row
+with a JSON integer is cleared from its Fractions.
 """
 
 import json
 from collections.abc import Iterator
 from fractions import Fraction
+from math import lcm
 
 from .errors import DocumentError, QPError
-from .linalg import rational
-from .maps import QPMap, new_qp_map, strictness_violations
-from .transform import QMT, new_qmt
+from .linalg import _cleared, rational
+from .maps import QPMap, require_strict, strictness_violations
+from .transform import QMT
 
 
 def _vector_entries(v, name: str) -> list:
@@ -60,23 +69,75 @@ def _expect_positive_int(doc: dict, key: str) -> int:
     return value
 
 
-def _parse_entries(raw: list, where: str, table: dict) -> tuple:
-    """Parse a list of entries whose positions are ``where[j]``; ``table``
-    maps each string or integer entry parsed so far in this document to its
-    Fraction."""
+class _Table(dict):
+    """The Fraction of each distinct string entry of one document, parsed on its
+    first lookup. Only strings are keys: True and 1.0 equal the integer 1, so
+    they would find its Fraction. ``ints`` holds the Fraction of each JSON
+    integer entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.ints: dict[int, Fraction] = {}
+
+    def __missing__(self, text):
+        if type(text) is not str:
+            raise KeyError(text)
+        e = self[text] = rational(text)
+        return e
+
+
+def _parse_entries(raw: list, where: str, table: _Table) -> tuple:
+    """Parse a list of entries whose positions are ``where[j]``. A list of strings
+    is one lookup per entry; any other list is parsed entry by entry, and its first
+    bad entry raises DocumentError at its position."""
+    try:
+        return tuple(map(table.__getitem__, raw))
+    except (KeyError, TypeError, ValueError):
+        pass
     out = []
     for j, v in enumerate(raw):
-        if type(v) is str or type(v) is int:
-            f = table.get(v)
-            if f is None:
-                f = table[v] = parse_rational(v, f"{where}[{j}]")
-        else:
-            f = parse_rational(v, f"{where}[{j}]")
+        try:
+            if type(v) is str:
+                f = table[v]
+            elif type(v) is int:  # an integer never fails
+                f = table.ints.get(v)
+                if f is None:
+                    f = table.ints[v] = Fraction(v)
+            else:
+                f = rational(v)
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"{where}[{j}]: {exc}") from None
         out.append(f)
     return tuple(out)
 
 
-def _parse_vector(doc: dict, key: str, length: int, table: dict) -> tuple:
+def _cleared_rows(raw_rows, table: _Table) -> tuple:
+    """The cleared rows (:func:`qpmaps.linalg.cleared_rows`) of raw rows already
+    parsed into ``table``, looked up as the module docstring says."""
+    denominators = {text: e.denominator for text, e in table.items()}
+    integers = set(denominators.values()) <= {1}  # then every row's lcm is 1
+    # d -> the numerator over d of each string met in a row of lcm d
+    over = {1: {text: e.numerator for text, e in table.items()}} if integers else {}
+    out = []
+    for raw in raw_rows:
+        try:
+            if integers:
+                d, numerators = 1, over[1]
+            else:
+                texts = set(raw)
+                d = lcm(*map(denominators.__getitem__, texts))
+                numerators = over.setdefault(d, {})
+                missing = texts - numerators.keys()
+                if missing:
+                    numerators.update({text: table[text].numerator * (d // denominators[text])
+                                       for text in missing})
+            out.append((tuple(map(numerators.__getitem__, raw)), d))
+        except KeyError:
+            out.append(_cleared(tuple(map(rational, raw))))
+    return tuple(out)
+
+
+def _parse_vector(doc: dict, key: str, length: int, table: _Table) -> tuple:
     raw = doc.get(key)
     if not isinstance(raw, list):
         raise DocumentError(f"{key}: expected an array")
@@ -85,7 +146,7 @@ def _parse_vector(doc: dict, key: str, length: int, table: dict) -> tuple:
     return _parse_entries(raw, key, table)
 
 
-def _parse_matrix(doc: dict, key: str, n_rows: int, n_cols: int, table: dict) -> tuple:
+def _parse_matrix(doc: dict, key: str, n_rows: int, n_cols: int, table: _Table) -> tuple:
     raw = doc.get(key)
     if not isinstance(raw, list):
         raise DocumentError(f"{key}: expected an array of arrays")
@@ -126,15 +187,18 @@ def map_from_document(doc) -> QPMap:
         raise DocumentError(f"map document must be a JSON object, got {type(doc).__name__}")
     n = _expect_positive_int(doc, "n")
     m = _expect_positive_int(doc, "m")
-    table: dict[str | int, Fraction] = {}
+    table = _Table()
     lam = _parse_vector(doc, "lambda", n, table)
     a = _parse_matrix(doc, "A", n, m, table)
     b = _parse_matrix(doc, "B", m, n, table)
     relaxed = doc.get("relaxed", False)
     if not isinstance(relaxed, bool):
         raise DocumentError(f"relaxed: expected true or false, got {relaxed!r}")
+    rows = _cleared_rows([*((v, *row) for v, row in zip(doc["lambda"], doc["A"])), *doc["B"]],
+                         table)
+    qp = QPMap._parsed(lam, a, b, rows[n:], rows[:n])
     try:
-        return QPMap(lam, a, b) if relaxed else new_qp_map(lam, a, b)
+        return qp if relaxed else require_strict(qp)
     except QPError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -146,9 +210,10 @@ def qmt_from_document(doc) -> QMT:
     if not isinstance(raw, list) or not raw:
         raise DocumentError("C: expected a nonempty array of arrays")
     n = len(raw)
-    c = _parse_matrix({"C": raw}, "C", n, n, {})
+    table = _Table()
+    c = _parse_matrix({"C": raw}, "C", n, n, table)
     try:
-        return new_qmt(c)
+        return QMT._parsed(c, _cleared_rows(raw, table))
     except QPError as exc:
         raise DocumentError(str(exc)) from exc
 

@@ -2,8 +2,12 @@
 
 Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
 operations are exact: no pivot tolerance, no float intermediates. The O(n^3)
-kernels (``mat_mul``, ``rank``, ``inverse``) clear denominators once per row or
-column and work on Python integers. A product packs each cleared row of its
+kernels work on Python integers: each row (or column) cleared to its integer
+numerators over the lcm of its denominators (:data:`Cleared`). ``mat_mul``,
+``rank`` and ``inverse`` clear their arguments on each call; the kernels under
+them, :func:`_product`, :func:`_echelon` and :func:`inverse_rows`, take rows
+already cleared, so a map or QMT that keeps its cleared rows (``QPMap.B_rows``,
+``QMT.C_inv_rows``, ...) clears each matrix once. A product packs each cleared row of its
 right factor into one int, a signed slot per column (Kronecker substitution).
 Every slot of a product has one width of 1, 2, 4 or 8 bytes that holds R*C, R
 the largest row 1-norm of the left factor and C the largest |entry| of the right
@@ -19,7 +23,8 @@ integers is its numerators as they are, and :func:`rvector` returns a tuple of
 ``Fraction`` entries unchanged, so a map or QMT built from another one's
 entries reuses them.
 Floats enter only through the explicit ``to_float_*`` converters of the dynamic
-(trajectory) side; they alone load numpy, on first use, so the exact layer runs
+(trajectory) side, and :func:`cleared_to_float_matrix`, which divides cleared
+rows directly; they alone load numpy, on first use, so the exact layer runs
 without it.
 """
 
@@ -29,8 +34,8 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
-from operator import attrgetter, lshift, mul, truediv
+from math import gcd, lcm
+from operator import attrgetter, floordiv, lshift, mul, truediv
 from struct import Struct, calcsize
 from typing import TYPE_CHECKING
 
@@ -38,6 +43,9 @@ from .errors import DimensionMismatch, NumericOverflow, SingularMatrix
 
 RVector = tuple[Fraction, ...]
 RMatrix = tuple[RVector, ...]
+#: A rational row cleared of denominators: its integer numerators over one
+#: positive denominator, the lcm of its entries' denominators.
+Cleared = tuple[tuple[int, ...], int]
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,8 +55,8 @@ if TYPE_CHECKING:
 MAX_EXPONENT = 4300
 #: The exponent of a literal in any Unicode decimal digits, as Fraction reads it.
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
-#: A plain ASCII integer, read by int() instead of Fraction's own regex.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+#: A plain ASCII integer or "p/q", read by int() instead of Fraction's own regex.
+_PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _ZERO = Fraction(0)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -77,14 +85,17 @@ def rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip().replace("−", "-")
-        integer = _INTEGER.fullmatch(text)
-        exponent = None if integer else _EXPONENT.search(text)
+        plain = _PLAIN.fullmatch(text)
+        exponent = None if plain else _EXPONENT.search(text)
         # float() reads digits of every script, leading zeros of any length
         # and a huge exponent (as inf) in linear time, and is exact near MAX_EXPONENT
         if exponent and float(exponent[1].replace("_", "")) > MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:
-            return Fraction(int(text)) if integer else Fraction(text)
+            if plain:
+                p, q = plain.groups()
+                return Fraction(int(p), int(q)) if q else Fraction(int(p))
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError("zero denominator") from None
         except ValueError:
@@ -96,9 +107,13 @@ def format_rational(value: Fraction) -> str:
     """Exact text of a rational, "p" or "p/q", as str(Fraction) gives it,
     however many digits p and q have.
 
-    Decimal converts an int exactly and is not bound by the 4300-digit
-    limit of str(int).
+    str() is tried first; only past the 4300-digit limit of str(int), where
+    it raises ValueError, does Decimal convert each int, exactly and unbound.
     """
+    try:
+        return str(value)
+    except ValueError:
+        pass
     if value.denominator == 1:
         return str(Decimal(value.numerator))
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
@@ -134,12 +149,39 @@ def diagonal(entries) -> RMatrix:
     return tuple(tuple(d[i] if i == j else zero for j in range(len(d))) for i in range(len(d)))
 
 
-def _cleared(row) -> tuple[list[int], int]:
+def _cleared(row) -> Cleared:
     """A rational row as (integer numerators, lcm of its denominators)."""
     d = lcm(*map(_denominator, row))
     if d == 1:
-        return list(map(_numerator, row)), 1
-    return [e.numerator * (d // e.denominator) for e in row], d
+        return tuple(map(_numerator, row)), 1
+    return tuple(e.numerator * (d // e.denominator) for e in row), d
+
+
+def cleared_rows(m: RMatrix) -> tuple[Cleared, ...]:
+    """The cleared rows of m, each as :func:`_cleared` gives it."""
+    return tuple(map(_cleared, m))
+
+
+def cleared_columns(rows) -> tuple[Cleared, ...]:
+    """The cleared columns of the matrix whose cleared rows are ``rows``, by
+    integer operations alone: entry x/d of a row, x = p*(d/q) for the reduced
+    p/q, has gcd(x, d) = d/q, so it reads p = x // g and q = d // g."""
+    nums, dens = zip(*rows)
+    if set(dens) == {1}:
+        return tuple((col, 1) for col in zip(*nums))
+    out = []
+    for col in zip(*nums):
+        shrink = list(map(gcd, col, dens))
+        qs = list(map(floordiv, dens, shrink))
+        e = lcm(*qs)
+        out.append((tuple(x // g * (e // q) for x, g, q in zip(col, shrink, qs)), e))
+    return tuple(out)
+
+
+def rational_rows(rows) -> RMatrix:
+    """The Fraction matrix of cleared rows; each entry is its own Fraction."""
+    return tuple(tuple(Fraction(x) for x in r) if d == 1 else
+                 tuple(Fraction(x, d) for x in r) for r, d in rows)
 
 
 def _fraction(p: int, q: int) -> Fraction:
@@ -183,18 +225,22 @@ class _Entries(dict):
 
 
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
-    """The exact product x.y.
-
-    Row i of x is cleared to r_i/d_i and column j of y to c_j/e_j. If the product packs
-    (:func:`_packed`), row i of x.y is one sum of r_i times the packed rows of y, decoded
-    by one to_bytes and one struct unpack into the numerators r_i.c_j over d_i*e_j, and
-    each distinct entry is one Fraction; otherwise each entry is one dot product. Every
-    zero entry is the same Fraction.
-    """
+    """The exact product x.y: the cleared rows of x and columns of y, multiplied by
+    :func:`_product`."""
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
-    rows = list(map(_cleared, x))
-    cols = [_cleared(col) for col in zip(*y)]
+    return _product(cleared_rows(x), cleared_rows(tuple(zip(*y))))
+
+
+def _product(rows, cols) -> RMatrix:
+    """The exact product of the matrix with cleared rows r_i/d_i and the one with
+    cleared columns c_j/e_j.
+
+    If the product packs (:func:`_packed`), row i is one sum of r_i times the packed
+    rows of the right factor, decoded by one to_bytes and one struct unpack into the
+    numerators r_i.c_j over d_i*e_j, and each distinct entry is one Fraction; otherwise
+    each entry is one dot product. Every zero entry is the same Fraction.
+    """
     numerators = _packed(rows, cols)
     if numerators is None:
         return tuple(tuple(_fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
@@ -218,11 +264,11 @@ def is_zero(m: RMatrix) -> bool:
 
 
 def zero_row_indices(m: RMatrix) -> tuple[int, ...]:
-    return tuple(i for i, row in enumerate(m) if all(e == 0 for e in row))
+    return tuple(i for i, row in enumerate(m) if not any(row))
 
 
 def zero_column_indices(m: RMatrix) -> tuple[int, ...]:
-    return tuple(j for j in range(len(m[0])) if all(row[j] == 0 for row in m))
+    return tuple(j for j, col in enumerate(zip(*m)) if not any(col))
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
@@ -276,20 +322,28 @@ def rank(m: RMatrix) -> int:
 
 
 def inverse(m: RMatrix) -> RMatrix:
-    """Exact inverse by one forward Bareiss pass and back-substitution; raises SingularMatrix.
+    """Exact inverse (:func:`inverse_rows` of m's cleared rows); raises SingularMatrix."""
+    n = len(m)
+    if len(m[0]) != n:
+        raise DimensionMismatch(f"inverse requires a square matrix, got {n}x{len(m[0])}")
+    return rational_rows(inverse_rows(cleared_rows(m)))
+
+
+def inverse_rows(rows) -> tuple[Cleared, ...]:
+    """The cleared rows of C^-1, for the cleared rows of a square C, by one forward
+    Bareiss pass and back-substitution; raises SingularMatrix.
 
     The pass runs on the integers [D.C | I], D = diag(d_i) with d_i the denominator
     lcm of row i. That has rank n, so C is singular iff the last pivot is in I's
     columns. Else it leaves [U | Y], U upper triangular and U.(D.C)^-1 = Y. With det
     the last pivot, X = det.(D.C)^-1 is an integer matrix: U.X = det.Y is solved from
     the last row up, dividing exactly by each pivot, and C^-1[i][j] = X[i][j]*d_j/det.
+    Row i is then cleared by g, the gcd of det and every X[i][j]*d_j, signed as det:
+    det/g is the lcm of its reduced denominators.
     """
-    n = len(m)
-    if len(m[0]) != n:
-        raise DimensionMismatch(f"inverse requires a square matrix, got {n}x{len(m[0])}")
-    cleared = [_cleared(row) for row in m]
-    pivots, tops, det = _echelon([r + [int(i == j) for j in range(n)]
-                                  for i, (r, _) in enumerate(cleared)])
+    n = len(rows)
+    pivots, tops, det = _echelon([(*r, *(int(i == j) for j in range(n)))
+                                  for i, (r, _) in enumerate(rows)])
     if pivots[-1] >= n:
         dependent = next(c for c, p in enumerate(pivots) if c != p)
         raise SingularMatrix(f"matrix is singular: rank {sum(c < n for c in pivots)} of {n}, "
@@ -299,8 +353,13 @@ def inverse(m: RMatrix) -> RMatrix:
         p, u = top[0], top[len(top) - n - 1:0:-1]  # U[k][k], then U[k][n-1] down to U[k][k+1]
         for col, y in zip(cols, top[len(top) - n:]):
             col.append((det * y - sum(map(mul, u, col))) // p)
-    return tuple(tuple(Fraction(col[k] * d, det) for col, (_, d) in zip(cols, cleared))
-                 for k in reversed(range(n)))
+    dens = [d for _, d in rows]
+    out = []
+    for k in reversed(range(n)):
+        row = [col[k] * d for col, d in zip(cols, dens)]
+        g = gcd(det, *row) if det > 0 else -gcd(det, *row)
+        out.append((tuple(x // g for x in row), det // g))
+    return tuple(out)
 
 
 def _floats(entries) -> list[float]:
@@ -309,11 +368,11 @@ def _floats(entries) -> list[float]:
     return list(map(truediv, map(_numerator, entries), map(_denominator, entries)))
 
 
-def _first_overflow(entries) -> int:
-    """Index of the first rational whose magnitude exceeds the double range."""
-    for k, e in enumerate(entries):
+def _first_overflow(numerators, denominators) -> int:
+    """Index of the first quotient whose magnitude exceeds the double range."""
+    for k, (p, q) in enumerate(zip(numerators, denominators)):
         try:
-            float(e)
+            p / q
         except OverflowError:
             return k
     raise ValueError("every entry is in the double range")
@@ -327,7 +386,7 @@ def to_float_vector(v, name: str) -> np.ndarray:
     try:
         return np.array(_floats(v), dtype=float)
     except OverflowError:
-        i = _first_overflow(v)
+        i = _first_overflow(map(_numerator, v), map(_denominator, v))
     raise NumericOverflow(f"{name}[{i}] is outside the double range")
 
 
@@ -339,5 +398,22 @@ def to_float_matrix(m: RMatrix, name: str) -> np.ndarray:
     try:
         return np.array([_floats(row) for row in m], dtype=float)
     except OverflowError:
-        i, j = divmod(_first_overflow(chain.from_iterable(m)), len(m[0]))
+        entries = list(chain.from_iterable(m))
+        k = _first_overflow(map(_numerator, entries), map(_denominator, entries))
+    i, j = divmod(k, len(m[0]))
+    raise NumericOverflow(f"{name}[{i}][{j}] is outside the double range")
+
+
+def cleared_to_float_matrix(rows, name: str) -> np.ndarray:
+    """Float copy of the matrix ``name`` with these cleared rows, the same bits as
+    :func:`to_float_matrix` gives: x / d of two ints is correctly rounded, reduced
+    or not. NumericOverflow names the same entry."""
+    import numpy as np
+
+    try:
+        return np.array([list(map(truediv, r, repeat(d))) for r, d in rows], dtype=float)
+    except OverflowError:
+        k = _first_overflow(chain.from_iterable(r for r, _ in rows),
+                            chain.from_iterable(repeat(d, len(r)) for r, d in rows))
+    i, j = divmod(k, len(rows[0][0]))
     raise NumericOverflow(f"{name}[{i}][{j}] is outside the double range")

@@ -1,6 +1,8 @@
 """QP maps as exact data: the immutable (lam, A, B) record and its validation.
 
-This module is part of the exact layer and imports no numpy. The float
+This module is part of the exact layer and imports no numpy. Beside its
+Fraction entries a map keeps the integer form that the exact kernels read
+(see :class:`QPMap`). The float
 copies ``lam_f``, ``A_f`` and ``B_f`` are built on first use by the
 ``to_float_*`` converters, which load numpy then; evaluation lives in
 :mod:`qpmaps.core`, which re-exports ``QPMap`` and ``new_qp_map``, and
@@ -17,8 +19,11 @@ from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, ZeroColumnOfA, ZeroRowOfB
 from .linalg import (
+    Cleared,
     RMatrix,
     RVector,
+    cleared_columns,
+    cleared_rows,
     rmatrix,
     rvector,
     to_float_matrix,
@@ -92,6 +97,13 @@ class QPMap(FrozenRecord):
     this "relaxed" form tolerates zero columns of A and zero rows of B,
     which QMT results, canonical representatives and documents marked
     "relaxed" may carry. Use :func:`new_qp_map` for the strict form.
+
+    The exact kernels read the map's integer form: ``B_rows`` and ``M_rows``,
+    the cleared rows (:func:`qpmaps.linalg.cleared_rows`) of B and of
+    M = (lam | A), and ``M_cols``, M's cleared columns derived from its rows.
+    A parsed map carries its rows from the document
+    (:func:`qpmaps.documents.map_from_document`); any other map clears its
+    entries on first use.
     """
 
     __match_args__ = _fields = ("lam", "A", "B")
@@ -112,6 +124,16 @@ class QPMap(FrozenRecord):
             )
         self._init(lam, a, b)
 
+    @classmethod
+    def _parsed(cls, lam: RVector, A: RMatrix, B: RMatrix, B_rows, M_rows) -> QPMap:
+        """A map of entries already parsed to tuples of Fractions of matching
+        shapes, with the cleared rows of B and M read with them."""
+        qp = cls.__new__(cls)
+        qp._init(lam, A, B)
+        object.__setattr__(qp, "B_rows", B_rows)
+        object.__setattr__(qp, "M_rows", M_rows)
+        return qp
+
     @property
     def n(self) -> int:
         return len(self.A)
@@ -119,6 +141,18 @@ class QPMap(FrozenRecord):
     @property
     def m(self) -> int:
         return len(self.A[0])
+
+    @cached_property
+    def B_rows(self) -> tuple[Cleared, ...]:
+        return cleared_rows(self.B)
+
+    @cached_property
+    def M_rows(self) -> tuple[Cleared, ...]:
+        return cleared_rows([(v, *row) for v, row in zip(self.lam, self.A)])
+
+    @cached_property
+    def M_cols(self) -> tuple[Cleared, ...]:
+        return cleared_columns(self.M_rows)
 
     @cached_property
     def lam_f(self) -> np.ndarray:
@@ -141,11 +175,15 @@ def new_qp_map(lam, A, B) -> QPMap:
         ZeroColumnOfA: a quasimonomial would have no effect on any variable.
         ZeroRowOfB: a quasimonomial would be the constant 1.
     """
-    qp = QPMap(lam, A, B)
-    zero_cols = zero_column_indices(qp.A)
+    return require_strict(QPMap(lam, A, B))
+
+
+def require_strict(qp: QPMap) -> QPMap:
+    """qp when it is in the strict QP form; else ZeroColumnOfA or ZeroRowOfB
+    naming the first such column or row."""
+    zero_cols, zero_rows = strictness_violations(qp)
     if zero_cols:
         raise ZeroColumnOfA(zero_cols[0])
-    zero_rows = zero_row_indices(qp.B)
     if zero_rows:
         raise ZeroRowOfB(zero_rows[0])
     return qp

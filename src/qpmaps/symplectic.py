@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import compress, count, islice, repeat
+from operator import add, mul, ne, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NumericOverflow, OddDimension
-from .linalg import format_rational as _fmt, pivot_columns, rank
+from .linalg import _echelon, format_rational as _fmt
 from .maps import QPMap, float_layer
 
 if TYPE_CHECKING:
@@ -117,6 +118,10 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
     nonzero rationals is nonzero, so (c) and (d) are decided on the
     supports of A's rows: (c) counts, for each nonzero A[i][p], the nonzero
     entries of row p of B outside the columns i and s+i.
+
+    Everything is counted on the map's cleared rows (``M_rows``, ``B_rows``),
+    where an entry is zero iff its numerator is; Fractions are formed only
+    for the witnesses kept.
     """
     n, m = qp.n, qp.m
     if n % 2:
@@ -132,27 +137,40 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
         )
     s = n // 2
     lam, a, b = qp.lam, qp.A, qp.B
-    support = [[p for p in range(m) if a[i][p]] for i in range(s)]
+    m_rows = qp.M_rows
+    m_nums = [r for r, _ in m_rows]
+    b_nums = [r for r, _ in qp.B_rows]
+    # per pair i, the columns of M = (lam | A) where row i plus row s+i is nonzero:
+    # its numerators cross-multiplied by the rows' denominators, or added when the
+    # two are equal; column 0 is (b)'s sum, the others (a)'s
+    broken = [list(compress(count(), map(add, x, y) if d == e
+                            else map(add, map(mul, x, repeat(e)), map(mul, y, repeat(d)))))
+              for (x, d), (y, e) in zip(m_rows[:s], m_rows[s:])]
 
-    sums = [(i, j) for i in range(s) for j, (x, y) in enumerate(zip(a[i], a[s + i]))
-            if x.numerator != -y.numerator or x.denominator != y.denominator]
-    cond_a = ConditionVerdict(True, len(sums), tuple(
+    a_sums = [(i, j - 1) for i, cols in enumerate(broken) for j in cols if j]
+    cond_a = ConditionVerdict(True, len(a_sums), tuple(
         Witness((("i", i + 1), ("j", j + 1)), v,
                 f"A[{i + 1},{j + 1}] + A[{s + i + 1},{j + 1}]"
                 f" = {_fmt(a[i][j])} + {_fmt(a[s + i][j])} = {_fmt(v)}")
-        for i, j in sums[:WITNESS_LIMIT] for v in (a[i][j] + a[s + i][j],)))
+        for i, j in a_sums[:WITNESS_LIMIT] for v in (a[i][j] + a[s + i][j],)))
 
-    lam_sums = [i for i, (x, y) in enumerate(zip(lam[:s], lam[s:]))
-                if x.numerator != -y.numerator or x.denominator != y.denominator]
+    lam_sums = [i for i, cols in enumerate(broken) if cols and cols[0] == 0]
     cond_b = ConditionVerdict(True, len(lam_sums), tuple(
         Witness((("i", i + 1),), v,
                 f"lambda[{i + 1}] + lambda[{s + i + 1}]"
                 f" = {_fmt(lam[i])} + {_fmt(lam[s + i])} = {_fmt(v)}")
         for i in lam_sums[:WITNESS_LIMIT] for v in (lam[i] + lam[s + i],)))
 
-    nonzero_b = [sum(map(bool, row)) for row in b]
-    count_c = sum(nonzero_b[p] - bool(b[p][i]) - bool(b[p][s + i])
-                  for i in range(s) for p in support[i])
+    # A[i][p] != 0 selects p (support), row p's count of nonzero entries of B,
+    # and B[p][i] and B[p][s+i] (at_i, at_si), for each i <= s
+    a_nums = [r[1:] for r in m_nums[:s]]
+    support = [list(compress(range(m), r)) for r in a_nums]
+    b_cols = list(zip(*b_nums))
+    nonzero_b = [len(r) - r.count(0) for r in b_nums]
+    at_i = [list(compress(b_cols[i], r)) for i, r in enumerate(a_nums)]
+    at_si = [list(compress(b_cols[s + i], r)) for i, r in enumerate(a_nums)]
+    count_c = sum(sum(compress(nonzero_b, r)) - len(x) + x.count(0) - len(y) + y.count(0)
+                  for r, x, y in zip(a_nums, at_i, at_si))
 
     def cross_products():
         for i in range(s):
@@ -161,7 +179,7 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
                     continue
                 for p in support[i]:
                     for col in (j, s + j):
-                        if b[p][col]:
+                        if b_nums[p][col]:
                             v = a[i][p] * b[p][col]
                             yield Witness(
                                 (("i", i + 1), ("j", j + 1), ("p", p + 1)), v,
@@ -172,7 +190,9 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
     cond_c = ConditionVerdict(True, count_c,
                               tuple(islice(cross_products(), min(count_c, WITNESS_LIMIT))))
 
-    unequal = [(i, p) for i in range(s) for p in support[i] if b[p][i] != b[p][s + i]]
+    # a row of B has one denominator, so B[p][i] != B[p][s+i] compares numerators
+    unequal = [(i, p) for i in range(s)
+               for p in compress(support[i], map(ne, at_i[i], at_si[i]))]
 
     cond_d = ConditionVerdict(True, len(unequal), tuple(
         Witness((("i", i + 1), ("p", p + 1)), v,
@@ -185,8 +205,8 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
     pairing = None
     if ok:
         assignments: list[int | None] = []
-        for p in range(m):
-            carriers = [i for i in range(s) if a[i][p] or a[s + i][p]]
+        for col in list(zip(*m_nums))[1:]:
+            carriers = list(compress(range(s), map(or_, col[:s], col[s:])))
             # Under the conditions, a strict map concentrates each A column on
             # one pair; relaxed maps may carry inert (all-zero) columns.
             assignments.append(carriers[0] + 1 if len(carriers) == 1 else None)
@@ -322,8 +342,8 @@ def rank_bounds(qp: QPMap) -> RankReport:
     among A's m columns) and rank(M) (all pivots): column order does not
     change a rank.
     """
-    rank_b = rank(qp.B)
-    pivots = pivot_columns(tuple(row + (v,) for row, v in zip(qp.A, qp.lam)))
+    rank_b = len(_echelon([r for r, _ in qp.B_rows])[0])
+    pivots = _echelon([r[1:] + r[:1] for r, _ in qp.M_rows])[0]
     rank_a = sum(c < qp.m for c in pivots)
     rank_m = len(pivots)
     if qp.n % 2 == 0:

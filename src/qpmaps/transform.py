@@ -6,9 +6,12 @@ and is a topological conjugacy, so transformed maps are dynamically equivalent.
 The product B.M is therefore identical for all members of a class
 and is the M matrix of the class's canonical Lotka-Volterra representative.
 A QMT is built from C alone: its exact inverse is derived once, when the
-record is made. All of this is exact and imports no numpy; the float state maps
-``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on their
-first call (:func:`qpmaps.maps.float_layer`).
+record is made, as cleared integer rows (see :class:`QMT`). :func:`apply_qmt`
+and :func:`class_invariant` multiply the cleared rows and columns that the QMT
+and the map keep (:func:`qpmaps.linalg._product`), so no matrix is cleared
+again per call. All of this is exact and imports no numpy; the float state
+maps ``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on
+their first call (:func:`qpmaps.maps.float_layer`).
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ from typing import TYPE_CHECKING
 
 from .errors import DegenerateResult, DimensionMismatch
 from .linalg import (
+    Cleared,
     RMatrix,
-    augment_column,
+    _product,
+    cleared_columns,
+    cleared_rows,
+    cleared_to_float_matrix,
     identity,
-    inverse,
-    mat_mul,
+    inverse_rows,
+    rational_rows,
     rmatrix,
     to_float_matrix,
 )
@@ -35,26 +42,49 @@ if TYPE_CHECKING:
 class QMT(FrozenRecord):
     """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
 
-    Built from C alone, its only field: C_inv is its exact inverse
-    (:func:`qpmaps.linalg.inverse`), derived when the record is made, so the
-    repr reads back and records compare by C. A C that is not square raises
+    Built from C alone, its only field, so the repr reads back and records
+    compare by C. When the record is made, ``C_inv_rows``, the cleared rows of
+    the exact inverse (:func:`qpmaps.linalg.inverse_rows`), are derived from
+    ``C_rows``, C's cleared rows; the Fraction matrix ``C_inv`` and the float
+    copies are derived from them on first use. A C that is not square raises
     DimensionMismatch, a singular one SingularMatrix.
     """
 
     __match_args__ = _fields = ("C",)
     C: RMatrix
-    C_inv: RMatrix
+    C_inv_rows: tuple[Cleared, ...]
 
     def __init__(self, C):
         c = rmatrix(C)
         if len(c) != len(c[0]):
             raise DimensionMismatch(f"QMT matrix must be square, got {len(c)}x{len(c[0])}")
         self._init(c)
-        object.__setattr__(self, "C_inv", inverse(c))
+        object.__setattr__(self, "C_inv_rows", inverse_rows(self.C_rows))
+
+    @classmethod
+    def _parsed(cls, C: RMatrix, C_rows) -> QMT:
+        """The QMT of a square C already parsed to Fractions, with its cleared rows."""
+        t = cls.__new__(cls)
+        t._init(C)
+        object.__setattr__(t, "C_rows", C_rows)
+        object.__setattr__(t, "C_inv_rows", inverse_rows(C_rows))
+        return t
 
     @property
     def n(self) -> int:
         return len(self.C)
+
+    @cached_property
+    def C_rows(self) -> tuple[Cleared, ...]:
+        return cleared_rows(self.C)
+
+    @cached_property
+    def C_cols(self) -> tuple[Cleared, ...]:
+        return cleared_columns(self.C_rows)
+
+    @cached_property
+    def C_inv(self) -> RMatrix:
+        return rational_rows(self.C_inv_rows)
 
     @cached_property
     def C_f(self) -> np.ndarray:
@@ -62,7 +92,7 @@ class QMT(FrozenRecord):
 
     @cached_property
     def C_inv_f(self) -> np.ndarray:
-        return to_float_matrix(self.C_inv, "C_inv")
+        return cleared_to_float_matrix(self.C_inv_rows, "C_inv")
 
 
 def new_qmt(C) -> QMT:
@@ -102,9 +132,9 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
     """
     if t.n != qp.n:
         raise DimensionMismatch(f"QMT is {t.n}x{t.n} but map has n={qp.n}")
-    m2 = mat_mul(t.C_inv, augment_column(qp.lam, qp.A))
+    m2 = _product(t.C_inv_rows, qp.M_cols)
     result = QPMap(tuple(row[0] for row in m2), tuple(row[1:] for row in m2),
-                   mat_mul(qp.B, t.C))
+                   _product(qp.B_rows, t.C_cols))
     return _strict(result, "transformed map") if strict else result
 
 
@@ -126,7 +156,7 @@ def class_invariant(qp: QPMap) -> RMatrix:
     Identical for every map reachable from qp by QMTs; it is the null matrix
     for every symplectic map (the converse does not hold).
     """
-    return mat_mul(qp.B, augment_column(qp.lam, qp.A))
+    return _product(qp.B_rows, qp.M_cols)
 
 
 def lv_canonical(qp: QPMap) -> QPMap:

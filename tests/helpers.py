@@ -14,7 +14,8 @@ from qpmaps import (QMT, QPMap, eval_solution, jacobian, new_qmt, new_qp_map, ph
                     skew_matrix, solver_qmt, step)
 from qpmaps.core import as_state, first_nonpositive_row
 from qpmaps.documents import _matrix_entries, map_to_document, parse_rational, trajectory_csv_lines
-from qpmaps.symplectic import ConditionVerdict, SymplecticReport, Witness
+from qpmaps.symplectic import (WITNESS_LIMIT, ConditionVerdict, SymplecticReport, Witness,
+                               check_conditions)
 from qpmaps.errors import (DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix,
                            ZeroColumnOfA, ZeroRowOfB)
 from qpmaps.linalg import identity, mat_mul, to_float_matrix
@@ -364,6 +365,17 @@ def check_conditions_oracle(qp: QPMap) -> SymplecticReport:
         cond_d=ConditionVerdict(True, len(wit_d), tuple(wit_d)),
         pairing=pairing,
     )
+
+
+def assert_matches_oracle(qp):
+    got, full = check_conditions(qp), check_conditions_oracle(qp)
+    assert (got.is_symplectic, got.s, got.pairing, got.reason) == (
+        full.is_symplectic, full.s, full.pairing, full.reason)
+    for (label, cond), (_, every) in zip(got.conditions(), full.conditions()):
+        assert cond.applicable == every.applicable, label
+        assert cond.count == len(every.witnesses), label
+        assert cond.witnesses == every.witnesses[:WITNESS_LIMIT], label
+        assert cond.holds == every.holds, label
 
 
 def map_from_document_oracle(doc) -> QPMap:

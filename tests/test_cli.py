@@ -846,9 +846,9 @@ class TestCanonical:
         import qpmaps.transform
 
         calls = []
-        mat_mul = qpmaps.transform.mat_mul
-        monkeypatch.setattr(qpmaps.transform, "mat_mul",
-                            lambda x, y: calls.append(1) or mat_mul(x, y))
+        product = qpmaps.transform._product
+        monkeypatch.setattr(qpmaps.transform, "_product",
+                            lambda rows, cols: calls.append(1) or product(rows, cols))
         assert main(["canonical", variant_file]) == 0
         assert len(calls) == 1
         captured = capsys.readouterr()
@@ -859,8 +859,12 @@ class TestCanonical:
 
 
 @pytest.mark.parametrize("argv", [["transform", "{dim2}", "--scale", "2"],
-                                  ["canonical", "{variant}"], ["canonical", "{degenerate}"]],
-                         ids=["transform", "canonical", "canonical-degenerate"])
+                                  ["canonical", "{variant}"], ["canonical", "{degenerate}"],
+                                  ["solve", "{dim2}", "--x0", "1,1", "--t-max", "5"],
+                                  ["iterate", "{dim2}", "--x0", "1,1", "--steps", "3"],
+                                  ["iterate", "{dim2}", "--x0", "1,1", "--steps", "300"]],
+                         ids=["transform", "canonical", "canonical-degenerate", "solve",
+                              "iterate", "iterate-overflow"])
 def test_unwritable_out_exit_2_before_any_line(argv, dim2_file, variant_file, degenerate_file,
                                                tmp_path, capsys):
     out_path = tmp_path / "missing" / "out.qpmap.json"

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpmaps.cli import main
-from qpmaps.documents import map_to_document
+from qpmaps.documents import map_from_document, map_to_document
 from qpmaps.sampling import random_symplectic_map, random_valid_map
+from qpmaps.symplectic import check_conditions
 
 COMMANDS = ("check", "solve", "iterate", "transform", "canonical", "verify")
 
@@ -192,11 +193,19 @@ BAD_X0 = st.sampled_from(("abc", "1/0", "", "1e400", "1e99999", "0", "-0", "-1",
 
 
 @st.composite
-def argument_errors(draw, path, n, qmt_path, workdir):
-    """A command line on a valid n-dimensional map with one bad argument."""
+def argument_errors(draw, path, n, qmt_path, workdir, symplectic):
+    """A command line on a valid n-dimensional map with one bad argument; solve
+    decides symplecticity before it opens --out, so only a symplectic map gets
+    an unwritable one."""
     command = draw(st.sampled_from(COMMANDS))
     if command in ("solve", "iterate"):
-        bad = draw(st.sampled_from(("x0 count", "x0 literal", "other")))
+        bad = draw(st.sampled_from(("x0 count", "x0 literal", "other", "out")))
+        if bad == "out" and command == "solve" and not symplectic:
+            bad = "other"
+        if bad == "out":
+            return [command, path, "--x0", ",".join(["1"] * n),
+                    *(("--t-max", "3") if command == "solve" else ("--steps", "3")),
+                    "--out", str(workdir / "missing" / "traj.csv")]
         x0 = ",".join(["1"] * n)
         if bad == "x0 count":
             x0 = ",".join(["1"] * draw(st.sampled_from((n - 1, n + 1)).filter(bool)))
@@ -210,8 +219,7 @@ def argument_errors(draw, path, n, qmt_path, workdir):
         if bad != "other":
             return [command, path, "--x0", x0, "--steps", "3"]
         return [command, path, "--x0", x0, *draw(st.sampled_from((
-            ("--steps", "-1"), ("--steps", "abc"), ("--steps", "1.5"),
-            ("--steps", "3", "--out", str(workdir / "missing" / "traj.csv")))))]
+            ("--steps", "-1"), ("--steps", "abc"), ("--steps", "1.5"))))]
     if command == "transform":
         return [command, path, *draw(st.sampled_from((
             ("--scale", "0"), ("--scale", "abc"), ("--scale", "1/0"), ("--scale", "1e99999"),
@@ -240,7 +248,9 @@ def test_argument_error_exits_2(workdir, doc, data):
     )))
     qmt_path = workdir / "bad.qmt.json"
     qmt_path.write_text(json.dumps({"C": qmt}))
-    assert_input_error(data.draw(argument_errors(str(path), doc["n"], str(qmt_path), workdir)))
+    symplectic = check_conditions(map_from_document(doc)).is_symplectic
+    assert_input_error(data.draw(argument_errors(str(path), doc["n"], str(qmt_path), workdir,
+                                                 symplectic)))
 
 
 @settings(max_examples=100, deadline=None)

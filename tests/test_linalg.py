@@ -355,7 +355,7 @@ def lam_last(qp):
 
 
 def cleared(m):
-    return [linalg._cleared(row)[0] for row in m]
+    return [list(linalg._cleared(row)[0]) for row in m]
 
 
 @st.composite

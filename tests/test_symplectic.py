@@ -26,7 +26,7 @@ from qpmaps.sampling import random_state, random_symplectic_map, random_valid_ma
 from qpmaps.symplectic import WITNESS_LIMIT, PatternVerdict
 
 from helpers import (
-    check_conditions_oracle,
+    assert_matches_oracle,
     dim2_map,
     dim2_variant,
     dim4_map,
@@ -145,17 +145,6 @@ def classification_maps(draw):
         for row in a:
             row[inert] = zero
     return QPMap(lam, a, b)
-
-
-def assert_matches_oracle(qp):
-    got, full = check_conditions(qp), check_conditions_oracle(qp)
-    assert (got.is_symplectic, got.s, got.pairing, got.reason) == (
-        full.is_symplectic, full.s, full.pairing, full.reason)
-    for (label, cond), (_, every) in zip(got.conditions(), full.conditions()):
-        assert cond.applicable == every.applicable, label
-        assert cond.count == len(every.witnesses), label
-        assert cond.witnesses == every.witnesses[:WITNESS_LIMIT], label
-        assert cond.holds == every.holds, label
 
 
 class TestCheckConditionsAgainstEnumeration:

@@ -21,7 +21,8 @@ row's denominator d is the lcm of its distinct strings' denominators, and
 its numerators are looked up in a table, one per distinct d, of the
 numerator over d of each string met in a row with that d; so the work stays
 linear in the document however many entries and denominators differ. A row
-with a JSON integer is cleared from its Fractions.
+with a JSON integer is cleared from the Fractions its parse just gave, so no
+entry is read twice.
 """
 
 import json
@@ -111,15 +112,16 @@ def _parse_entries(raw: list, where: str, table: _Table) -> tuple:
     return tuple(out)
 
 
-def _cleared_rows(raw_rows, table: _Table) -> tuple:
+def _cleared_rows(raw_rows, rows, table: _Table) -> tuple:
     """The cleared rows (:func:`qpmaps.linalg.cleared_rows`) of raw rows already
-    parsed into ``table``, looked up as the module docstring says."""
+    parsed into ``table`` and into the Fraction rows ``rows``, looked up as the
+    module docstring says."""
     denominators = {text: e.denominator for text, e in table.items()}
     integers = set(denominators.values()) <= {1}  # then every row's lcm is 1
     # d -> the numerator over d of each string met in a row of lcm d
     over = {1: {text: e.numerator for text, e in table.items()}} if integers else {}
     out = []
-    for raw in raw_rows:
+    for raw, row in zip(raw_rows, rows):
         try:
             if integers:
                 d, numerators = 1, over[1]
@@ -133,7 +135,7 @@ def _cleared_rows(raw_rows, table: _Table) -> tuple:
                                        for text in missing})
             out.append((tuple(map(numerators.__getitem__, raw)), d))
         except KeyError:
-            out.append(_cleared(tuple(map(rational, raw))))
+            out.append(_cleared(row))
     return tuple(out)
 
 
@@ -195,7 +197,7 @@ def map_from_document(doc) -> QPMap:
     if not isinstance(relaxed, bool):
         raise DocumentError(f"relaxed: expected true or false, got {relaxed!r}")
     rows = _cleared_rows([*((v, *row) for v, row in zip(doc["lambda"], doc["A"])), *doc["B"]],
-                         table)
+                         [*((v, *row) for v, row in zip(lam, a)), *b], table)
     qp = QPMap._parsed(lam, a, b, rows[n:], rows[:n])
     try:
         return qp if relaxed else require_strict(qp)
@@ -213,7 +215,7 @@ def qmt_from_document(doc) -> QMT:
     table = _Table()
     c = _parse_matrix({"C": raw}, "C", n, n, table)
     try:
-        return QMT._parsed(c, _cleared_rows(raw, table))
+        return QMT._parsed(c, _cleared_rows(raw, c, table))
     except QPError as exc:
         raise DocumentError(str(exc)) from exc
 

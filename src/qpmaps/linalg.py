@@ -2,17 +2,20 @@
 
 Vectors and matrices are immutable tuples of ``fractions.Fraction``. All
 operations are exact: no pivot tolerance, no float intermediates. The O(n^3)
-kernels work on Python integers: each row (or column) cleared to its integer
-numerators over the lcm of its denominators (:data:`Cleared`). ``mat_mul``,
-``rank`` and ``inverse`` clear their arguments on each call; the kernels under
-them, :func:`_product`, :func:`_echelon` and :func:`inverse_rows`, take rows
-already cleared, so a map or QMT that keeps its cleared rows (``QPMap.B_rows``,
-``QMT.C_inv_rows``, ...) clears each matrix once. A product packs each cleared row of its
-right factor into one int, a signed slot per column (Kronecker substitution).
-Every slot of a product has one width of 1, 2, 4 or 8 bytes that holds R*C, R
-the largest row 1-norm of the left factor and C the largest |entry| of the right
-one, so a row of the product is one big-int multiply-add per inner index, decoded
-once. A product whose R*C fits no 8-byte slot is one dot product per entry.
+kernels work on Python integers: each row cleared to its integer numerators
+over the lcm of its denominators (:data:`Cleared`). ``mat_mul``, ``rank`` and
+``inverse`` clear their arguments on each call; the kernels under them,
+:func:`_product`, :func:`_echelon` and :func:`inverse_rows`, take rows already
+cleared, so a map or QMT that keeps its cleared rows (``QPMap.B_rows``,
+``QMT.C_inv_rows``, ...) clears each matrix once. A product takes both factors
+as cleared rows and clears the right factor's columns itself, which for an
+integer right factor are its rows as they are. It packs each row of the
+column-cleared right factor into one int, a signed slot per column (Kronecker
+substitution). Every slot of a product has one width of 1, 2, 4 or 8 bytes that
+holds R*C, R the largest row 1-norm of the left factor and C the largest |entry|
+of the right one, so a row of the product is one big-int multiply-add per inner
+index, decoded once. A product whose R*C fits no 8-byte slot is one dot product
+per entry.
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
 Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero,
 and which ``inverse`` finishes by back-substitution (Nakos, Turner and Williams,
@@ -22,9 +25,9 @@ denominator is 1; its zero entries share one. A row or column of
 integers is its numerators as they are, and :func:`rvector` returns a tuple of
 ``Fraction`` entries unchanged, so a map or QMT built from another one's
 entries reuses them.
-Floats enter only through the explicit ``to_float_*`` converters of the dynamic
-(trajectory) side, and :func:`cleared_to_float_matrix`, which divides cleared
-rows directly; they alone load numpy, on first use, so the exact layer runs
+Floats enter only through the two converters of the dynamic (trajectory) side,
+:func:`to_float_vector` of a ``Fraction`` vector and :func:`cleared_to_float_matrix`
+of cleared rows; they alone load numpy, on first use, so the exact layer runs
 without it.
 """
 
@@ -162,20 +165,23 @@ def cleared_rows(m: RMatrix) -> tuple[Cleared, ...]:
     return tuple(map(_cleared, m))
 
 
-def cleared_columns(rows) -> tuple[Cleared, ...]:
-    """The cleared columns of the matrix whose cleared rows are ``rows``, by
-    integer operations alone: entry x/d of a row, x = p*(d/q) for the reduced
-    p/q, has gcd(x, d) = d/q, so it reads p = x // g and q = d // g."""
+def _column_cleared(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The matrix with cleared rows ``rows`` with each column cleared instead: the
+    integer rows of its column numerators, and each column's denominator lcm. An
+    integer matrix is its rows as they are over 1. Otherwise by integer operations
+    alone: entry x/d of a row, x = p*(d/q) for the reduced p/q, has gcd(x, d) = d/q,
+    so it reads p = x // g and q = d // g."""
     nums, dens = zip(*rows)
     if set(dens) == {1}:
-        return tuple((col, 1) for col in zip(*nums))
-    out = []
+        return nums, (1,) * len(nums[0])
+    cols, col_dens = [], []
     for col in zip(*nums):
         shrink = list(map(gcd, col, dens))
         qs = list(map(floordiv, dens, shrink))
         e = lcm(*qs)
-        out.append((tuple(x // g * (e // q) for x, g, q in zip(col, shrink, qs)), e))
-    return tuple(out)
+        cols.append([x // g * (e // q) for x, g, q in zip(col, shrink, qs)])
+        col_dens.append(e)
+    return tuple(zip(*cols)), tuple(col_dens)
 
 
 def rational_rows(rows) -> RMatrix:
@@ -189,10 +195,11 @@ def _fraction(p: int, q: int) -> Fraction:
     return _ZERO if not p else Fraction(p) if q == 1 else Fraction(p, q)
 
 
-def _packed(rows, cols):
+def _packed(rows, right):
     """The numerators r.c_j of a cleared row r of x, as one function of r, for the
-    cleared rows (r_i, d_i) of x and columns (c_j, e_j) of y, packed by Kronecker
-    substitution (Harvey, J. Symbolic Comput. 44, 2009); None if they fit no 8-byte slot.
+    cleared rows (r_i, d_i) of x and the integer rows of y column-cleared, whose
+    columns are c_j (:func:`_column_cleared`), packed by Kronecker substitution
+    (Harvey, J. Symbolic Comput. 44, 2009); None if they fit no 8-byte slot.
 
     Since |r_i.c_j| <= R*C, R the largest row 1-norm of x and C the largest |c_j[k]|,
     every column gets a signed little-endian slot of the same w bits (1, 2, 4 or 8
@@ -204,13 +211,13 @@ def _packed(rows, cols):
     x's width, so the product is left to one dot product per entry.
     """
     norm = max(sum(map(abs, r)) for r, _ in rows)
-    width = (norm * max(max(map(abs, c)) for c, _ in cols)).bit_length() // 8  # slot bytes - 1
+    width = (norm * max(max(map(abs, y)) for y in right)).bit_length() // 8  # slot bytes - 1
     if width >= 8:
         return None
     code = "bhiiqqqq"[width]  # the signed struct code of that many bytes, rounded up
-    bits, n = 8 * calcsize(code), len(cols)
+    bits, n = 8 * calcsize(code), len(right[0])
     shifts = range(0, bits * n, bits)
-    packed = [sum(map(lshift, y, shifts)) for y in zip(*(c for c, _ in cols))]
+    packed = [sum(map(lshift, y, shifts)) for y in right]
     top = sum(map(lshift, repeat(1 << bits - 1, n), shifts))
     unpack, size = Struct(f"<{n}{code}").unpack, bits * n // 8
     return lambda r: unpack(((sum(map(mul, r, packed)) + top) ^ top).to_bytes(size, "little"))
@@ -225,27 +232,28 @@ class _Entries(dict):
 
 
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
-    """The exact product x.y: the cleared rows of x and columns of y, multiplied by
+    """The exact product x.y: the cleared rows of x and of y, multiplied by
     :func:`_product`."""
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
-    return _product(cleared_rows(x), cleared_rows(tuple(zip(*y))))
+    return _product(cleared_rows(x), cleared_rows(y))
 
 
-def _product(rows, cols) -> RMatrix:
-    """The exact product of the matrix with cleared rows r_i/d_i and the one with
-    cleared columns c_j/e_j.
+def _product(rows, right) -> RMatrix:
+    """The exact product of the matrices with cleared rows r_i/d_i and ``right``.
 
-    If the product packs (:func:`_packed`), row i is one sum of r_i times the packed
+    The right factor's columns are cleared to c_j/e_j (:func:`_column_cleared`). If
+    the product packs (:func:`_packed`), row i is one sum of r_i times the packed
     rows of the right factor, decoded by one to_bytes and one struct unpack into the
     numerators r_i.c_j over d_i*e_j, and each distinct entry is one Fraction; otherwise
     each entry is one dot product. Every zero entry is the same Fraction.
     """
-    numerators = _packed(rows, cols)
+    right, dens = _column_cleared(right)
+    numerators = _packed(rows, right)
     if numerators is None:
+        cols = list(zip(zip(*right), dens))
         return tuple(tuple(_fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
                      for r, d in rows)
-    dens = [e for _, e in cols]
     entry = _Entries().__getitem__
     return tuple(tuple(map(entry, zip(numerators(r), map(mul, repeat(d), dens))))
                  for r, d in rows)
@@ -362,12 +370,6 @@ def inverse_rows(rows) -> tuple[Cleared, ...]:
     return tuple(out)
 
 
-def _floats(entries) -> list[float]:
-    """Each rational as float(e) gives it: numerator / denominator, which Python rounds
-    correctly however large either is. OverflowError when one exceeds the double range."""
-    return list(map(truediv, map(_numerator, entries), map(_denominator, entries)))
-
-
 def _first_overflow(numerators, denominators) -> int:
     """Index of the first quotient whose magnitude exceeds the double range."""
     for k, (p, q) in enumerate(zip(numerators, denominators)):
@@ -379,35 +381,24 @@ def _first_overflow(numerators, denominators) -> int:
 
 
 def to_float_vector(v, name: str) -> np.ndarray:
-    """Float copy of the rational vector ``name``; NumericOverflow names an
-    entry (e.g. ``lambda[0]``) whose magnitude exceeds the double range."""
+    """Float copy of the rational vector ``name``: float(e) of each entry e, as
+    numerator / denominator, which Python rounds correctly however large either is.
+    NumericOverflow names an entry (e.g. ``lambda[0]``) whose magnitude exceeds the
+    double range."""
     import numpy as np
 
     try:
-        return np.array(_floats(v), dtype=float)
+        return np.array(list(map(truediv, map(_numerator, v), map(_denominator, v))), dtype=float)
     except OverflowError:
         i = _first_overflow(map(_numerator, v), map(_denominator, v))
     raise NumericOverflow(f"{name}[{i}] is outside the double range")
 
 
-def to_float_matrix(m: RMatrix, name: str) -> np.ndarray:
-    """Float copy of the rational matrix ``name``; NumericOverflow names an
-    entry (e.g. ``A[1][0]``) whose magnitude exceeds the double range."""
-    import numpy as np
-
-    try:
-        return np.array([_floats(row) for row in m], dtype=float)
-    except OverflowError:
-        entries = list(chain.from_iterable(m))
-        k = _first_overflow(map(_numerator, entries), map(_denominator, entries))
-    i, j = divmod(k, len(m[0]))
-    raise NumericOverflow(f"{name}[{i}][{j}] is outside the double range")
-
-
 def cleared_to_float_matrix(rows, name: str) -> np.ndarray:
-    """Float copy of the matrix ``name`` with these cleared rows, the same bits as
-    :func:`to_float_matrix` gives: x / d of two ints is correctly rounded, reduced
-    or not. NumericOverflow names the same entry."""
+    """Float copy of the matrix ``name`` with these cleared rows: bit for bit
+    float(e) of each entry e, since x / d of two ints is correctly rounded, reduced
+    or not. NumericOverflow names the first entry (e.g. ``A[1][0]``), row by row,
+    whose magnitude exceeds the double range."""
     import numpy as np
 
     try:

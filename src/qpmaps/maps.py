@@ -2,9 +2,9 @@
 
 This module is part of the exact layer and imports no numpy. Beside its
 Fraction entries a map keeps the integer form that the exact kernels read
-(see :class:`QPMap`). The float
-copies ``lam_f``, ``A_f`` and ``B_f`` are built on first use by the
-``to_float_*`` converters, which load numpy then; evaluation lives in
+(see :class:`QPMap`). The float copies are built on first use, and load
+numpy then: ``lam_f`` from lam, ``A_f`` and ``B_f`` from the integer form
+(:func:`qpmaps.linalg.cleared_to_float_matrix`). Evaluation lives in
 :mod:`qpmaps.core`, which re-exports ``QPMap`` and ``new_qp_map``, and
 :func:`float_layer` hands numpy and that module to the exact modules'
 float entry points.
@@ -22,11 +22,10 @@ from .linalg import (
     Cleared,
     RMatrix,
     RVector,
-    cleared_columns,
     cleared_rows,
+    cleared_to_float_matrix,
     rmatrix,
     rvector,
-    to_float_matrix,
     to_float_vector,
     zero_column_indices,
     zero_row_indices,
@@ -98,10 +97,10 @@ class QPMap(FrozenRecord):
     which QMT results, canonical representatives and documents marked
     "relaxed" may carry. Use :func:`new_qp_map` for the strict form.
 
-    The exact kernels read the map's integer form: ``B_rows`` and ``M_rows``,
-    the cleared rows (:func:`qpmaps.linalg.cleared_rows`) of B and of
-    M = (lam | A), and ``M_cols``, M's cleared columns derived from its rows.
-    A parsed map carries its rows from the document
+    The exact kernels and the float copies of A and B read the map's one
+    integer form: ``B_rows`` and ``M_rows``, the cleared rows
+    (:func:`qpmaps.linalg.cleared_rows`) of B and of M = (lam | A). A parsed
+    map carries its rows from the document
     (:func:`qpmaps.documents.map_from_document`); any other map clears its
     entries on first use.
     """
@@ -151,20 +150,16 @@ class QPMap(FrozenRecord):
         return cleared_rows([(v, *row) for v, row in zip(self.lam, self.A)])
 
     @cached_property
-    def M_cols(self) -> tuple[Cleared, ...]:
-        return cleared_columns(self.M_rows)
-
-    @cached_property
     def lam_f(self) -> np.ndarray:
         return to_float_vector(self.lam, "lambda")
 
     @cached_property
     def A_f(self) -> np.ndarray:
-        return to_float_matrix(self.A, "A")
+        return cleared_to_float_matrix([(r[1:], d) for r, d in self.M_rows], "A")
 
     @cached_property
     def B_f(self) -> np.ndarray:
-        return to_float_matrix(self.B, "B")
+        return cleared_to_float_matrix(self.B_rows, "B")
 
 
 def new_qp_map(lam, A, B) -> QPMap:

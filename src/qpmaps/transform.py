@@ -7,11 +7,11 @@ The product B.M is therefore identical for all members of a class
 and is the M matrix of the class's canonical Lotka-Volterra representative.
 A QMT is built from C alone: its exact inverse is derived once, when the
 record is made, as cleared integer rows (see :class:`QMT`). :func:`apply_qmt`
-and :func:`class_invariant` multiply the cleared rows and columns that the QMT
-and the map keep (:func:`qpmaps.linalg._product`), so no matrix is cleared
-again per call. All of this is exact and imports no numpy; the float state
-maps ``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on
-their first call (:func:`qpmaps.maps.float_layer`).
+and :func:`class_invariant` multiply the cleared rows that the QMT and the map
+keep (:func:`qpmaps.linalg._product`), so no matrix is cleared again per call.
+All of this is exact and imports no numpy; the float state maps
+``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on their
+first call (:func:`qpmaps.maps.float_layer`).
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from .linalg import (
     Cleared,
     RMatrix,
     _product,
-    cleared_columns,
     cleared_rows,
     cleared_to_float_matrix,
     identity,
     inverse_rows,
     rational_rows,
     rmatrix,
-    to_float_matrix,
 )
 from .maps import FrozenRecord, QPMap, float_layer, strictness_violations
 
@@ -45,8 +43,9 @@ class QMT(FrozenRecord):
     Built from C alone, its only field, so the repr reads back and records
     compare by C. When the record is made, ``C_inv_rows``, the cleared rows of
     the exact inverse (:func:`qpmaps.linalg.inverse_rows`), are derived from
-    ``C_rows``, C's cleared rows; the Fraction matrix ``C_inv`` and the float
-    copies are derived from them on first use. A C that is not square raises
+    ``C_rows``, C's cleared rows. These rows are the QMT's one integer form: the
+    Fraction matrix ``C_inv`` and the float copies ``C_f`` and ``C_inv_f`` are
+    derived from them on first use. A C that is not square raises
     DimensionMismatch, a singular one SingularMatrix.
     """
 
@@ -79,16 +78,12 @@ class QMT(FrozenRecord):
         return cleared_rows(self.C)
 
     @cached_property
-    def C_cols(self) -> tuple[Cleared, ...]:
-        return cleared_columns(self.C_rows)
-
-    @cached_property
     def C_inv(self) -> RMatrix:
         return rational_rows(self.C_inv_rows)
 
     @cached_property
     def C_f(self) -> np.ndarray:
-        return to_float_matrix(self.C, "C")
+        return cleared_to_float_matrix(self.C_rows, "C")
 
     @cached_property
     def C_inv_f(self) -> np.ndarray:
@@ -132,9 +127,9 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
     """
     if t.n != qp.n:
         raise DimensionMismatch(f"QMT is {t.n}x{t.n} but map has n={qp.n}")
-    m2 = _product(t.C_inv_rows, qp.M_cols)
+    m2 = _product(t.C_inv_rows, qp.M_rows)
     result = QPMap(tuple(row[0] for row in m2), tuple(row[1:] for row in m2),
-                   _product(qp.B_rows, t.C_cols))
+                   _product(qp.B_rows, t.C_rows))
     return _strict(result, "transformed map") if strict else result
 
 
@@ -156,7 +151,7 @@ def class_invariant(qp: QPMap) -> RMatrix:
     Identical for every map reachable from qp by QMTs; it is the null matrix
     for every symplectic map (the converse does not hold).
     """
-    return _product(qp.B_rows, qp.M_cols)
+    return _product(qp.B_rows, qp.M_rows)
 
 
 def lv_canonical(qp: QPMap) -> QPMap:

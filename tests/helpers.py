@@ -18,7 +18,7 @@ from qpmaps.symplectic import (WITNESS_LIMIT, ConditionVerdict, SymplecticReport
                                check_conditions)
 from qpmaps.errors import (DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix,
                            ZeroColumnOfA, ZeroRowOfB)
-from qpmaps.linalg import identity, mat_mul, to_float_matrix
+from qpmaps.linalg import identity, mat_mul
 from qpmaps.sampling import (_SMALL_INTEGERS, _qbar, random_rational, random_state,
                              random_symplectic_map, random_valid_map)
 
@@ -108,7 +108,7 @@ def solver_qmt_log_multipliers(qp: QPMap, x0) -> np.ndarray:
     s = qp.n // 2
     t = solver_qmt(s)
     y0 = pull_state(t, x0)
-    b_prime = to_float_matrix(mat_mul(qp.B, t.C), "B.C")[:, :s]
+    b_prime = np.array([[float(e) for e in row[:s]] for row in mat_mul(qp.B, t.C)])
     q0 = np.exp(b_prime @ np.log(y0[:s]))
     return qp.lam_f[:s] + qp.A_f[:s, :] @ q0
 
@@ -212,6 +212,20 @@ def mat_mul_oracle(x, y):
     return tuple(
         tuple(sum(row[k] * y[k][j] for k in range(len(y))) for j in cols) for row in x
     )
+
+
+def float_copy_oracle(m, name: str):
+    """The bytes of the float copy of the rational matrix ``name``, float(e) of
+    each entry, or the NumericOverflow message naming its first entry, row by
+    row, that has no double value."""
+    floats = []
+    for i, row in enumerate(m):
+        for j, e in enumerate(row):
+            try:
+                floats.append(float(e))
+            except OverflowError:
+                return f"{name}[{i}][{j}] is outside the double range"
+    return np.array(floats, dtype=float).tobytes()
 
 
 def rank_oracle(m) -> int:

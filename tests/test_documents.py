@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qpmaps import DocumentError, QPMap, new_qmt
+from qpmaps import DocumentError, QPMap, documents, new_qmt
 from qpmaps.documents import (
     load_map,
     load_qmt,
@@ -267,6 +267,23 @@ class TestParseTable:
         ids_first = {id(e) for e in _fractions(first)}
         assert len(ids_first) == len(_keys(entries))
         assert not ids_first & {id(e) for e in _fractions(second)}
+
+    def test_integer_entries_are_read_once(self, monkeypatch):
+        """A JSON integer never goes through documents.rational, not even to clear
+        its row, and a text beside it goes through it once."""
+        calls = []
+        monkeypatch.setattr(documents, "rational", lambda v: calls.append(v) or rational(v))
+        qp = map_from_document({"n": 2, "m": 1, "lambda": [1, -1], "A": [[2], [-2]],
+                                "B": [[1, 1]]})
+        assert calls == []
+        assert (qp.B_rows, qp.M_rows) == ((((1, 1), 1),), (((1, 2), 1), ((-1, -2), 1)))
+        c = [[1, 0, 2], [0, 1, -1], [2, 0, 1]]
+        t = qmt_from_document({"C": c})
+        assert calls == []
+        assert t.C_rows == tuple((tuple(row), 1) for row in c)
+        t = qmt_from_document({"C": [[1, "1/2"], [0, 1]]})
+        assert calls == ["1/2"]
+        assert t.C_rows == (((2, 1), 2), ((0, 1), 1))
 
     def test_qmt_parses_share_no_fraction(self):
         """Within one call a QMT document of texts or of JSON integers holds one

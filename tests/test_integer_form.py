@@ -1,6 +1,6 @@
-"""The integer form the exact kernels read: cleared rows made once, by the
-parser or on first use, and checked against the Fraction entries and the
-independent oracles of tests/helpers.py."""
+"""The integer form the exact kernels and the float copies read: cleared rows
+made once, by the parser or on first use, and checked against the Fraction
+entries and the independent oracles of tests/helpers.py."""
 
 import json
 from fractions import Fraction
@@ -12,10 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from qpmaps import QMT, QPMap, apply_qmt, check_conditions, class_invariant
 from qpmaps.documents import map_from_document, map_to_document, qmt_from_document
 from qpmaps.errors import DocumentError, NumericOverflow, SingularMatrix
-from qpmaps.linalg import _cleared, to_float_matrix
+from qpmaps.linalg import _cleared, _column_cleared
 
-from helpers import (assert_matches_oracle, check_conditions_oracle, inverse_oracle,
-                     mat_mul_oracle, qmt_to_document)
+from helpers import (assert_matches_oracle, check_conditions_oracle, float_copy_oracle,
+                     inverse_oracle, mat_mul_oracle, qmt_to_document)
 
 #: Document entries: small and negative integers and fractions as text, JSON
 #: integers, and 4000-digit numerators and denominators.
@@ -52,12 +52,19 @@ def m_matrix(qp):
     return tuple((v, *row) for v, row in zip(qp.lam, qp.A))
 
 
+def column_form(m):
+    """m with each column cleared on its own, as the rows of its numerators and
+    the column denominators: what a product reads of its right factor."""
+    cols = [_cleared(col) for col in columns(m)]
+    return tuple(zip(*(c for c, _ in cols))), tuple(e for _, e in cols)
+
+
 def assert_map_form(qp):
     fresh = QPMap(qp.lam, qp.A, qp.B)
-    assert (qp.B_rows, qp.M_rows, qp.M_cols) == (fresh.B_rows, fresh.M_rows, fresh.M_cols)
+    assert (qp.B_rows, qp.M_rows) == (fresh.B_rows, fresh.M_rows)
     assert qp.B_rows == tuple(map(_cleared, qp.B))
     assert qp.M_rows == tuple(map(_cleared, m_matrix(qp)))
-    assert qp.M_cols == tuple(map(_cleared, columns(m_matrix(qp))))
+    assert _column_cleared(qp.M_rows) == column_form(m_matrix(qp))
 
 
 @settings(deadline=None)
@@ -80,9 +87,9 @@ def test_parsed_qmt_form_is_the_cleared_entries(c):
     except DocumentError:
         return  # singular
     fresh = QMT(t.C)
-    assert (t.C_rows, t.C_cols, t.C_inv_rows) == (fresh.C_rows, fresh.C_cols, fresh.C_inv_rows)
+    assert (t.C_rows, t.C_inv_rows) == (fresh.C_rows, fresh.C_inv_rows)
     assert t.C_rows == tuple(map(_cleared, t.C))
-    assert t.C_cols == tuple(map(_cleared, columns(t.C)))
+    assert _column_cleared(t.C_rows) == column_form(t.C)
 
 
 def test_sampled_documents_round_trip_their_form():
@@ -94,8 +101,7 @@ def test_sampled_documents_round_trip_their_form():
     for qp in [random_valid_map(rng, n, n) for n in (2, 5, 8)] + \
               [random_symplectic_map(rng, n, n) for n in (2, 6)]:
         parsed = map_from_document(json.loads(json.dumps(map_to_document(qp))))
-        assert (parsed.B_rows, parsed.M_rows, parsed.M_cols) == (qp.B_rows, qp.M_rows,
-                                                                  qp.M_cols)
+        assert (parsed.B_rows, parsed.M_rows) == (qp.B_rows, qp.M_rows)
     t = random_qmt(rng, 5)
     parsed = qmt_from_document(qmt_to_document(t))
     assert (parsed.C_rows, parsed.C_inv_rows) == (t.C_rows, t.C_inv_rows)
@@ -199,8 +205,8 @@ def _float_outcome(convert):
 @given(n=st.integers(1, 4), data=st.data())
 @example(n=1, data=None)
 def test_inverse_floats_are_the_bits_of_the_fraction_inverse(n, data):
-    """C_inv_f, from the integer rows, and to_float_matrix(C_inv) give the same
-    bits, and name the same entry when one leaves the double range."""
+    """C_f and C_inv_f, from the integer rows, are float(e) of each entry of C
+    and C^-1 bit for bit, and name the first entry that leaves the double range."""
     if data is None:
         c = [[Fraction(1, 10**400)]]
     else:
@@ -209,10 +215,43 @@ def test_inverse_floats_are_the_bits_of_the_fraction_inverse(n, data):
         c = [[data.draw(scale) * (i == j) + data.draw(st.integers(-2, 2)) * (j > i)
               for j in range(n)] for i in range(n)]
     t = QMT(c)
+    assert _float_outcome(lambda: t.C_f) == float_copy_oracle(t.C, "C")
     got = _float_outcome(lambda: t.C_inv_f)
-    assert got == _float_outcome(lambda: to_float_matrix(t.C_inv, "C_inv"))
+    assert got == float_copy_oracle(t.C_inv, "C_inv")
     if data is None:
         assert got == "C_inv[0][0] is outside the double range"
+
+
+#: Entries near and beyond both ends of the double range: the largest finite
+#: value and the first that rounds past it, a subnormal, one that rounds to 0,
+#: and 300- to 400-digit values whose row denominators scale their neighbours.
+FLOAT_EDGES = st.sampled_from([
+    Fraction(2**1024 - 2**970 - 1), Fraction(-(2**1024 - 2**970)), Fraction(3, 2**1076),
+    Fraction(1, 2**1075), Fraction(10**400), Fraction(-(10**400), 3), Fraction(1, 3 * 10**320),
+    Fraction(7, 10**300)])
+
+
+@settings(deadline=None)
+@given(doc=map_documents(), data=st.data())
+@example(doc={"n": 2, "m": 1, "lambda": ["1/" + "3" * 400, "1"], "A": [["1"], ["2"]],
+              "B": [["1", "1" + "0" * 400]]}, data=None)
+def test_map_floats_are_the_bits_of_each_entry(doc, data):
+    """A_f and B_f, from the integer rows of a parsed map and of the same map
+    cleared on first use, are float(e) of each entry of A and B bit for bit,
+    also where lambda's denominator scales A's row, and name the first entry
+    that leaves the double range."""
+    qp = map_from_document(doc)
+    if data is not None:
+        edge = data.draw(FLOAT_EDGES)
+        i, j = data.draw(st.integers(0, qp.n - 1)), data.draw(st.integers(0, qp.m - 1))
+        a = [list(row) for row in qp.A]
+        a[i][j] = edge
+        qp = map_from_document({**map_to_document(QPMap(qp.lam, a, qp.B)), "relaxed": True})
+    for record in (qp, QPMap(qp.lam, qp.A, qp.B)):
+        assert _float_outcome(lambda: record.A_f) == float_copy_oracle(record.A, "A")
+        assert _float_outcome(lambda: record.B_f) == float_copy_oracle(record.B, "B")
+    if data is None:
+        assert _float_outcome(lambda: qp.B_f) == "B[0][1] is outside the double range"
 
 
 @settings(deadline=None)

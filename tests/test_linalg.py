@@ -9,6 +9,8 @@ from qpmaps import QPMap, linalg, new_qmt, rank_bounds
 from qpmaps.errors import DimensionMismatch, NumericOverflow, SingularMatrix
 from qpmaps.linalg import (
     augment_column,
+    cleared_rows,
+    cleared_to_float_matrix,
     diagonal,
     identity,
     inverse,
@@ -19,7 +21,6 @@ from qpmaps.linalg import (
     rational,
     rmatrix,
     rvector,
-    to_float_matrix,
     to_float_vector,
     zero_column_indices,
     zero_row_indices,
@@ -471,8 +472,8 @@ def test_a_wide_column_makes_the_whole_product_dot_products(data, k, wide):
     y = tuple(zip(*(data.draw(st.lists(wide_column if w else small_rationals,
                                        min_size=k, max_size=k)) for w in wide)))
     if any(wide) and any(map(any, x)):
-        cols = [linalg._cleared(col) for col in zip(*y)]
-        assert linalg._packed(list(map(linalg._cleared, x)), cols) is None
+        right, _ = linalg._column_cleared(cleared_rows(y))
+        assert linalg._packed(cleared_rows(x), right) is None
     assert_identical(mat_mul(x, y), mat_mul_oracle(x, y))
 
 
@@ -512,8 +513,8 @@ def test_inverse_equals_gauss_jordan(m):
     assert_identical(new_qmt(m).C_inv, expected)
     assert mat_mul(m, expected) == identity(len(m))
     if len(m) >= 30:  # the product is the dot-product side of mat_mul
-        cols = [linalg._cleared(col) for col in zip(*expected)]
-        assert linalg._packed(list(map(linalg._cleared, m)), cols) is None
+        right, _ = linalg._column_cleared(cleared_rows(expected))
+        assert linalg._packed(cleared_rows(m), right) is None
 
 
 def timed_product(x, y):
@@ -610,12 +611,12 @@ def test_float_copies_are_float_of_each_entry(m):
     if where:
         i, j = where[0]
         with pytest.raises(NumericOverflow, match=fr"^A\[{i}\]\[{j}\] is outside the double range$"):
-            to_float_matrix(m, "A")
+            cleared_to_float_matrix(cleared_rows(m), "A")
         with pytest.raises(NumericOverflow, match=fr"^lambda\[{j}\] is outside the double range$"):
             to_float_vector(m[i], "lambda")
         return
     expected = np.array([[float(e) for e in row] for row in m])
-    got = to_float_matrix(m, "A")
+    got = cleared_to_float_matrix(cleared_rows(m), "A")
     assert got.dtype == float and got.tobytes() == expected.tobytes()
     for row, floats in zip(m, expected):
         assert to_float_vector(row, "lambda").tobytes() == floats.tobytes()

@@ -11,7 +11,7 @@ numpy. The float names of :mod:`qpmaps.core` and :mod:`qpmaps.solve` are
 resolved on first use, so ``import qpmaps`` alone does not load numpy.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 from .errors import (
     DegenerateResult,
@@ -78,9 +78,9 @@ __all__ = [
 def __getattr__(name):
     """PEP 562: a float name, or core/solve itself, imports its module here."""
     if name in _FLOAT_NAMES:
-        return import_module(f"{__name__}.{name}")
+        return _import_module(f"{__name__}.{name}")
     if name in _FLOAT_HOME:
-        return getattr(import_module(f"{__name__}.{_FLOAT_HOME[name]}"), name)
+        return getattr(_import_module(f"{__name__}.{_FLOAT_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -16,15 +16,20 @@ holds R*C, R the largest row 1-norm of the left factor and C the largest |entry|
 of the right one, so a row of the product is one big-int multiply-add per inner
 index, decoded once. A product whose R*C fits no 8-byte slot is one dot product
 per entry.
+A product is its numerators r_i.c_j over d_i*e_j, finished one of two ways:
+as a ``Fraction`` matrix (:func:`_fractions`, what ``mat_mul`` and
+``class_invariant`` return) or as canonical cleared rows (:func:`_reduced_rows`,
+what a transformed map keeps, so its ``Fraction`` entries are made only when
+read).
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
 Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero,
 and which ``inverse`` finishes by back-substitution (Nakos, Turner and Williams,
 1997); both divide exactly by pivots. ``Fraction`` objects appear only at the
-boundary, one per distinct nonzero entry of a product, built with no gcd when its
-denominator is 1; its zero entries share one. A row or column of
-integers is its numerators as they are, and :func:`rvector` returns a tuple of
-``Fraction`` entries unchanged, so a map or QMT built from another one's
-entries reuses them.
+boundary, one per distinct nonzero entry of a product or of cleared rows read back
+(:func:`rational_rows`), built with no gcd when its denominator is 1; the zero
+entries share one. A row or column of integers is its numerators as they are,
+and :func:`rvector` returns a tuple of ``Fraction`` entries unchanged, so a map
+or QMT built from another one's entries reuses them.
 Floats enter only through the two converters of the dynamic (trajectory) side,
 :func:`to_float_vector` of a ``Fraction`` vector and :func:`cleared_to_float_matrix`
 of cleared rows; they alone load numpy, on first use, so the exact layer runs
@@ -165,29 +170,26 @@ def cleared_rows(m: RMatrix) -> tuple[Cleared, ...]:
     return tuple(map(_cleared, m))
 
 
+def _over_lcm(nums, dens) -> Cleared:
+    """The rationals x/d, for x in ``nums`` over d > 0 in ``dens``, as one cleared
+    row, by integer operations alone: x/d reduces to p/q with p = x // g and
+    q = d // g, g = gcd(x, d), and the row is cleared over the lcm of the q."""
+    shrink = list(map(gcd, nums, dens))
+    qs = list(map(floordiv, dens, shrink))
+    e = lcm(*qs)
+    return tuple(x // g * (e // q) for x, g, q in zip(nums, shrink, qs)), e
+
+
 def _column_cleared(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The matrix with cleared rows ``rows`` with each column cleared instead: the
     integer rows of its column numerators, and each column's denominator lcm. An
-    integer matrix is its rows as they are over 1. Otherwise by integer operations
-    alone: entry x/d of a row, x = p*(d/q) for the reduced p/q, has gcd(x, d) = d/q,
-    so it reads p = x // g and q = d // g."""
+    integer matrix is its rows as they are over 1; otherwise each column is
+    cleared by :func:`_over_lcm`."""
     nums, dens = zip(*rows)
     if set(dens) == {1}:
         return nums, (1,) * len(nums[0])
-    cols, col_dens = [], []
-    for col in zip(*nums):
-        shrink = list(map(gcd, col, dens))
-        qs = list(map(floordiv, dens, shrink))
-        e = lcm(*qs)
-        cols.append([x // g * (e // q) for x, g, q in zip(col, shrink, qs)])
-        col_dens.append(e)
-    return tuple(zip(*cols)), tuple(col_dens)
-
-
-def rational_rows(rows) -> RMatrix:
-    """The Fraction matrix of cleared rows; each entry is its own Fraction."""
-    return tuple(tuple(Fraction(x) for x in r) if d == 1 else
-                 tuple(Fraction(x, d) for x in r) for r, d in rows)
+    cols, col_dens = zip(*(_over_lcm(col, dens) for col in zip(*nums)))
+    return tuple(zip(*cols)), col_dens
 
 
 def _fraction(p: int, q: int) -> Fraction:
@@ -224,39 +226,71 @@ def _packed(rows, right):
 
 
 class _Entries(dict):
-    """Product entries by (numerator, denominator), each distinct one built once."""
+    """Entries by (numerator, denominator), each distinct one built once."""
 
     def __missing__(self, key):
         e = self[key] = _fraction(*key)
         return e
 
 
+def rational_rows(rows) -> RMatrix:
+    """The Fraction matrix of cleared rows, each distinct entry one Fraction."""
+    entry = _Entries().__getitem__
+    return tuple(tuple(map(entry, zip(r, repeat(d)))) for r, d in rows)
+
+
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
     """The exact product x.y: the cleared rows of x and of y, multiplied by
-    :func:`_product`."""
+    :func:`_product`, as Fractions."""
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
-    return _product(cleared_rows(x), cleared_rows(y))
+    return _fractions(_product(cleared_rows(x), cleared_rows(y)))
 
 
-def _product(rows, right) -> RMatrix:
+#: A product before it is finished: per row i, the numerators r_i.c_j and d_i;
+#: and the column denominators e_j. Entry (i, j) is r_i.c_j / (d_i*e_j).
+Product = tuple[list[Cleared], tuple[int, ...]]
+
+
+def _product(rows, right) -> Product:
     """The exact product of the matrices with cleared rows r_i/d_i and ``right``.
 
     The right factor's columns are cleared to c_j/e_j (:func:`_column_cleared`). If
     the product packs (:func:`_packed`), row i is one sum of r_i times the packed
     rows of the right factor, decoded by one to_bytes and one struct unpack into the
-    numerators r_i.c_j over d_i*e_j, and each distinct entry is one Fraction; otherwise
-    each entry is one dot product. Every zero entry is the same Fraction.
+    numerators r_i.c_j; otherwise each numerator is one dot product. Entry (i, j)
+    is r_i.c_j over d_i*e_j, unreduced: :func:`_fractions` and :func:`_reduced_rows`
+    finish it.
     """
     right, dens = _column_cleared(right)
     numerators = _packed(rows, right)
     if numerators is None:
-        cols = list(zip(zip(*right), dens))
-        return tuple(tuple(_fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
-                     for r, d in rows)
+        cols = list(zip(*right))
+        return [(tuple(sum(map(mul, r, c)) for c in cols), d) for r, d in rows], dens
+    return [(numerators(r), d) for r, d in rows], dens
+
+
+def _fractions(product: Product) -> RMatrix:
+    """The product as a Fraction matrix: each distinct entry one Fraction, every
+    zero the same one."""
+    rows, dens = product
     entry = _Entries().__getitem__
-    return tuple(tuple(map(entry, zip(numerators(r), map(mul, repeat(d), dens))))
-                 for r, d in rows)
+    return tuple(tuple(map(entry, zip(r, map(mul, repeat(d), dens)))) for r, d in rows)
+
+
+def _reduced_rows(product: Product) -> tuple[Cleared, ...]:
+    """The product as canonical cleared rows, those :func:`cleared_rows` gives of
+    its entries: d > 0 and gcd(d, *numerators) == 1. For an integer right factor
+    (every e_j = 1) a row is divided by the one gcd(d, *r); otherwise each entry is
+    reduced and the row cleared over the lcm of its denominators (:func:`_over_lcm`)."""
+    rows, dens = product
+    if set(dens) == {1}:
+        out = []
+        for r, d in rows:
+            g = gcd(d, *r)
+            out.append((r, d) if g == 1 else (tuple(x // g for x in r), d // g))
+        return tuple(out)
+    return tuple(_over_lcm(r, [d * e for e in dens]) for r, d in rows)
 
 
 def augment_column(col, m: RMatrix) -> RMatrix:

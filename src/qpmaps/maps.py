@@ -2,12 +2,13 @@
 
 This module is part of the exact layer and imports no numpy. Beside its
 Fraction entries a map keeps the integer form that the exact kernels read
-(see :class:`QPMap`). The float copies are built on first use, and load
-numpy then: ``lam_f`` from lam, ``A_f`` and ``B_f`` from the integer form
-(:func:`qpmaps.linalg.cleared_to_float_matrix`). Evaluation lives in
-:mod:`qpmaps.core`, which re-exports ``QPMap`` and ``new_qp_map``, and
-:func:`float_layer` hands numpy and that module to the exact modules'
-float entry points.
+(see :class:`QPMap`); a map made from that form alone, such as a QMT's
+image, makes its Fraction entries only when they are read. The float copies
+are built on first use, and load numpy then: ``lam_f`` from lam, ``A_f`` and
+``B_f`` from the integer form (:func:`qpmaps.linalg.cleared_to_float_matrix`).
+Evaluation lives in :mod:`qpmaps.core`, which re-exports ``QPMap`` and
+``new_qp_map``, and :func:`float_layer` hands numpy and that module to the
+exact modules' float entry points.
 :class:`FrozenRecord`, the base of the package's immutable value classes,
 also lives here.
 """
@@ -24,6 +25,7 @@ from .linalg import (
     RVector,
     cleared_rows,
     cleared_to_float_matrix,
+    rational_rows,
     rmatrix,
     rvector,
     to_float_vector,
@@ -101,14 +103,17 @@ class QPMap(FrozenRecord):
     integer form: ``B_rows`` and ``M_rows``, the cleared rows
     (:func:`qpmaps.linalg.cleared_rows`) of B and of M = (lam | A). A parsed
     map carries its rows from the document
-    (:func:`qpmaps.documents.map_from_document`); any other map clears its
-    entries on first use.
+    (:func:`qpmaps.documents.map_from_document`); a map made from rows alone
+    (:func:`qpmaps.transform.apply_qmt`, :func:`qpmaps.transform.lv_canonical`)
+    keeps them, and its fields lam, A and B are views of them, made on first
+    read; any other map clears its entries on first use. Either way the fields
+    hold equal Fractions, so ``==``, ``hash`` and ``repr`` do not depend on how
+    the map was made.
     """
 
     __match_args__ = _fields = ("lam", "A", "B")
-    lam: RVector
-    A: RMatrix
-    B: RMatrix
+    n: int
+    m: int
 
     def __init__(self, lam, A, B):
         lam = rvector(lam)
@@ -122,24 +127,38 @@ class QPMap(FrozenRecord):
                 f"B must be {m}x{n} to match A ({n}x{m}), got {len(b)}x{len(b[0])}"
             )
         self._init(lam, a, b)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    @classmethod
+    def _of_rows(cls, M_rows, B_rows) -> QPMap:
+        """The map whose M = (lam | A) and B have these cleared rows, of matching
+        shapes and canonical as :func:`qpmaps.linalg.cleared_rows` gives them."""
+        qp = cls.__new__(cls)
+        for name, value in (("n", len(M_rows)), ("m", len(B_rows)),
+                            ("M_rows", M_rows), ("B_rows", B_rows)):
+            object.__setattr__(qp, name, value)
+        return qp
 
     @classmethod
     def _parsed(cls, lam: RVector, A: RMatrix, B: RMatrix, B_rows, M_rows) -> QPMap:
         """A map of entries already parsed to tuples of Fractions of matching
         shapes, with the cleared rows of B and M read with them."""
-        qp = cls.__new__(cls)
+        qp = cls._of_rows(M_rows, B_rows)
         qp._init(lam, A, B)
-        object.__setattr__(qp, "B_rows", B_rows)
-        object.__setattr__(qp, "M_rows", M_rows)
         return qp
 
-    @property
-    def n(self) -> int:
-        return len(self.A)
+    @cached_property
+    def lam(self) -> RVector:
+        return tuple(e for (e,) in rational_rows((r[:1], d) for r, d in self.M_rows))
 
-    @property
-    def m(self) -> int:
-        return len(self.A[0])
+    @cached_property
+    def A(self) -> RMatrix:
+        return rational_rows((r[1:], d) for r, d in self.M_rows)
+
+    @cached_property
+    def B(self) -> RMatrix:
+        return rational_rows(self.B_rows)
 
     @cached_property
     def B_rows(self) -> tuple[Cleared, ...]:
@@ -185,5 +204,13 @@ def require_strict(qp: QPMap) -> QPMap:
 
 
 def strictness_violations(qp: QPMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (zero columns of A, zero rows of B); both empty for strict maps."""
+    """Return (zero columns of A, zero rows of B); both empty for strict maps.
+
+    A map that has its cleared rows is read from them, where an entry is zero
+    iff its numerator is, so a map made from rows makes no Fraction here; a
+    map made from Fractions alone is read from them, so checking it clears
+    nothing."""
+    if "M_rows" in vars(qp):
+        return (zero_column_indices([r[1:] for r, _ in qp.M_rows]),
+                zero_row_indices([r for r, _ in qp.B_rows]))
     return zero_column_indices(qp.A), zero_row_indices(qp.B)

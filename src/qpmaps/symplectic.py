@@ -120,8 +120,9 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
     entries of row p of B outside the columns i and s+i.
 
     Everything is counted on the map's cleared rows (``M_rows``, ``B_rows``),
-    where an entry is zero iff its numerator is; Fractions are formed only
-    for the witnesses kept.
+    where an entry is zero iff its numerator is. The map's Fraction entries
+    are read only for the witnesses kept, so a map made from rows, such as a
+    QMT's image, makes no Fraction when it has no witness.
     """
     n, m = qp.n, qp.m
     if n % 2:
@@ -136,7 +137,6 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
             reason=f"odd dimension n={n}: an even number of variables is required",
         )
     s = n // 2
-    lam, a, b = qp.lam, qp.A, qp.B
     m_rows = qp.M_rows
     m_nums = [r for r, _ in m_rows]
     b_nums = [r for r, _ in qp.B_rows]
@@ -149,17 +149,17 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
 
     a_sums = [(i, j - 1) for i, cols in enumerate(broken) for j in cols if j]
     cond_a = ConditionVerdict(True, len(a_sums), tuple(
-        Witness((("i", i + 1), ("j", j + 1)), v,
+        Witness((("i", i + 1), ("j", j + 1)), x + y,
                 f"A[{i + 1},{j + 1}] + A[{s + i + 1},{j + 1}]"
-                f" = {_fmt(a[i][j])} + {_fmt(a[s + i][j])} = {_fmt(v)}")
-        for i, j in a_sums[:WITNESS_LIMIT] for v in (a[i][j] + a[s + i][j],)))
+                f" = {_fmt(x)} + {_fmt(y)} = {_fmt(x + y)}")
+        for i, j in a_sums[:WITNESS_LIMIT] for x, y in ((qp.A[i][j], qp.A[s + i][j]),)))
 
     lam_sums = [i for i, cols in enumerate(broken) if cols and cols[0] == 0]
     cond_b = ConditionVerdict(True, len(lam_sums), tuple(
-        Witness((("i", i + 1),), v,
+        Witness((("i", i + 1),), x + y,
                 f"lambda[{i + 1}] + lambda[{s + i + 1}]"
-                f" = {_fmt(lam[i])} + {_fmt(lam[s + i])} = {_fmt(v)}")
-        for i in lam_sums[:WITNESS_LIMIT] for v in (lam[i] + lam[s + i],)))
+                f" = {_fmt(x)} + {_fmt(y)} = {_fmt(x + y)}")
+        for i in lam_sums[:WITNESS_LIMIT] for x, y in ((qp.lam[i], qp.lam[s + i]),)))
 
     # A[i][p] != 0 selects p (support), row p's count of nonzero entries of B,
     # and B[p][i] and B[p][s+i] (at_i, at_si), for each i <= s
@@ -173,6 +173,7 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
                   for r, x, y in zip(a_nums, at_i, at_si))
 
     def cross_products():
+        a, b = qp.A, qp.B
         for i in range(s):
             for j in range(s):
                 if i == j:
@@ -195,11 +196,11 @@ def check_conditions(qp: QPMap) -> SymplecticReport:
                for p in compress(support[i], map(ne, at_i[i], at_si[i]))]
 
     cond_d = ConditionVerdict(True, len(unequal), tuple(
-        Witness((("i", i + 1), ("p", p + 1)), v,
+        Witness((("i", i + 1), ("p", p + 1)), x * (y - z),
                 f"A[{i + 1},{p + 1}]*(B[{p + 1},{i + 1}] - B[{p + 1},{s + i + 1}])"
-                f" = {_fmt(a[i][p])}*({_fmt(b[p][i])} - {_fmt(b[p][s + i])}) = {_fmt(v)}")
+                f" = {_fmt(x)}*({_fmt(y)} - {_fmt(z)}) = {_fmt(x * (y - z))}")
         for i, p in unequal[:WITNESS_LIMIT]
-        for v in (a[i][p] * (b[p][i] - b[p][s + i]),)))
+        for x, y, z in ((qp.A[i][p], qp.B[p][i], qp.B[p][s + i]),)))
 
     ok = not (cond_a.count or cond_b.count or cond_c.count or cond_d.count)
     pairing = None

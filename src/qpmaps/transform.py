@@ -9,6 +9,9 @@ A QMT is built from C alone: its exact inverse is derived once, when the
 record is made, as cleared integer rows (see :class:`QMT`). :func:`apply_qmt`
 and :func:`class_invariant` multiply the cleared rows that the QMT and the map
 keep (:func:`qpmaps.linalg._product`), so no matrix is cleared again per call.
+``class_invariant`` returns B.M as Fractions. A transformed map, and the
+canonical representative, keep the products' cleared rows as their integer
+form, and make their Fraction entries only when something reads them.
 All of this is exact and imports no numpy; the float state maps
 ``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on their
 first call (:func:`qpmaps.maps.float_layer`).
@@ -23,7 +26,9 @@ from .errors import DegenerateResult, DimensionMismatch
 from .linalg import (
     Cleared,
     RMatrix,
+    _fractions,
     _product,
+    _reduced_rows,
     cleared_rows,
     cleared_to_float_matrix,
     identity,
@@ -127,9 +132,8 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
     """
     if t.n != qp.n:
         raise DimensionMismatch(f"QMT is {t.n}x{t.n} but map has n={qp.n}")
-    m2 = _product(t.C_inv_rows, qp.M_rows)
-    result = QPMap(tuple(row[0] for row in m2), tuple(row[1:] for row in m2),
-                   _product(qp.B_rows, t.C_rows))
+    result = QPMap._of_rows(_reduced_rows(_product(t.C_inv_rows, qp.M_rows)),
+                            _reduced_rows(_product(qp.B_rows, t.C_rows)))
     return _strict(result, "transformed map") if strict else result
 
 
@@ -151,7 +155,7 @@ def class_invariant(qp: QPMap) -> RMatrix:
     Identical for every map reachable from qp by QMTs; it is the null matrix
     for every symplectic map (the converse does not hold).
     """
-    return _product(qp.B_rows, qp.M_rows)
+    return _fractions(_product(qp.B_rows, qp.M_rows))
 
 
 def lv_canonical(qp: QPMap) -> QPMap:
@@ -163,9 +167,9 @@ def lv_canonical(qp: QPMap) -> QPMap:
     carrying the relaxed map, whose (lam | A) is still B.M ("canonical
     Lotka-Volterra representative left the strict QP form (...)").
     """
-    mc = class_invariant(qp)
-    return _strict(QPMap(tuple(row[0] for row in mc), tuple(row[1:] for row in mc),
-                         identity(qp.m)), "canonical Lotka-Volterra representative")
+    return _strict(QPMap._of_rows(_reduced_rows(_product(qp.B_rows, qp.M_rows)),
+                                  cleared_rows(identity(qp.m))),
+                   "canonical Lotka-Volterra representative")
 
 
 def _strict(result: QPMap, what: str) -> QPMap:

@@ -3,16 +3,20 @@ made once, by the parser or on first use, and checked against the Fraction
 entries and the independent oracles of tests/helpers.py."""
 
 import json
+import time
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpmaps import QMT, QPMap, apply_qmt, check_conditions, class_invariant
+from qpmaps import (QMT, QPMap, apply_qmt, check_conditions, class_invariant,
+                    strictness_violations)
 from qpmaps.documents import map_from_document, map_to_document, qmt_from_document
 from qpmaps.errors import DocumentError, NumericOverflow, SingularMatrix
-from qpmaps.linalg import _cleared, _column_cleared
+from qpmaps.linalg import (_cleared, _column_cleared, rational_rows, zero_column_indices,
+                           zero_row_indices)
 
 from helpers import (assert_matches_oracle, check_conditions_oracle, float_copy_oracle,
                      inverse_oracle, mat_mul_oracle, qmt_to_document)
@@ -268,3 +272,102 @@ def test_products_on_the_form_equal_the_fraction_loop(doc, seed):
     moved = mat_mul_oracle(t.C_inv, m)
     expected = QPMap([r[0] for r in moved], [r[1:] for r in moved], mat_mul_oracle(qp.B, t.C))
     assert apply_qmt(qp, t, strict=False) == expected
+
+
+def _canonical(rows):
+    return all(d > 0 and gcd(d, *r) == 1 for r, d in rows)
+
+
+def _scale(mu, n):
+    """The QMT C = mu*I that `qpmap transform --scale mu` applies."""
+    return QMT([[mu if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def maps_and_qmts(draw):
+    """A sampled map (integer, rational symplectic, or relaxed: one column of
+    A and one row of B zeroed) and a sampled integer QMT or a rational scaling."""
+    from qpmaps.sampling import random_qmt, random_symplectic_map, random_valid_map
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["valid", "symplectic", "relaxed"]))
+    m = draw(st.integers(1, 6))
+    if kind == "symplectic":
+        qp = random_symplectic_map(rng, 2 * draw(st.integers(1, 3)), m)
+    else:
+        qp = random_valid_map(rng, draw(st.integers(1, 6)), m)
+    if kind == "relaxed":
+        j, p, zero = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), Fraction(0)
+        qp = QPMap(qp.lam, [row[:j] + (zero,) + row[j + 1:] for row in qp.A],
+                   [(zero,) * qp.n if q == p else row for q, row in enumerate(qp.B)])
+    if draw(st.booleans()):
+        return qp, random_qmt(rng, qp.n)
+    mu = draw(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+    return qp, _scale(mu, qp.n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=maps_and_qmts())
+def test_row_built_image_equals_the_fraction_image(case):
+    """apply_qmt keeps the canonical cleared rows of its two products, and the
+    map they make reads as the image made from the Fraction triple loop does:
+    ==, hash, repr and its read-back, the strictness violations, every
+    check_conditions witness and the document."""
+    qp, t = case
+    image = apply_qmt(qp, t, strict=False)
+    assert not {"lam", "A", "B"} & image.__dict__.keys()
+    assert _canonical(image.M_rows) and _canonical(image.B_rows)
+    moved = mat_mul_oracle(inverse_oracle(t.C), m_matrix(qp))
+    expected = QPMap([r[0] for r in moved], [r[1:] for r in moved], mat_mul_oracle(qp.B, t.C))
+    assert image.M_rows == tuple(map(_cleared, moved))
+    assert image.B_rows == tuple(map(_cleared, expected.B))
+    assert strictness_violations(image) == (zero_column_indices(expected.A),
+                                            zero_row_indices(expected.B))
+    assert check_conditions(image) == check_conditions(expected)
+    assert_matches_oracle(image)
+    assert map_to_document(image) == map_to_document(expected)
+    assert image == expected and hash(image) == hash(expected)
+    assert repr(image) == repr(expected)
+    assert eval(repr(image), {"QPMap": QPMap, "Fraction": Fraction}) == image
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 3), m=st.integers(1, 6),
+       mu=st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+def test_check_conditions_builds_no_fraction_on_a_symplectic_image(seed, s, m, mu):
+    """A scaled symplectic map stays symplectic, so check_conditions keeps no
+    witness: it counts on the image's rows and makes no Fraction at all."""
+    from qpmaps.sampling import random_symplectic_map
+
+    qp = random_symplectic_map(np.random.default_rng(seed), 2 * s, m)
+    image = apply_qmt(qp, _scale(mu, 2 * s))
+    built, new = [], Fraction.__new__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__",
+                      lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+        report = check_conditions(image)
+    assert built == []
+    assert not {"lam", "A", "B"} & image.__dict__.keys()
+    assert report.is_symplectic and report == check_conditions(qp)
+
+
+def test_a_4000_digit_entry_of_c_costs_apply_qmt_a_bounded_time():
+    """One entry -1/(10**3999+7) of C gives B.C a 4000-digit column denominator
+    and C^-1 4000-digit rows. Finishing the products as cleared rows costs one
+    gcd per row, or per entry of that one column, not a Fraction per entry
+    (~0.015 s for apply_qmt on a 2-core Xeon VM)."""
+    from qpmaps.sampling import random_qmt, random_valid_map
+
+    rng = np.random.default_rng(3)
+    qp = random_valid_map(rng, 16, 16)
+    c = [list(row) for row in random_qmt(rng, 16).C]
+    c[5][7] = Fraction(-1, 10**3999 + 7)
+    t = QMT(c)
+    start = time.perf_counter()
+    image = apply_qmt(qp, t, strict=False)
+    assert time.perf_counter() - start < 0.5
+    assert _canonical(image.M_rows) and _canonical(image.B_rows)
+    # the first row of C^-1.M and the column of B.C through the wide entry
+    assert rational_rows(image.M_rows[:1]) == mat_mul_oracle(t.C_inv[:1], m_matrix(qp))
+    assert [row[7] for row in image.B] == [row[0] for row in
+                                           mat_mul_oracle(qp.B, [r[7:8] for r in t.C])]

@@ -199,6 +199,17 @@ def test_public_name_is_its_submodule_object(name):
     assert name in dir(qpmaps)
 
 
+def test_dir_lists_only_public_names_and_submodules():
+    """Every name of dir(qpmaps) without a leading underscore is in __all__ or
+    is a submodule of the package: what its own imports bind stays private."""
+    def submodule(name):
+        obj = getattr(qpmaps, name)
+        return type(obj) is type(qpmaps) and obj.__name__ == f"qpmaps.{name}"
+
+    public = [name for name in dir(qpmaps) if not name.startswith("_")]
+    assert [name for name in public if name not in qpmaps.__all__ and not submodule(name)] == []
+
+
 def test_core_keeps_the_map_names():
     import qpmaps.core as core
     import qpmaps.maps as maps

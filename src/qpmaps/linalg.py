@@ -17,7 +17,7 @@ of the right one, so a row of the product is one big-int multiply-add per inner
 index, decoded once. A product whose R*C fits no 8-byte slot is one dot product
 per entry.
 A product is its numerators r_i.c_j over d_i*e_j, finished one of two ways:
-as a ``Fraction`` matrix (:func:`_fractions`, what ``mat_mul`` and
+as a ``Fraction`` matrix (:func:`rational_rows`, what ``mat_mul`` and
 ``class_invariant`` return) or as canonical cleared rows (:func:`_reduced_rows`,
 what a transformed map keeps, so its ``Fraction`` entries are made only when
 read).
@@ -233,10 +233,14 @@ class _Entries(dict):
         return e
 
 
-def rational_rows(rows) -> RMatrix:
-    """The Fraction matrix of cleared rows, each distinct entry one Fraction."""
+def rational_rows(rows, dens=None) -> RMatrix:
+    """The Fraction matrix of cleared rows r_i/d_i, each distinct entry one
+    Fraction and every zero the same one. With column denominators ``dens``,
+    as a :data:`Product` has, entry (i, j) is r_ij / (d_i*e_j)."""
     entry = _Entries().__getitem__
-    return tuple(tuple(map(entry, zip(r, repeat(d)))) for r, d in rows)
+    if dens is None:
+        return tuple(tuple(map(entry, zip(r, repeat(d)))) for r, d in rows)
+    return tuple(tuple(map(entry, zip(r, map(mul, repeat(d), dens)))) for r, d in rows)
 
 
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
@@ -244,7 +248,7 @@ def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
     :func:`_product`, as Fractions."""
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
-    return _fractions(_product(cleared_rows(x), cleared_rows(y)))
+    return rational_rows(*_product(cleared_rows(x), cleared_rows(y)))
 
 
 #: A product before it is finished: per row i, the numerators r_i.c_j and d_i;
@@ -259,7 +263,7 @@ def _product(rows, right) -> Product:
     the product packs (:func:`_packed`), row i is one sum of r_i times the packed
     rows of the right factor, decoded by one to_bytes and one struct unpack into the
     numerators r_i.c_j; otherwise each numerator is one dot product. Entry (i, j)
-    is r_i.c_j over d_i*e_j, unreduced: :func:`_fractions` and :func:`_reduced_rows`
+    is r_i.c_j over d_i*e_j, unreduced: :func:`rational_rows` and :func:`_reduced_rows`
     finish it.
     """
     right, dens = _column_cleared(right)
@@ -270,20 +274,11 @@ def _product(rows, right) -> Product:
     return [(numerators(r), d) for r, d in rows], dens
 
 
-def _fractions(product: Product) -> RMatrix:
-    """The product as a Fraction matrix: each distinct entry one Fraction, every
-    zero the same one."""
-    rows, dens = product
-    entry = _Entries().__getitem__
-    return tuple(tuple(map(entry, zip(r, map(mul, repeat(d), dens)))) for r, d in rows)
-
-
-def _reduced_rows(product: Product) -> tuple[Cleared, ...]:
-    """The product as canonical cleared rows, those :func:`cleared_rows` gives of
-    its entries: d > 0 and gcd(d, *numerators) == 1. For an integer right factor
+def _reduced_rows(rows, dens) -> tuple[Cleared, ...]:
+    """A :data:`Product` as canonical cleared rows, those :func:`cleared_rows`
+    gives of its entries: d > 0 and gcd(d, *numerators) == 1. For an integer right factor
     (every e_j = 1) a row is divided by the one gcd(d, *r); otherwise each entry is
     reduced and the row cleared over the lcm of its denominators (:func:`_over_lcm`)."""
-    rows, dens = product
     if set(dens) == {1}:
         out = []
         for r, d in rows:

@@ -206,11 +206,7 @@ def require_strict(qp: QPMap) -> QPMap:
 def strictness_violations(qp: QPMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (zero columns of A, zero rows of B); both empty for strict maps.
 
-    A map that has its cleared rows is read from them, where an entry is zero
-    iff its numerator is, so a map made from rows makes no Fraction here; a
-    map made from Fractions alone is read from them, so checking it clears
-    nothing."""
-    if "M_rows" in vars(qp):
-        return (zero_column_indices([r[1:] for r, _ in qp.M_rows]),
-                zero_row_indices([r for r, _ in qp.B_rows]))
-    return zero_column_indices(qp.A), zero_row_indices(qp.B)
+    Read from the map's cleared rows, where an entry is zero iff its
+    numerator is, so a map made from rows makes no Fraction here."""
+    return (zero_column_indices([r[1:] for r, _ in qp.M_rows]),
+            zero_row_indices([r for r, _ in qp.B_rows]))

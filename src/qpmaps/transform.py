@@ -26,7 +26,6 @@ from .errors import DegenerateResult, DimensionMismatch
 from .linalg import (
     Cleared,
     RMatrix,
-    _fractions,
     _product,
     _reduced_rows,
     cleared_rows,
@@ -132,8 +131,8 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
     """
     if t.n != qp.n:
         raise DimensionMismatch(f"QMT is {t.n}x{t.n} but map has n={qp.n}")
-    result = QPMap._of_rows(_reduced_rows(_product(t.C_inv_rows, qp.M_rows)),
-                            _reduced_rows(_product(qp.B_rows, t.C_rows)))
+    result = QPMap._of_rows(_reduced_rows(*_product(t.C_inv_rows, qp.M_rows)),
+                            _reduced_rows(*_product(qp.B_rows, t.C_rows)))
     return _strict(result, "transformed map") if strict else result
 
 
@@ -155,7 +154,7 @@ def class_invariant(qp: QPMap) -> RMatrix:
     Identical for every map reachable from qp by QMTs; it is the null matrix
     for every symplectic map (the converse does not hold).
     """
-    return _fractions(_product(qp.B_rows, qp.M_rows))
+    return rational_rows(*_product(qp.B_rows, qp.M_rows))
 
 
 def lv_canonical(qp: QPMap) -> QPMap:
@@ -167,7 +166,7 @@ def lv_canonical(qp: QPMap) -> QPMap:
     carrying the relaxed map, whose (lam | A) is still B.M ("canonical
     Lotka-Volterra representative left the strict QP form (...)").
     """
-    return _strict(QPMap._of_rows(_reduced_rows(_product(qp.B_rows, qp.M_rows)),
+    return _strict(QPMap._of_rows(_reduced_rows(*_product(qp.B_rows, qp.M_rows)),
                                   cleared_rows(identity(qp.m))),
                    "canonical Lotka-Volterra representative")
 

@@ -10,10 +10,11 @@ A document's entries are mostly a few short values ("0", "1", -1, ...), so
 entry once per call: a table from JSON string to Fraction, made by the call,
 shared by lambda, A and B and dropped when it returns, so that a row of
 strings is one lookup per entry. JSON integers share a table of their own,
-so 1 and "1" are two entries; booleans (True == 1), floats, null, arrays and
-objects are parsed or rejected one by one. An entry is parsed at its first
-position, so the first bad entry raises there, with the message the entry
-alone would give; an integer never fails.
+so 1 and "1" are two entries, and a row of them alone is one lookup per entry
+too; booleans (True == 1), floats, null, arrays and objects are parsed or
+rejected one by one. An entry is parsed at its first position, so the first
+bad entry raises there, with the message the entry alone would give; an
+integer never fails.
 
 The same table gives the integer form the exact kernels read (the cleared
 rows of B, of M = (lam | A) and of C; see :class:`qpmaps.maps.QPMap`): a
@@ -21,8 +22,8 @@ row's denominator d is the lcm of its distinct strings' denominators, and
 its numerators are looked up in a table, one per distinct d, of the
 numerator over d of each string met in a row with that d; so the work stays
 linear in the document however many entries and denominators differ. A row
-with a JSON integer is cleared from the Fractions its parse just gave, so no
-entry is read twice.
+of JSON integers alone is its integers over 1; a row that mixes them with
+strings is cleared from the Fractions its parse just gave.
 """
 
 import json
@@ -70,6 +71,14 @@ def _expect_positive_int(doc: dict, key: str) -> int:
     return value
 
 
+class _Ints(dict):
+    """The Fraction of each distinct JSON integer entry, made on its first lookup."""
+
+    def __missing__(self, v):
+        e = self[v] = Fraction(v)
+        return e
+
+
 class _Table(dict):
     """The Fraction of each distinct string entry of one document, parsed on its
     first lookup. Only strings are keys: True and 1.0 equal the integer 1, so
@@ -78,7 +87,7 @@ class _Table(dict):
 
     def __init__(self):
         super().__init__()
-        self.ints: dict[int, Fraction] = {}
+        self.ints = _Ints()
 
     def __missing__(self, text):
         if type(text) is not str:
@@ -88,22 +97,23 @@ class _Table(dict):
 
 
 def _parse_entries(raw: list, where: str, table: _Table) -> tuple:
-    """Parse a list of entries whose positions are ``where[j]``. A list of strings
-    is one lookup per entry; any other list is parsed entry by entry, and its first
-    bad entry raises DocumentError at its position."""
+    """Parse a list of entries whose positions are ``where[j]``. A list of strings,
+    or of entries whose type is exactly int (so no boolean), is one lookup per
+    entry; any other list is parsed entry by entry, and its first bad entry raises
+    DocumentError at its position."""
     try:
         return tuple(map(table.__getitem__, raw))
     except (KeyError, TypeError, ValueError):
         pass
+    if set(map(type, raw)) == {int}:
+        return tuple(map(table.ints.__getitem__, raw))
     out = []
     for j, v in enumerate(raw):
         try:
             if type(v) is str:
                 f = table[v]
             elif type(v) is int:  # an integer never fails
-                f = table.ints.get(v)
-                if f is None:
-                    f = table.ints[v] = Fraction(v)
+                f = table.ints[v]
             else:
                 f = rational(v)
         except (TypeError, ValueError) as exc:
@@ -115,7 +125,7 @@ def _parse_entries(raw: list, where: str, table: _Table) -> tuple:
 def _cleared_rows(raw_rows, rows, table: _Table) -> tuple:
     """The cleared rows (:func:`qpmaps.linalg.cleared_rows`) of raw rows already
     parsed into ``table`` and into the Fraction rows ``rows``, looked up as the
-    module docstring says."""
+    module docstring says; a row of JSON integers is its entries over 1."""
     denominators = {text: e.denominator for text, e in table.items()}
     integers = set(denominators.values()) <= {1}  # then every row's lcm is 1
     # d -> the numerator over d of each string met in a row of lcm d
@@ -135,7 +145,7 @@ def _cleared_rows(raw_rows, rows, table: _Table) -> tuple:
                                        for text in missing})
             out.append((tuple(map(numerators.__getitem__, raw)), d))
         except KeyError:
-            out.append(_cleared(row))
+            out.append((tuple(raw), 1) if set(map(type, raw)) == {int} else _cleared(row))
     return tuple(out)
 
 

@@ -9,22 +9,29 @@ over the lcm of its denominators (:data:`Cleared`). ``mat_mul``, ``rank`` and
 cleared, so a map or QMT that keeps its cleared rows (``QPMap.B_rows``,
 ``QMT.C_inv_rows``, ...) clears each matrix once. A product takes both factors
 as cleared rows and clears the right factor's columns itself, which for an
-integer right factor are its rows as they are. It packs each row of the
-column-cleared right factor into one int, a signed slot per column (Kronecker
-substitution). Every slot of a product has one width of 1, 2, 4 or 8 bytes that
-holds R*C, R the largest row 1-norm of the left factor and C the largest |entry|
-of the right one, so a row of the product is one big-int multiply-add per inner
-index, decoded once. A product whose R*C fits no 8-byte slot is one dot product
-per entry.
+integer right factor are its rows as they are; otherwise it brings every row
+over the lcm of the row denominators and reduces each column by one gcd. It
+packs each row of the column-cleared right factor into one int, a signed slot
+per column (Kronecker substitution). Every slot of a product has one width of 1,
+2, 4 or 8 bytes that holds R*C, R the largest row 1-norm of the left factor and C
+the largest |entry| of the right one, so a row of the product is one big-int
+multiply-add per inner index, decoded once. A product whose R*C fits no 8-byte
+slot is one dot product per entry.
 A product is its numerators r_i.c_j over d_i*e_j, finished one of two ways:
 as a ``Fraction`` matrix (:func:`rational_rows`, what ``mat_mul`` and
 ``class_invariant`` return) or as canonical cleared rows (:func:`_reduced_rows`,
 what a transformed map keeps, so its ``Fraction`` entries are made only when
-read).
+read: one lcm of the column denominators, then one gcd per row).
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
-Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero,
-and which ``inverse`` finishes by back-substitution (Nakos, Turner and Williams,
-1997); both divide exactly by pivots. ``Fraction`` objects appear only at the
+Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero;
+both divide exactly by pivots. ``inverse`` carries the rows of the identity
+through it as right-hand sides packed the same way, one int per row, and
+finishes by back-substitution on whole packed rows (Nakos, Turner and Williams,
+1997): a multiply-add per pair of rows, not per entry. Its slots hold the
+entries of the adjugate, bounded by Hadamard's bound on the rows, so they are
+sized from the input and decoded once per row of the result, whatever the
+intermediates overflow. It takes the rows narrowest first, so that one wide row
+meets the others only at the last pivot. ``Fraction`` objects appear only at the
 boundary, one per distinct nonzero entry of a product or of cleared rows read back
 (:func:`rational_rows`), built with no gcd when its denominator is 1; the zero
 entries share one. A row or column of integers is its numerators as they are,
@@ -42,9 +49,9 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import attrgetter, floordiv, lshift, mul, truediv
-from struct import Struct, calcsize
+from struct import Struct
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, NumericOverflow, SingularMatrix
@@ -170,31 +177,49 @@ def cleared_rows(m: RMatrix) -> tuple[Cleared, ...]:
     return tuple(map(_cleared, m))
 
 
-def _over_lcm(nums, dens) -> Cleared:
-    """The rationals x/d, for x in ``nums`` over d > 0 in ``dens``, as one cleared
-    row, by integer operations alone: x/d reduces to p/q with p = x // g and
-    q = d // g, g = gcd(x, d), and the row is cleared over the lcm of the q."""
-    shrink = list(map(gcd, nums, dens))
-    qs = list(map(floordiv, dens, shrink))
-    e = lcm(*qs)
-    return tuple(x // g * (e // q) for x, g, q in zip(nums, shrink, qs)), e
-
-
 def _column_cleared(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The matrix with cleared rows ``rows`` with each column cleared instead: the
     integer rows of its column numerators, and each column's denominator lcm. An
-    integer matrix is its rows as they are over 1; otherwise each column is
-    cleared by :func:`_over_lcm`."""
+    integer matrix is its rows as they are over 1. Otherwise every row is brought
+    over e, the lcm of the row denominators, so column j is its numerators t_j over
+    e; with g = gcd(e, *t_j), one gcd per column, it reduces to t_j // g over e // g,
+    the lcm of its entries' reduced denominators."""
     nums, dens = zip(*rows)
     if set(dens) == {1}:
         return nums, (1,) * len(nums[0])
-    cols, col_dens = zip(*(_over_lcm(col, dens) for col in zip(*nums)))
-    return tuple(zip(*cols)), col_dens
+    e = lcm(*dens)
+    nums = [r if d == e else tuple(map(mul, r, repeat(e // d))) for r, d in zip(nums, dens)]
+    shrink = [gcd(e, *col) for col in zip(*nums)]
+    return tuple(tuple(map(floordiv, r, shrink)) for r in nums), tuple(e // g for g in shrink)
 
 
 def _fraction(p: int, q: int) -> Fraction:
     """p/q for q > 0, with no gcd when q is 1; every zero is one shared Fraction."""
     return _ZERO if not p else Fraction(p) if q == 1 else Fraction(p, q)
+
+
+def _slots(n: int, size: int):
+    """The shifts and the decoder of n signed little-endian slots of ``size`` bytes
+    each, a size of at most 8 rounded up to 1, 2, 4 or 8: an int sum_j x_j << shifts[j]
+    with every x_j in the range of its slot decodes to the tuple of the x_j. Adding,
+    then xoring, the top bit of every slot leaves each x_j as two's complement in its
+    own slot, read by one struct unpack, or by one int.from_bytes per slot when the
+    slots are wider than 8 bytes."""
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    bits, length = 8 * size, n * size
+    shifts = range(0, bits * n, bits)
+    top = sum(map(lshift, repeat(1 << bits - 1, n), shifts))
+    if size <= 8:
+        unpack = Struct(f"<{n}{'bhiq'[size.bit_length() - 1]}").unpack
+        return shifts, lambda v: unpack(((v + top) ^ top).to_bytes(length, "little"))
+    offsets, from_bytes = range(0, length, size), int.from_bytes
+
+    def decode(v):
+        raw = ((v + top) ^ top).to_bytes(length, "little")
+        return tuple(from_bytes(raw[i:i + size], "little", signed=True) for i in offsets)
+
+    return shifts, decode
 
 
 def _packed(rows, right):
@@ -204,25 +229,20 @@ def _packed(rows, right):
     (Harvey, J. Symbolic Comput. 44, 2009); None if they fit no 8-byte slot.
 
     Since |r_i.c_j| <= R*C, R the largest row 1-norm of x and C the largest |c_j[k]|,
-    every column gets a signed little-endian slot of the same w bits (1, 2, 4 or 8
-    bytes) that holds R*C. Row k of y packs to P_k = sum_j c_j[k] << w*j, so that
-    sum_k r[k]*P_k is sum_j (r.c_j) << w*j: one multiply-add per inner index, each
-    by an |r[k]| < 2**63. Adding, then xoring, the top bit of every slot leaves
-    each r.c_j as two's complement in its own slot. Wider than 8 bytes, each multiply
+    every column gets a signed slot of the same w bits (1, 2, 4 or 8 bytes,
+    :func:`_slots`) that holds R*C. Row k of y packs to P_k = sum_j c_j[k] << w*j, so
+    that sum_k r[k]*P_k is sum_j (r.c_j) << w*j: one multiply-add per inner index,
+    each by an |r[k]| < 2**63, decoded once. Wider than 8 bytes, each multiply
     would cost |r[k]| times the whole row's width, which grows with R, quadratic in
     x's width, so the product is left to one dot product per entry.
     """
     norm = max(sum(map(abs, r)) for r, _ in rows)
-    width = (norm * max(max(map(abs, y)) for y in right)).bit_length() // 8  # slot bytes - 1
-    if width >= 8:
+    size = (norm * max(max(map(abs, y)) for y in right)).bit_length() // 8 + 1
+    if size > 8:
         return None
-    code = "bhiiqqqq"[width]  # the signed struct code of that many bytes, rounded up
-    bits, n = 8 * calcsize(code), len(right[0])
-    shifts = range(0, bits * n, bits)
+    shifts, decode = _slots(len(right[0]), size)
     packed = [sum(map(lshift, y, shifts)) for y in right]
-    top = sum(map(lshift, repeat(1 << bits - 1, n), shifts))
-    unpack, size = Struct(f"<{n}{code}").unpack, bits * n // 8
-    return lambda r: unpack(((sum(map(mul, r, packed)) + top) ^ top).to_bytes(size, "little"))
+    return lambda r: decode(sum(map(mul, r, packed)))
 
 
 class _Entries(dict):
@@ -276,16 +296,18 @@ def _product(rows, right) -> Product:
 
 def _reduced_rows(rows, dens) -> tuple[Cleared, ...]:
     """A :data:`Product` as canonical cleared rows, those :func:`cleared_rows`
-    gives of its entries: d > 0 and gcd(d, *numerators) == 1. For an integer right factor
-    (every e_j = 1) a row is divided by the one gcd(d, *r); otherwise each entry is
-    reduced and the row cleared over the lcm of its denominators (:func:`_over_lcm`)."""
-    if set(dens) == {1}:
-        out = []
-        for r, d in rows:
-            g = gcd(d, *r)
-            out.append((r, d) if g == 1 else (tuple(x // g for x in r), d // g))
-        return tuple(out)
-    return tuple(_over_lcm(r, [d * e for e in dens]) for r, d in rows)
+    gives of its entries: d > 0 and gcd(d, *numerators) == 1. With e the lcm of the
+    e_j, row i is brought over d_i*e, numerator j scaled by e // e_j (nothing to scale
+    for an integer right factor, where e = 1), and divided by its one gcd."""
+    e = lcm(*dens)
+    scale = None if e == 1 else [e // f for f in dens]
+    out = []
+    for r, d in rows:
+        if scale:
+            r, d = tuple(map(mul, r, scale)), d * e
+        g = gcd(d, *r)
+        out.append((r, d) if g == 1 else (tuple(x // g for x in r), d // g))
+    return tuple(out)
 
 
 def augment_column(col, m: RMatrix) -> RMatrix:
@@ -308,7 +330,7 @@ def zero_column_indices(m: RMatrix) -> tuple[int, ...]:
     return tuple(j for j, col in enumerate(zip(*m)) if not any(col))
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+def _echelon(rows, rhs: list[int] | None = None) -> tuple[list[int], list[list[int]], int]:
     """Forward fraction-free (Bareiss) elimination of integer rows.
 
     Each step takes the next column, left to right; if it is nonzero in some remaining
@@ -323,10 +345,20 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
     takes divisor p, and a stale pivot row is rescaled by prev/d. So a row costs work
     only at the pivots of columns where it is nonzero, and the results are those of
     the dense pass.
+
+    ``rhs``, if given, holds one int per row, its right-hand sides packed one per slot
+    (:func:`inverse_rows`). It rides at the end of its row, is never a pivot column and
+    takes every step its row takes, so each pivot row ends with it. Packing is linear
+    and every division is exact slot by slot, so it is exact on the packed int too,
+    however far the slots overflow on the way.
     """
-    rows = [[list(row), 1] for row in rows]  # each remaining row and its divisor
+    width = len(rows[0])
+    if rhs is None:
+        rows = [[list(row), 1] for row in rows]  # each remaining row and its divisor
+    else:
+        rows = [[[*row, y], 1] for row, y in zip(rows, rhs)]
     pivots, tops, prev = [], [], 1
-    for c in range(len(rows[0][0])):
+    for c in range(width):
         pivot = next((i for i, (row, _) in enumerate(rows) if row[c]), None)
         if pivot is None:
             continue
@@ -368,32 +400,42 @@ def inverse(m: RMatrix) -> RMatrix:
 
 def inverse_rows(rows) -> tuple[Cleared, ...]:
     """The cleared rows of C^-1, for the cleared rows of a square C, by one forward
-    Bareiss pass and back-substitution; raises SingularMatrix.
+    Bareiss pass and back-substitution on packed right-hand sides; raises
+    SingularMatrix.
 
-    The pass runs on the integers [D.C | I], D = diag(d_i) with d_i the denominator
-    lcm of row i. That has rank n, so C is singular iff the last pivot is in I's
-    columns. Else it leaves [U | Y], U upper triangular and U.(D.C)^-1 = Y. With det
-    the last pivot, X = det.(D.C)^-1 is an integer matrix: U.X = det.Y is solved from
-    the last row up, dividing exactly by each pivot, and C^-1[i][j] = X[i][j]*d_j/det.
-    Row i is then cleared by g, the gcd of det and every X[i][j]*d_j, signed as det:
-    det/g is the lcm of its reduced denominators.
+    The pass runs on the integer rows of D.C, D = diag(d_i) with d_i the denominator
+    lcm of row i, with the rows of I as right-hand sides, row i packed as 1 << w*i
+    (:func:`_echelon`). It takes the rows in order of their norms, the narrowest
+    first, each with its own right-hand side, which changes neither the pivot
+    columns nor the result: a minor is only as wide as its rows, so one wide row,
+    as a huge denominator makes, meets the others only at the last pivot. C is
+    singular iff the pass finds fewer than n pivots. Else it leaves U | Y, U upper
+    triangular with U.(D.C)^-1 = Y. With det the last pivot, X = det.(D.C)^-1 =
+    +-adj(D.C) is an integer matrix: U.X = det.Y is solved from the last row up,
+    X_k = (det.Y_k - sum_{l>k} U[k][l]*X_l) // U[k][k] on whole packed rows, each
+    division exact. Every entry of X is a minor of D.C, at most Hadamard's bound
+    H = prod_i |row i of D.C|, so slots of w bits that hold +-H (:func:`_slots`)
+    decode each row of X once, however far the intermediates overflow them. Then C^-1[i][j] = X[i][j]*d_j/det, and row i is
+    cleared by g, the gcd of det and every X[i][j]*d_j, signed as det: det/g is
+    the lcm of its reduced denominators.
     """
     n = len(rows)
-    pivots, tops, det = _echelon([(*r, *(int(i == j) for j in range(n)))
-                                  for i, (r, _) in enumerate(rows)])
-    if pivots[-1] >= n:
-        dependent = next(c for c, p in enumerate(pivots) if c != p)
-        raise SingularMatrix(f"matrix is singular: rank {sum(c < n for c in pivots)} of {n}, "
+    norms = [sum(map(mul, r, r)) for r, _ in rows]
+    h2 = prod(norms)  # H**2
+    shifts, decode = _slots(n, ((h2.bit_length() + 1) // 2 + 8) // 8)  # |X[i][j]| < 2**(w-1)
+    order = sorted(range(n), key=norms.__getitem__)
+    pivots, tops, det = _echelon([rows[i][0] for i in order], [1 << shifts[i] for i in order])
+    if len(pivots) < n:
+        dependent = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+        raise SingularMatrix(f"matrix is singular: rank {len(pivots)} of {n}, "
                              f"column {dependent} depends on the columns before it")
-    cols = [[] for _ in range(n)]  # column j of X, last row first
-    for top in reversed(tops):
-        p, u = top[0], top[len(top) - n - 1:0:-1]  # U[k][k], then U[k][n-1] down to U[k][k+1]
-        for col, y in zip(cols, top[len(top) - n:]):
-            col.append((det * y - sum(map(mul, u, col))) // p)
+    xs = []  # the packed rows of X, last row first
+    for top in reversed(tops):  # U[k][k], U[k][k+1] up to U[k][n-1], then Y_k
+        xs.append((det * top[-1] - sum(map(mul, top[1:-1], reversed(xs)))) // top[0])
     dens = [d for _, d in rows]
     out = []
-    for k in reversed(range(n)):
-        row = [col[k] * d for col, d in zip(cols, dens)]
+    for packed in reversed(xs):
+        row = list(map(mul, decode(packed), dens))
         g = gcd(det, *row) if det > 0 else -gcd(det, *row)
         out.append((tuple(x // g for x in row), det // g))
     return tuple(out)

@@ -382,6 +382,27 @@ def test_echelon_equals_the_dense_pass(rows):
     assert linalg._echelon(rows) == echelon_oracle(rows)
 
 
+@given(m=square_matrices())
+def test_echelon_carries_packed_right_hand_sides(m):
+    """The rows of I packed one per slot and eliminated beside the rows of m end
+    each pivot row as the I columns of the dense pass on [m | I] do. Every entry
+    is a minor of [m | I], so slots holding Hadamard's bound on its rows decode
+    them, singular m and zero rows included."""
+    rows = cleared(m)
+    n = len(rows)
+    bound = 1
+    for r in rows:
+        bound *= sum(x * x for x in r) + 1
+    shifts, decode = linalg._slots(n, ((bound.bit_length() + 1) // 2 + 8) // 8)
+    pivots, tops, last = linalg._echelon(rows, [1 << s for s in shifts])
+    dense_pivots, dense_tops, dense_last = echelon_oracle(
+        [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    assert pivots == [c for c in dense_pivots if c < n]
+    assert [top[:-1] + list(decode(top[-1])) for top in tops] == dense_tops[:len(pivots)]
+    if len(pivots) == n:
+        assert last == dense_last
+
+
 @settings(max_examples=40, deadline=None)
 @given(qp=pair_patterned_maps(24))
 def test_rank_bounds_of_pair_patterned_maps_equal_gauss_elimination(qp):

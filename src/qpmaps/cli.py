@@ -207,7 +207,7 @@ def cmd_canonical(args) -> int:
         lv, degenerate = lv_canonical(qp), None
     except DegenerateResult as exc:
         lv, degenerate = exc.result, exc
-        if not any(lv.lam) and is_zero(lv.A):  # B.M = 0
+        if not any(any(r) for r, _ in lv.M_rows):  # B.M = 0
             _print_lines([f"class invariant B.M: 0 (null {qp.m}x{qp.m + 1} matrix)",
                           "canonical representative is trivial (identity map);"
                           " no document written"])

@@ -16,14 +16,16 @@ rejected one by one. An entry is parsed at its first position, so the first
 bad entry raises there, with the message the entry alone would give; an
 integer never fails.
 
-The same table gives the integer form the exact kernels read (the cleared
-rows of B, of M = (lam | A) and of C; see :class:`qpmaps.maps.QPMap`): a
-row's denominator d is the lcm of its distinct strings' denominators, and
-its numerators are looked up in a table, one per distinct d, of the
-numerator over d of each string met in a row with that d; so the work stays
-linear in the document however many entries and denominators differ. A row
-of JSON integers alone is its integers over 1; a row that mixes them with
-strings is cleared from the Fractions its parse just gave.
+The same table gives the integer form that every record holds from
+construction and the exact kernels read (the cleared rows of B, of
+M = (lam | A) and of C; see :class:`qpmaps.maps.QPMap`), which the parser
+hands with the parsed entries to the record's one internal constructor
+(``_of_rows``). A row's denominator d is the lcm of its distinct strings'
+denominators, and its numerators are looked up in a table, one per distinct
+d, of the numerator over d of each string met in a row with that d; so the
+work stays linear in the document however many entries and denominators
+differ. A row of JSON integers alone is its integers over 1; a row that
+mixes them with strings is cleared from the Fractions its parse just gave.
 """
 
 import json
@@ -208,7 +210,7 @@ def map_from_document(doc) -> QPMap:
         raise DocumentError(f"relaxed: expected true or false, got {relaxed!r}")
     rows = _cleared_rows([*((v, *row) for v, row in zip(doc["lambda"], doc["A"])), *doc["B"]],
                          [*((v, *row) for v, row in zip(lam, a)), *b], table)
-    qp = QPMap._parsed(lam, a, b, rows[n:], rows[:n])
+    qp = QPMap._of_rows(rows[:n], rows[n:], lam, a, b)
     try:
         return qp if relaxed else require_strict(qp)
     except QPError as exc:
@@ -225,7 +227,7 @@ def qmt_from_document(doc) -> QMT:
     table = _Table()
     c = _parse_matrix({"C": raw}, "C", n, n, table)
     try:
-        return QMT._parsed(c, _cleared_rows(raw, c, table))
+        return QMT._of_rows(c, _cleared_rows(raw, c, table))
     except QPError as exc:
         raise DocumentError(str(exc)) from exc
 

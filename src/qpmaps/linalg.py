@@ -6,9 +6,9 @@ kernels work on Python integers: each row cleared to its integer numerators
 over the lcm of its denominators (:data:`Cleared`). ``mat_mul``, ``rank`` and
 ``inverse`` clear their arguments on each call; the kernels under them,
 :func:`_product`, :func:`_echelon` and :func:`inverse_rows`, take rows already
-cleared, so a map or QMT that keeps its cleared rows (``QPMap.B_rows``,
-``QMT.C_inv_rows``, ...) clears each matrix once. A product takes both factors
-as cleared rows and clears the right factor's columns itself, which for an
+cleared, which a map or QMT holds from construction (``QPMap.B_rows``,
+``QMT.C_inv_rows``, ...), so each matrix is cleared once. A product takes both
+factors as cleared rows and clears the right factor's columns itself, which for an
 integer right factor are its rows as they are; otherwise it brings every row
 over the lcm of the row denominators and reduces each column by one gcd. It
 packs each row of the column-cleared right factor into one int, a signed slot
@@ -17,11 +17,10 @@ per column (Kronecker substitution). Every slot of a product has one width of 1,
 the largest |entry| of the right one, so a row of the product is one big-int
 multiply-add per inner index, decoded once. A product whose R*C fits no 8-byte
 slot is one dot product per entry.
-A product is its numerators r_i.c_j over d_i*e_j, finished one of two ways:
-as a ``Fraction`` matrix (:func:`rational_rows`, what ``mat_mul`` and
-``class_invariant`` return) or as canonical cleared rows (:func:`_reduced_rows`,
-what a transformed map keeps, so its ``Fraction`` entries are made only when
-read: one lcm of the column denominators, then one gcd per row).
+A product has one form: its numerators r_i.c_j over d_i*e_j, brought to
+canonical cleared rows (:func:`_reduced_rows`: one lcm of the column
+denominators, then one gcd per row), which ``mat_mul`` and ``class_invariant``
+read as Fractions and a transformed map holds as its integer form.
 ``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
 Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero;
 both divide exactly by pivots. ``inverse`` carries the rows of the identity
@@ -31,12 +30,14 @@ finishes by back-substitution on whole packed rows (Nakos, Turner and Williams,
 entries of the adjugate, bounded by Hadamard's bound on the rows, so they are
 sized from the input and decoded once per row of the result, whatever the
 intermediates overflow. It takes the rows narrowest first, so that one wide row
-meets the others only at the last pivot. ``Fraction`` objects appear only at the
-boundary, one per distinct nonzero entry of a product or of cleared rows read back
-(:func:`rational_rows`), built with no gcd when its denominator is 1; the zero
-entries share one. A row or column of integers is its numerators as they are,
-and :func:`rvector` returns a tuple of ``Fraction`` entries unchanged, so a map
-or QMT built from another one's entries reuses them.
+meets the others only at the last pivot. Past the entry points that take
+``Fraction``s (``mat_mul``, ``rank``, ``inverse`` and the records' constructors),
+rows become ``Fraction``s and never the reverse: a ``Fraction`` matrix is a view of
+cleared rows (:func:`rational_rows`), one ``Fraction`` per distinct nonzero entry,
+built with no gcd when its denominator is 1; the zero entries share one. A row
+or column of integers is its numerators as they are, and :func:`rvector` returns
+a tuple of ``Fraction`` entries unchanged, so a map or QMT built from another
+one's entries reuses them.
 Floats enter only through the two converters of the dynamic (trajectory) side,
 :func:`to_float_vector` of a ``Fraction`` vector and :func:`cleared_to_float_matrix`
 of cleared rows; they alone load numpy, on first use, so the exact layer runs
@@ -253,14 +254,11 @@ class _Entries(dict):
         return e
 
 
-def rational_rows(rows, dens=None) -> RMatrix:
+def rational_rows(rows) -> RMatrix:
     """The Fraction matrix of cleared rows r_i/d_i, each distinct entry one
-    Fraction and every zero the same one. With column denominators ``dens``,
-    as a :data:`Product` has, entry (i, j) is r_ij / (d_i*e_j)."""
+    Fraction and every zero the same one."""
     entry = _Entries().__getitem__
-    if dens is None:
-        return tuple(tuple(map(entry, zip(r, repeat(d)))) for r, d in rows)
-    return tuple(tuple(map(entry, zip(r, map(mul, repeat(d), dens)))) for r, d in rows)
+    return tuple(tuple(map(entry, zip(r, repeat(d)))) for r, d in rows)
 
 
 def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
@@ -268,37 +266,34 @@ def mat_mul(x: RMatrix, y: RMatrix) -> RMatrix:
     :func:`_product`, as Fractions."""
     if len(x[0]) != len(y):
         raise DimensionMismatch(f"cannot multiply {len(x)}x{len(x[0])} by {len(y)}x{len(y[0])}")
-    return rational_rows(*_product(cleared_rows(x), cleared_rows(y)))
+    return rational_rows(_product(cleared_rows(x), cleared_rows(y)))
 
 
-#: A product before it is finished: per row i, the numerators r_i.c_j and d_i;
-#: and the column denominators e_j. Entry (i, j) is r_i.c_j / (d_i*e_j).
-Product = tuple[list[Cleared], tuple[int, ...]]
-
-
-def _product(rows, right) -> Product:
-    """The exact product of the matrices with cleared rows r_i/d_i and ``right``.
+def _product(rows, right) -> tuple[Cleared, ...]:
+    """The canonical cleared rows of the product of the matrices with cleared rows
+    r_i/d_i and ``right``.
 
     The right factor's columns are cleared to c_j/e_j (:func:`_column_cleared`). If
     the product packs (:func:`_packed`), row i is one sum of r_i times the packed
     rows of the right factor, decoded by one to_bytes and one struct unpack into the
     numerators r_i.c_j; otherwise each numerator is one dot product. Entry (i, j)
-    is r_i.c_j over d_i*e_j, unreduced: :func:`rational_rows` and :func:`_reduced_rows`
-    finish it.
+    is r_i.c_j over d_i*e_j, which :func:`_reduced_rows` brings to canonical rows.
     """
     right, dens = _column_cleared(right)
     numerators = _packed(rows, right)
     if numerators is None:
         cols = list(zip(*right))
-        return [(tuple(sum(map(mul, r, c)) for c in cols), d) for r, d in rows], dens
-    return [(numerators(r), d) for r, d in rows], dens
+        return _reduced_rows([(tuple(sum(map(mul, r, c)) for c in cols), d) for r, d in rows],
+                             dens)
+    return _reduced_rows([(numerators(r), d) for r, d in rows], dens)
 
 
 def _reduced_rows(rows, dens) -> tuple[Cleared, ...]:
-    """A :data:`Product` as canonical cleared rows, those :func:`cleared_rows`
-    gives of its entries: d > 0 and gcd(d, *numerators) == 1. With e the lcm of the
-    e_j, row i is brought over d_i*e, numerator j scaled by e // e_j (nothing to scale
-    for an integer right factor, where e = 1), and divided by its one gcd."""
+    """Rows of numerators r_ij over d_i and column denominators e_j, as canonical
+    cleared rows, those :func:`cleared_rows` gives of the entries r_ij / (d_i*e_j):
+    d > 0 and gcd(d, *numerators) == 1. With e the lcm of the e_j, row i is brought
+    over d_i*e, numerator j scaled by e // e_j (nothing to scale for an integer
+    right factor, where e = 1), and divided by its one gcd."""
     e = lcm(*dens)
     scale = None if e == 1 else [e // f for f in dens]
     out = []

@@ -1,11 +1,12 @@
 """QP maps as exact data: the immutable (lam, A, B) record and its validation.
 
-This module is part of the exact layer and imports no numpy. Beside its
-Fraction entries a map keeps the integer form that the exact kernels read
-(see :class:`QPMap`); a map made from that form alone, such as a QMT's
-image, makes its Fraction entries only when they are read. The float copies
-are built on first use, and load numpy then: ``lam_f`` from lam, ``A_f`` and
-``B_f`` from the integer form (:func:`qpmaps.linalg.cleared_to_float_matrix`).
+This module is part of the exact layer and imports no numpy. A map holds, from
+construction, the integer form that the exact kernels read: the cleared rows
+of B and of M = (lam | A) (see :class:`QPMap`). Past construction rows only
+become Fractions and floats, never the reverse: a map made from rows makes its
+Fraction entries from them when they are read, and the float copies are built
+on first use, loading numpy then: ``lam_f`` from lam, ``A_f`` and ``B_f`` from
+the rows (:func:`qpmaps.linalg.cleared_to_float_matrix`).
 Evaluation lives in :mod:`qpmaps.core`, which re-exports ``QPMap`` and
 ``new_qp_map``, and :func:`float_layer` hands numpy and that module to the
 exact modules' float entry points.
@@ -54,7 +55,8 @@ class FrozenRecord:
     """An immutable record with named fields, set once by ``__init__``.
 
     A subclass names its fields, in order, in ``_fields`` and sets them with
-    :meth:`_init`. They live in ``__dict__``, where
+    :meth:`_init`, and what it derives from them at construction with
+    :meth:`_set`. They live in ``__dict__``, where
     ``functools.cached_property`` also keeps what it computes. Assigning or
     deleting any attribute raises AttributeError. Records of one class are
     equal, and hash alike, when their fields are equal; a record never
@@ -67,6 +69,11 @@ class FrozenRecord:
         """Set the fields in ``_fields`` order, one attribute at a time: an
         update of ``__dict__`` itself would cost each record a full dict."""
         for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _set(self, **values):
+        """Set attributes other than the fields, one at a time, as :meth:`_init` does."""
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -100,20 +107,22 @@ class QPMap(FrozenRecord):
     "relaxed" may carry. Use :func:`new_qp_map` for the strict form.
 
     The exact kernels and the float copies of A and B read the map's one
-    integer form: ``B_rows`` and ``M_rows``, the cleared rows
-    (:func:`qpmaps.linalg.cleared_rows`) of B and of M = (lam | A). A parsed
-    map carries its rows from the document
-    (:func:`qpmaps.documents.map_from_document`); a map made from rows alone
-    (:func:`qpmaps.transform.apply_qmt`, :func:`qpmaps.transform.lv_canonical`)
-    keeps them, and its fields lam, A and B are views of them, made on first
-    read; any other map clears its entries on first use. Either way the fields
-    hold equal Fractions, so ``==``, ``hash`` and ``repr`` do not depend on how
-    the map was made.
+    integer form: ``B_rows`` and ``M_rows``, the canonical cleared rows
+    (:func:`qpmaps.linalg.cleared_rows`) of B and of M = (lam | A), which
+    every map holds from construction. ``QPMap(lam, A, B)`` clears its entries
+    once; the parser (:func:`qpmaps.documents.map_from_document`) and the
+    products of :func:`qpmaps.transform.apply_qmt` and
+    :func:`qpmaps.transform.lv_canonical` hand their rows to :meth:`_of_rows`.
+    The fields lam, A and B are the entries given or parsed, or else views of
+    the rows, made on first read. Either way they hold equal Fractions, so
+    ``==``, ``hash`` and ``repr`` do not depend on how the map was made.
     """
 
     __match_args__ = _fields = ("lam", "A", "B")
     n: int
     m: int
+    M_rows: tuple[Cleared, ...]
+    B_rows: tuple[Cleared, ...]
 
     def __init__(self, lam, A, B):
         lam = rvector(lam)
@@ -127,25 +136,19 @@ class QPMap(FrozenRecord):
                 f"B must be {m}x{n} to match A ({n}x{m}), got {len(b)}x{len(b[0])}"
             )
         self._init(lam, a, b)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        self._set(n=n, m=m, M_rows=cleared_rows([(v, *row) for v, row in zip(lam, a)]),
+                  B_rows=cleared_rows(b))
 
     @classmethod
-    def _of_rows(cls, M_rows, B_rows) -> QPMap:
+    def _of_rows(cls, M_rows, B_rows, *fields) -> QPMap:
         """The map whose M = (lam | A) and B have these cleared rows, of matching
-        shapes and canonical as :func:`qpmaps.linalg.cleared_rows` gives them."""
+        shapes and canonical as :func:`qpmaps.linalg.cleared_rows` gives them.
+        ``fields``, if given, are its lam, A and B already as tuples of Fractions
+        equal to the rows; else they are made from the rows when read."""
         qp = cls.__new__(cls)
-        for name, value in (("n", len(M_rows)), ("m", len(B_rows)),
-                            ("M_rows", M_rows), ("B_rows", B_rows)):
-            object.__setattr__(qp, name, value)
-        return qp
-
-    @classmethod
-    def _parsed(cls, lam: RVector, A: RMatrix, B: RMatrix, B_rows, M_rows) -> QPMap:
-        """A map of entries already parsed to tuples of Fractions of matching
-        shapes, with the cleared rows of B and M read with them."""
-        qp = cls._of_rows(M_rows, B_rows)
-        qp._init(lam, A, B)
+        if fields:
+            qp._init(*fields)
+        qp._set(n=len(M_rows), m=len(B_rows), M_rows=M_rows, B_rows=B_rows)
         return qp
 
     @cached_property
@@ -159,14 +162,6 @@ class QPMap(FrozenRecord):
     @cached_property
     def B(self) -> RMatrix:
         return rational_rows(self.B_rows)
-
-    @cached_property
-    def B_rows(self) -> tuple[Cleared, ...]:
-        return cleared_rows(self.B)
-
-    @cached_property
-    def M_rows(self) -> tuple[Cleared, ...]:
-        return cleared_rows([(v, *row) for v, row in zip(self.lam, self.A)])
 
     @cached_property
     def lam_f(self) -> np.ndarray:

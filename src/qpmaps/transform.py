@@ -5,13 +5,13 @@ It maps QP maps to QP maps with M' = C^-1 M and B' = B C, where M = (lam | A),
 and is a topological conjugacy, so transformed maps are dynamically equivalent.
 The product B.M is therefore identical for all members of a class
 and is the M matrix of the class's canonical Lotka-Volterra representative.
-A QMT is built from C alone: its exact inverse is derived once, when the
-record is made, as cleared integer rows (see :class:`QMT`). :func:`apply_qmt`
+A QMT is built from C alone: the cleared rows of C and of its exact inverse
+are made once, when the record is made (see :class:`QMT`). :func:`apply_qmt`
 and :func:`class_invariant` multiply the cleared rows that the QMT and the map
-keep (:func:`qpmaps.linalg._product`), so no matrix is cleared again per call.
-``class_invariant`` returns B.M as Fractions. A transformed map, and the
-canonical representative, keep the products' cleared rows as their integer
-form, and make their Fraction entries only when something reads them.
+hold (:func:`qpmaps.linalg._product`), so no matrix is cleared again per call.
+A product is canonical cleared rows: ``class_invariant`` returns B.M as their
+Fraction view, and a transformed map, or the canonical representative, holds
+them as its integer form and makes its Fraction entries only when read.
 All of this is exact and imports no numpy; the float state maps
 ``push_state`` and ``pull_state`` load it, and :mod:`qpmaps.core`, on their
 first call (:func:`qpmaps.maps.float_layer`).
@@ -27,7 +27,6 @@ from .linalg import (
     Cleared,
     RMatrix,
     _product,
-    _reduced_rows,
     cleared_rows,
     cleared_to_float_matrix,
     identity,
@@ -45,16 +44,17 @@ class QMT(FrozenRecord):
     """An invertible rational change of variables x_i = prod_j y_j**C[i][j].
 
     Built from C alone, its only field, so the repr reads back and records
-    compare by C. When the record is made, ``C_inv_rows``, the cleared rows of
-    the exact inverse (:func:`qpmaps.linalg.inverse_rows`), are derived from
-    ``C_rows``, C's cleared rows. These rows are the QMT's one integer form: the
+    compare by C. The record holds its one integer form from construction:
+    ``C_rows``, C's cleared rows, and ``C_inv_rows``, the cleared rows of the
+    exact inverse derived from them (:func:`qpmaps.linalg.inverse_rows`). The
     Fraction matrix ``C_inv`` and the float copies ``C_f`` and ``C_inv_f`` are
-    derived from them on first use. A C that is not square raises
+    views of these rows, made on first use. A C that is not square raises
     DimensionMismatch, a singular one SingularMatrix.
     """
 
     __match_args__ = _fields = ("C",)
     C: RMatrix
+    C_rows: tuple[Cleared, ...]
     C_inv_rows: tuple[Cleared, ...]
 
     def __init__(self, C):
@@ -62,24 +62,20 @@ class QMT(FrozenRecord):
         if len(c) != len(c[0]):
             raise DimensionMismatch(f"QMT matrix must be square, got {len(c)}x{len(c[0])}")
         self._init(c)
-        object.__setattr__(self, "C_inv_rows", inverse_rows(self.C_rows))
+        rows = cleared_rows(c)
+        self._set(C_rows=rows, C_inv_rows=inverse_rows(rows))
 
     @classmethod
-    def _parsed(cls, C: RMatrix, C_rows) -> QMT:
+    def _of_rows(cls, C: RMatrix, C_rows) -> QMT:
         """The QMT of a square C already parsed to Fractions, with its cleared rows."""
         t = cls.__new__(cls)
         t._init(C)
-        object.__setattr__(t, "C_rows", C_rows)
-        object.__setattr__(t, "C_inv_rows", inverse_rows(C_rows))
+        t._set(C_rows=C_rows, C_inv_rows=inverse_rows(C_rows))
         return t
 
     @property
     def n(self) -> int:
         return len(self.C)
-
-    @cached_property
-    def C_rows(self) -> tuple[Cleared, ...]:
-        return cleared_rows(self.C)
 
     @cached_property
     def C_inv(self) -> RMatrix:
@@ -131,8 +127,7 @@ def apply_qmt(qp: QPMap, t: QMT, strict: bool = True) -> QPMap:
     """
     if t.n != qp.n:
         raise DimensionMismatch(f"QMT is {t.n}x{t.n} but map has n={qp.n}")
-    result = QPMap._of_rows(_reduced_rows(*_product(t.C_inv_rows, qp.M_rows)),
-                            _reduced_rows(*_product(qp.B_rows, t.C_rows)))
+    result = QPMap._of_rows(_product(t.C_inv_rows, qp.M_rows), _product(qp.B_rows, t.C_rows))
     return _strict(result, "transformed map") if strict else result
 
 
@@ -154,7 +149,7 @@ def class_invariant(qp: QPMap) -> RMatrix:
     Identical for every map reachable from qp by QMTs; it is the null matrix
     for every symplectic map (the converse does not hold).
     """
-    return rational_rows(*_product(qp.B_rows, qp.M_rows))
+    return rational_rows(_product(qp.B_rows, qp.M_rows))
 
 
 def lv_canonical(qp: QPMap) -> QPMap:
@@ -166,8 +161,7 @@ def lv_canonical(qp: QPMap) -> QPMap:
     carrying the relaxed map, whose (lam | A) is still B.M ("canonical
     Lotka-Volterra representative left the strict QP form (...)").
     """
-    return _strict(QPMap._of_rows(_reduced_rows(*_product(qp.B_rows, qp.M_rows)),
-                                  cleared_rows(identity(qp.m))),
+    return _strict(QPMap._of_rows(_product(qp.B_rows, qp.M_rows), cleared_rows(identity(qp.m))),
                    "canonical Lotka-Volterra representative")
 
 

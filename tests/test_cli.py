@@ -795,11 +795,27 @@ class TestTransform:
 
 
 class TestCanonical:
-    def test_symplectic_trivial_note(self, dim2_file, capsys):
+    def test_symplectic_trivial_note(self, dim2_file, capsys, monkeypatch):
+        import qpmaps.cli
+        from qpmaps.errors import DegenerateResult
+
+        results = []
+
+        def lv_canonical(qp, real=qpmaps.cli.lv_canonical):
+            try:
+                return real(qp)
+            except DegenerateResult as exc:
+                results.append(exc.result)
+                raise
+
+        monkeypatch.setattr(qpmaps.cli, "lv_canonical", lv_canonical)
         assert main(["canonical", dim2_file]) == 0
         out = capsys.readouterr().out
         assert "class invariant B.M: 0" in out
         assert "canonical representative is trivial (identity map)" in out
+        # B.M = 0 is read from the numerators of the result's rows: no Fraction view
+        [lv] = results
+        assert not {"lam", "A", "B"} & vars(lv).keys()
 
     def test_dim4_trivial(self, dim4_file, capsys):
         assert main(["canonical", dim4_file]) == 0

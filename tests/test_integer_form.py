@@ -1,6 +1,7 @@
 """The integer form the exact kernels and the float copies read: cleared rows
-made once, by the parser or on first use, and checked against the Fraction
-entries and the independent oracles of tests/helpers.py."""
+every record holds from construction, and the canonical rows every product
+ends as, checked against the Fraction entries and the independent oracles of
+tests/helpers.py."""
 
 import json
 import time
@@ -15,8 +16,9 @@ from qpmaps import (QMT, QPMap, apply_qmt, check_conditions, class_invariant, do
                     strictness_violations)
 from qpmaps.documents import map_from_document, map_to_document, qmt_from_document
 from qpmaps.errors import DocumentError, NumericOverflow, SingularMatrix
-from qpmaps.linalg import (_cleared, _column_cleared, _reduced_rows, cleared_rows, inverse_rows,
-                           rational_rows, rmatrix, zero_column_indices, zero_row_indices)
+from qpmaps.linalg import (_cleared, _column_cleared, _packed, _product, _reduced_rows,
+                           cleared_rows, inverse_rows, rational_rows, rmatrix,
+                           zero_column_indices, zero_row_indices)
 
 from helpers import (assert_matches_oracle, check_conditions_oracle, float_copy_oracle,
                      inverse_oracle, mat_mul_oracle, qmt_to_document)
@@ -63,9 +65,21 @@ def column_form(m):
     return tuple(zip(*(c for c, _ in cols))), tuple(e for _, e in cols)
 
 
+def assert_routes_agree(*records):
+    """Records of one map, or of one QMT, made by different routes: each holds
+    its cleared rows in vars(), where they are set at construction, and all
+    agree on those rows, on == and on hash."""
+    first = records[0]
+    names = ("M_rows", "B_rows") if isinstance(first, QPMap) else ("C_rows", "C_inv_rows")
+    for record in records:
+        assert set(names) <= vars(record).keys()
+        assert [vars(record)[name] for name in names] == [vars(first)[name] for name in names]
+        assert record == first and hash(record) == hash(first)
+
+
 def assert_map_form(qp):
     fresh = QPMap(qp.lam, qp.A, qp.B)
-    assert (qp.B_rows, qp.M_rows) == (fresh.B_rows, fresh.M_rows)
+    assert_routes_agree(qp, fresh)
     assert qp.B_rows == tuple(map(_cleared, qp.B))
     assert qp.M_rows == tuple(map(_cleared, m_matrix(qp)))
     assert _column_cleared(qp.M_rows) == column_form(m_matrix(qp))
@@ -90,8 +104,7 @@ def test_parsed_qmt_form_is_the_cleared_entries(c):
         t = qmt_from_document({"C": c})
     except DocumentError:
         return  # singular
-    fresh = QMT(t.C)
-    assert (t.C_rows, t.C_inv_rows) == (fresh.C_rows, fresh.C_inv_rows)
+    assert_routes_agree(t, QMT(t.C))
     assert t.C_rows == tuple(map(_cleared, t.C))
     assert _column_cleared(t.C_rows) == column_form(t.C)
 
@@ -241,7 +254,7 @@ FLOAT_EDGES = st.sampled_from([
               "B": [["1", "1" + "0" * 400]]}, data=None)
 def test_map_floats_are_the_bits_of_each_entry(doc, data):
     """A_f and B_f, from the integer rows of a parsed map and of the same map
-    cleared on first use, are float(e) of each entry of A and B bit for bit,
+    built from its entries, are float(e) of each entry of A and B bit for bit,
     also where lambda's denominator scales A's row, and name the first entry
     that leaves the double range."""
     qp = map_from_document(doc)
@@ -316,6 +329,7 @@ def test_row_built_image_equals_the_fraction_image(case):
     qp, t = case
     image = apply_qmt(qp, t, strict=False)
     assert not {"lam", "A", "B"} & image.__dict__.keys()
+    assert {"M_rows", "B_rows"} <= image.__dict__.keys()
     assert _canonical(image.M_rows) and _canonical(image.B_rows)
     moved = mat_mul_oracle(inverse_oracle(t.C), m_matrix(qp))
     expected = QPMap([r[0] for r in moved], [r[1:] for r in moved], mat_mul_oracle(qp.B, t.C))
@@ -326,7 +340,8 @@ def test_row_built_image_equals_the_fraction_image(case):
     assert check_conditions(image) == check_conditions(expected)
     assert_matches_oracle(image)
     assert map_to_document(image) == map_to_document(expected)
-    assert image == expected and hash(image) == hash(expected)
+    assert_routes_agree(image, expected,
+                        map_from_document({**map_to_document(image), "relaxed": True}))
     assert repr(image) == repr(expected)
     assert eval(repr(image), {"QPMap": QPMap, "Fraction": Fraction}) == image
 
@@ -483,7 +498,7 @@ def test_column_cleared_is_each_column_cleared(m):
 @given(data=st.data(), n_rows=st.integers(1, 5), n_cols=st.integers(1, 5))
 @example(data=None, n_rows=2, n_cols=2)
 def test_reduced_rows_are_each_fraction_row_cleared(data, n_rows, n_cols):
-    """A Product's rows r_i over d_i and column denominators e_j, finished as
+    """Rows of numerators r_i over d_i and column denominators e_j, finished as
     cleared rows, are the cleared rows of the Fractions r_ij / (d_i*e_j)."""
     if data is None:
         rows, dens = [((3, 10**3999 + 7), 2), ((0, 5), 3)], (5, 10**3999 + 7)
@@ -494,6 +509,43 @@ def test_reduced_rows_are_each_fraction_row_cleared(data, n_rows, n_cols):
         dens = tuple(data.draw(st.lists(DENOMINATORS, min_size=n_cols, max_size=n_cols)))
     expected = [[Fraction(x, d * e) for x, e in zip(r, dens)] for r, d in rows]
     assert _reduced_rows(rows, dens) == tuple(map(_cleared, expected))
+
+
+@st.composite
+def product_factors(draw):
+    """Rational factors x (a x k) and y (k x b), sizes 1 to 5, neither zero; with
+    ``wide``, one entry of one factor has a 300-digit numerator, so that R*C fits
+    no 8-byte slot (:func:`qpmaps.linalg._packed`) and the product is one dot
+    product per entry. Otherwise it packs."""
+    a, k, b = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 5, 7, 12]))
+    x, y = ([draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+            for rows, cols in ((a, k), (k, b)))
+    for factor in (x, y):
+        if not any(map(any, factor)):
+            factor[0][0] = Fraction(1)
+    wide = draw(st.booleans())
+    if wide:
+        factor = draw(st.sampled_from([x, y]))
+        i, j = draw(st.integers(0, len(factor) - 1)), draw(st.integers(0, len(factor[0]) - 1))
+        factor[i][j] = Fraction(draw(st.sampled_from([1, -1])) * (10**299 + draw(
+            st.integers(1, 10**6))), draw(st.sampled_from([1, 3, 12])))
+    return x, y, wide
+
+
+@settings(deadline=None)
+@given(factors=product_factors())
+@example(factors=([[Fraction(1, 2), Fraction(-1, 3)]], [[Fraction(3)], [Fraction(1, 5)]], False))
+@example(factors=([[Fraction(10**299 + 1, 3), Fraction(1, 2)]], [[Fraction(1, 7)], [0]], True))
+def test_product_rows_are_canonical_and_the_fraction_product(factors):
+    """_product ends as canonical cleared rows (d > 0, gcd(d, *r) == 1), those of
+    the Fraction triple loop, whether it packs or takes one dot product per entry."""
+    x, y, wide = factors
+    rows, right = cleared_rows(rmatrix(x)), cleared_rows(rmatrix(y))
+    assert (_packed(rows, _column_cleared(right)[0]) is None) == wide
+    got = _product(rows, right)
+    assert _canonical(got)
+    assert got == tuple(map(_cleared, mat_mul_oracle(x, y)))
 
 
 def test_an_integer_c_is_read_with_no_fraction_cleared(monkeypatch):

@@ -108,25 +108,26 @@ def test_float_subcommand_without_numpy_exits_2(args):
 
 
 def test_kernels_on_a_parsed_map_clear_no_row_again(monkeypatch):
-    """The parser makes a map's cleared rows: check_conditions, rank_bounds and
-    class_invariant on a parsed map call linalg._cleared zero times, while the
-    same map built from its entries clears them on first use."""
+    """Every map holds its cleared rows from construction: the parser makes them
+    from its table, and QPMap(lam, A, B) calls linalg._cleared once per row of
+    M = (lam | A) and of B. check_conditions, rank_bounds and class_invariant
+    then call it zero times on either map."""
     parsed = map_from_document(map_to_document(random_valid_map(np.random.default_rng(3), 6, 5)))
-    built = QPMap(parsed.lam, parsed.A, parsed.B)
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("qpmaps") and hasattr(module, "_cleared"):
             cleared = module._cleared
             monkeypatch.setattr(module, "_cleared",
                                 lambda row, cleared=cleared: calls.append(1) or cleared(row))
+    built = QPMap(parsed.lam, parsed.A, parsed.B)
+    assert len(calls) == built.n + built.m
     counts = []
     for qp in (parsed, built):
         calls.clear()
         results = (check_conditions(qp), rank_bounds(qp), class_invariant(qp))
         counts.append(len(calls))
     assert results == (check_conditions(parsed), rank_bounds(parsed), class_invariant(parsed))
-    assert counts[0] == 0
-    assert counts[1] >= built.n + built.m
+    assert counts == [0, 0]
 
 
 def test_residual_runs_no_import_after_its_first_call(monkeypatch):

@@ -283,8 +283,7 @@ def _product(rows, right) -> tuple[Cleared, ...]:
     numerators = _packed(rows, right)
     if numerators is None:
         cols = list(zip(*right))
-        return _reduced_rows([(tuple(sum(map(mul, r, c)) for c in cols), d) for r, d in rows],
-                             dens)
+        numerators = lambda r: tuple(sum(map(mul, r, c)) for c in cols)
     return _reduced_rows([(numerators(r), d) for r, d in rows], dens)
 
 

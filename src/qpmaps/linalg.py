@@ -30,7 +30,15 @@ finishes by back-substitution on whole packed rows (Nakos, Turner and Williams,
 entries of the adjugate, bounded by Hadamard's bound on the rows, so they are
 sized from the input and decoded once per row of the result, whatever the
 intermediates overflow. It takes the rows narrowest first, so that one wide row
-meets the others only at the last pivot. Past the entry points that take
+meets the others only at the last pivot.
+The rank bounds of a map eliminate modulo the Mersenne prime P = 2**31 - 1 first
+(:func:`_mod_pivots`), on rows packed into 64-bit slots: a pivot step is one
+multiply-add and one Mersenne fold per row, which keeps every slot below
+2**32 + 2, so the next step stays below 2**64, whatever the size of the entries.
+A rank mod P is never above the rank over Q; :func:`_certified` proves it equal
+when it is min(rows, columns), or when the product of the rank + 1 largest squared
+row norms is below P**2 (Hadamard's bound). Only a rank not certified takes the
+Bareiss pass. Past the entry points that take
 ``Fraction``s (``mat_mul``, ``rank``, ``inverse`` and the records' constructors),
 rows become ``Fraction``s and never the reverse: a ``Fraction`` matrix is a view of
 cleared rows (:func:`rational_rows`), one ``Fraction`` per distinct nonzero entry,
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm, prod
@@ -74,6 +83,8 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
 #: A plain ASCII integer or "p/q", read by int() instead of Fraction's own regex.
 _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _ZERO = Fraction(0)
+#: The Mersenne prime 2**31 - 1 of the modular ranks (:func:`_mod_pivots`).
+_P = (1 << 31) - 1
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
@@ -371,6 +382,77 @@ def _echelon(rows, rhs: list[int] | None = None) -> tuple[list[int], list[list[i
         if not rows:
             break
     return pivots, tops, prev
+
+
+@lru_cache(maxsize=32)
+def _mod_layout(n: int, width: int):
+    """The struct pack of n rows of ``width`` unsigned 64-bit slots, and the masks
+    LO (the low 31 bits of every slot) and TOP2 (bits 0 and 1 of every slot) of
+    :func:`_mod_pivots`, built through bytes in O(n*width)."""
+    lo = int.from_bytes(b"\xff\xff\xff\x7f\0\0\0\0" * width, "little")
+    top2 = int.from_bytes(b"\3\0\0\0\0\0\0\0" * width, "little")
+    return Struct(f"<{n * width}Q").pack, lo, top2
+
+
+def _mod_pivots(rows) -> list[int]:
+    """The pivot columns of integer rows modulo the Mersenne prime P = 2**31 - 1.
+
+    Each row is reduced mod P and packed into one int of unsigned 64-bit slots,
+    through one struct pack, so packing is linear in the width. A row waits in the
+    bucket of its first possibly nonzero column, as its slots from that column on;
+    its head f there is its low slot mod P. At column c the first row with f != 0
+    is the pivot row: p its head and top its slots past c. Every other row of the
+    bucket drops its head, and one with f != 0 becomes p*v + (P - f)*top, one
+    multiply-add per row per pivot where an entrywise pass makes one per entry.
+    Since 2**31 = 1 (mod P), one fold, (v & LO) + (v >> 31 & LO) + (v >> 62 & TOP2),
+    brings every slot below 2**32 + 2, so with p, P - f < P the next update stays
+    below 2**64 and no slot carries into the next. Each row then moves to the
+    bucket of its lowest nonzero slot, skipping the columns where it is zero: a
+    sparse row costs work only at the pivots where it may be nonzero.
+    """
+    width, from_bytes, size = len(rows[0]), int.from_bytes, 8 * len(rows[0])
+    pack, lo, top2 = _mod_layout(len(rows), width)
+    raw = pack(*[x % _P for r in rows for x in r])
+    buckets = [[from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]]
+    buckets += [[] for _ in range(width)]
+    pivots, full = [], min(len(rows), width)
+    for c in range(width):
+        top, after = None, buckets[c + 1]
+        for v in buckets[c]:
+            f = (v & 0xFFFFFFFFFFFFFFFF) % _P
+            if not f:
+                v >>= 64
+            elif top is None:
+                p, top = f, v >> 64
+                continue
+            else:
+                v = p * (v >> 64) + (_P - f) * top
+                v = (v & lo) + (v >> 31 & lo) + (v >> 62 & top2)
+            if v & 0xFFFFFFFFFFFFFFFF:
+                after.append(v)
+            elif v:
+                k = ((v & -v).bit_length() - 1) >> 6
+                buckets[c + 1 + k].append(v >> 64 * k)
+        if top is not None:
+            pivots.append(c)
+            if len(pivots) == full:
+                break
+    return pivots
+
+
+def _certified(rows, rank: int, width: int | None = None) -> bool:
+    """Whether ``rank``, the rank modulo P (:func:`_mod_pivots`) of integer rows cut
+    to their first ``width`` columns (all of them by default), is their rank over Q.
+    It is never above it, and equals it when it is min(rows, columns), or when the
+    product of the rank + 1 largest squared row norms is below P**2: a nonzero
+    (rank + 1)-minor is then below P by Hadamard's bound, so P cannot divide it,
+    yet every such minor vanishes mod P."""
+    width = width or len(rows[0])
+    if rank == min(len(rows), width):
+        return True
+    norms = [sum(map(mul, r[:width], r)) for r in rows]
+    norms.sort()
+    return prod(norms[-rank - 1:]) < _P * _P
 
 
 def pivot_columns(m: RMatrix) -> tuple[int, ...]:

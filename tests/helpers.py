@@ -14,11 +14,11 @@ from qpmaps import (QMT, QPMap, eval_solution, jacobian, new_qmt, new_qp_map, ph
                     skew_matrix, solver_qmt, step)
 from qpmaps.core import as_state, first_nonpositive_row
 from qpmaps.documents import _matrix_entries, map_to_document, parse_rational, trajectory_csv_lines
-from qpmaps.symplectic import (WITNESS_LIMIT, ConditionVerdict, SymplecticReport, Witness,
-                               check_conditions)
+from qpmaps.symplectic import (WITNESS_LIMIT, ConditionVerdict, RankReport, SymplecticReport,
+                               Witness, check_conditions)
 from qpmaps.errors import (DocumentError, NumericOverflow, OddDimension, QPError, SingularMatrix,
                            ZeroColumnOfA, ZeroRowOfB)
-from qpmaps.linalg import identity, mat_mul
+from qpmaps.linalg import _echelon, identity, mat_mul
 from qpmaps.sampling import (_SMALL_INTEGERS, _qbar, random_rational, random_state,
                              random_symplectic_map, random_valid_map)
 
@@ -271,6 +271,36 @@ def echelon_oracle(rows):
         if not rows:
             break
     return pivots, tops, prev
+
+
+def mod_pivots_oracle(rows, p):
+    """The pivot columns of integer rows over the integers mod p: Gaussian elimination
+    of the residues, each pivot row scaled by its inverse, every remaining row reduced
+    in turn."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i, row in enumerate(rows) if row[c]), None)
+        if pivot is None:
+            continue
+        top = rows.pop(pivot)
+        inv = pow(top[c], -1, p)
+        top = [x * inv % p for x in top]
+        rows = [[(a - row[c] * b) % p for a, b in zip(row, top)] for row in rows]
+        pivots.append(c)
+    return pivots
+
+
+def rank_bounds_oracle(qp: QPMap) -> RankReport:
+    """rank_bounds by exact elimination alone: one fraction-free pass (linalg._echelon)
+    over B's cleared rows and one over those of (A | lam), lam last, whose pivots
+    among A's m columns give rank(A) and all of whose pivots give rank(M)."""
+    rank_b = len(_echelon([r for r, _ in qp.B_rows])[0])
+    pivots = _echelon([r[1:] + r[:1] for r, _ in qp.M_rows])[0]
+    rank_m = len(pivots)
+    s = qp.n // 2
+    return RankReport(rank_B=rank_b, rank_A=sum(c < qp.m for c in pivots), rank_M=rank_m,
+                      bound_satisfied=None if qp.n % 2 else rank_b <= s and rank_m <= s)
 
 
 def inverse_oracle(m):

@@ -237,6 +237,24 @@ class TestCheck:
                 in captured.out)
         assert f"  class invariant B.M: [[0, {'9' * 4299}8]] (nonzero)\n" in captured.out
 
+    def test_one_4000_digit_denominator_is_checked_in_bounded_time(self, tmp_path):
+        """random_valid_map(default_rng(1), 60, 60) with A[0][0] = 1/(10**3999 + 7):
+        its ranks are full mod 2**31 - 1, so no exact elimination carries the
+        4,000-digit row (about 30 s on a 2-core Xeon virtual machine when every
+        rank was exact)."""
+        qp = random_valid_map(np.random.default_rng(1), 60, 60)
+        doc = map_to_document(qp)
+        doc["A"][0][0] = f"1/{10**3999 + 7}"
+        path = tmp_path / "wide_entry.qpmap.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "qpmaps", "check", str(path)],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              timeout=120)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 1
+        assert b"ranks: rank_A=60 rank_B=60 rank_M=60" in proc.stdout
+
     def test_classifier_disagreement_exit_3(self, dim2_file, capsys, monkeypatch):
         # Unreachable for correct classifiers; forced here to pin the exit code.
         import qpmaps.cli as cli

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpmaps import QPMap, linalg, new_qmt, rank_bounds
+from qpmaps import QPMap, apply_qmt, linalg, new_qmt, rank_bounds, symplectic
 from qpmaps.errors import DimensionMismatch, NumericOverflow, SingularMatrix
 from qpmaps.linalg import (
     augment_column,
@@ -25,10 +25,10 @@ from qpmaps.linalg import (
     zero_column_indices,
     zero_row_indices,
 )
-from qpmaps.sampling import random_qmt, random_symplectic_map
+from qpmaps.sampling import random_qmt, random_symplectic_map, random_valid_map
 
-from helpers import (echelon_oracle, inverse_oracle, mat_mul_oracle, rank_by_minors,
-                     rank_oracle)
+from helpers import (echelon_oracle, inverse_oracle, mat_mul_oracle, mod_pivots_oracle,
+                     rank_bounds_oracle, rank_by_minors, rank_oracle)
 
 
 def test_rational_coercions():
@@ -410,6 +410,127 @@ def test_rank_bounds_of_pair_patterned_maps_equal_gauss_elimination(qp):
     assert rep.rank_B == rank_oracle(qp.B)
     assert rep.rank_A == rank_oracle(qp.A)
     assert rep.rank_M == rank_oracle(augment_column(qp.lam, qp.A))
+
+
+# Ranks modulo P = 2**31 - 1: the packed pass, its certificate and the exact fallback.
+
+P = 2**31 - 1
+
+
+@st.composite
+def rank_bound_maps(draw):
+    """Maps of every kind rank_bounds meets: A from any_matrices beside a zero-heavy
+    lam, pair-patterned maps (integer, rational, one entry changed or not), QMT
+    images of either (apply_qmt(..., strict=False)) and relaxed maps, with a zero
+    column of A and a zero row of B put in."""
+    kind = draw(st.sampled_from(("matrices", "pairs", "image", "relaxed")))
+    if kind == "pairs" or kind == "image" and draw(st.booleans()):
+        qp = draw(pair_patterned_maps(24))
+    else:
+        a = draw(any_matrices)
+        n, m = len(a), len(a[0])
+        qp = QPMap(draw(st.lists(zero_heavy, min_size=n, max_size=n)), a,
+                   draw(rational_matrices(m, n)))
+    if kind == "image":
+        seed = draw(st.integers(0, 2**32 - 1))
+        qp = apply_qmt(qp, random_qmt(np.random.default_rng(seed), qp.n), strict=False)
+    elif kind == "relaxed":
+        j, k = draw(st.integers(0, qp.m - 1)), draw(st.integers(0, qp.m - 1))
+        a = [row[:j] + (Fraction(0),) + row[j + 1:] for row in qp.A]
+        b = [(Fraction(0),) * qp.n if i == k else row for i, row in enumerate(qp.B)]
+        qp = QPMap(qp.lam, a, b)
+    return qp
+
+
+@settings(max_examples=150, deadline=None)
+@given(qp=rank_bound_maps())
+def test_rank_bounds_equal_the_exact_passes(qp):
+    assert rank_bounds(qp) == rank_bounds_oracle(qp)
+
+
+@given(rows=st.one_of(echelon_inputs(), st.builds(
+    lambda m, k: [[x * P for x in r] if i % k == 0 else r for i, r in enumerate(cleared(m))],
+    any_matrices, st.integers(1, 3))))
+def test_mod_pivots_are_the_pivots_mod_p(rows):
+    """The packed pass finds the pivot columns of plain elimination mod P, also where
+    some rows are multiples of P; a rank mod P never exceeds the exact one, equals it
+    where it is certified, and the pivots agree where every prefix's is."""
+    pivots, exact = linalg._mod_pivots(rows), linalg._echelon(rows)[0]
+    assert pivots == mod_pivots_oracle(rows, P)
+    assert len(pivots) <= len(exact)
+    if linalg._certified(rows, len(pivots)):
+        assert len(pivots) == len(exact)
+    if all(linalg._certified(rows, sum(c < k for c in pivots), k)
+           for k in range(1, len(rows[0]) + 1)):
+        assert pivots == exact
+
+
+@pytest.fixture
+def exact_passes(monkeypatch):
+    """The number of rows of each matrix that rank_bounds hands to _echelon."""
+    calls = []
+    real = symplectic._echelon
+    monkeypatch.setattr(symplectic, "_echelon", lambda rows: calls.append(len(rows)) or real(rows))
+    return calls
+
+
+@pytest.mark.parametrize("lam, a, b, ranks, passes", [
+    # every entry a multiple of P: the modular pass sees two zero matrices
+    ([P, 2 * P], [[P, 0], [3 * P, -P]], [[P, P], [0, 5 * P]], (2, 2, 2, False), [2, 2]),
+    # rank(M) mod P is full, but rank(A) mod P is 1 against 2 over Q
+    ([1, 0], [[P, 0], [0, 1]], [[1, 0], [0, 1]], (2, 2, 2, False), [2]),
+    # [[P]]: Hadamard's bound is P**2, not below it
+    ([0], [[P]], [[P]], (1, 1, 1, None), [1, 1]),
+])
+def test_a_minor_that_p_divides_takes_the_exact_pass(lam, a, b, ranks, passes, exact_passes):
+    qp = QPMap(lam, a, b)
+    assert tuple(rank_bounds(qp)) == ranks == tuple(rank_bounds_oracle(qp))
+    assert exact_passes == passes
+
+
+def test_certificate_edges():
+    assert linalg._mod_pivots([[P]]) == [] and not linalg._certified([[P]], 0)
+    assert linalg._mod_pivots([[P - 1]]) == [0] and linalg._certified([[P - 1]], 1)
+    # a certified rank does not fix the pivot columns: [[P, 1]] has rank 1 both ways,
+    # pivot column 1 mod P and 0 over Q, and its first column's rank is not certified
+    assert linalg._mod_pivots([[P, 1]]) == [1] and linalg._certified([[P, 1]], 1)
+    assert linalg._echelon([[P, 1]])[0] == [0] and not linalg._certified([[P, 1]], 0, 1)
+    # rank(A) of (A | lam) = [[P, 0, 1], [0, 1, 0]] is its own certificate: 1 mod P, not exact
+    rows = [[P, 0, 1], [0, 1, 0]]
+    assert linalg._mod_pivots(rows) == [1, 2] and linalg._certified(rows, 2)
+    assert not linalg._certified(rows, 1, 2)
+    # below full rank, the rank + 1 largest squared norms must multiply to less than P**2
+    assert linalg._certified([[1, 0], [1, 0], [0, 0]], 1)
+    assert not linalg._certified([[1 << 31, 0], [1 << 31, 0]], 1)
+
+
+def test_rank_bounds_cost_does_not_grow_with_entry_size(exact_passes):
+    """random_valid_map(default_rng(1), 60, 60) with A[0][0] = 1/(10**3999 + 7), whose
+    first row of M clears to 4,000-digit numerators: its ranks are full mod P, so no
+    exact pass runs and the wide row costs one reduction mod P per entry (about 30 s
+    on a 2-core Xeon virtual machine when every rank was exact)."""
+    qp = random_valid_map(np.random.default_rng(1), 60, 60)
+    a = [list(row) for row in qp.A]
+    a[0][0] = Fraction(1, 10**3999 + 7)
+    start = time.perf_counter()
+    assert tuple(rank_bounds(QPMap(qp.lam, a, qp.B))) == (60, 60, 60, False)
+    assert time.perf_counter() - start < 1
+    assert exact_passes == []
+
+
+def test_a_rank_deficient_wide_row_is_eliminated_last(exact_passes):
+    """With row n - 1 a copy of row 1, no rank is full and Hadamard's bound cannot
+    certify one, so both take the exact pass. It takes the 4,000-digit row last,
+    so only that row carries its digits (about 9 s on a 2-core Xeon virtual machine
+    with the rows in the given order)."""
+    qp = random_valid_map(np.random.default_rng(1), 40, 40)
+    lam, a, b = list(qp.lam), [list(row) for row in qp.A], [list(row) for row in qp.B]
+    a[0][0] = Fraction(1, 10**3999 + 7)
+    lam[-1], a[-1], b[-1] = lam[1], a[1], b[1]
+    start = time.perf_counter()
+    assert tuple(rank_bounds(QPMap(lam, a, b))) == (39, 39, 39, False)
+    assert time.perf_counter() - start < 1
+    assert exact_passes == [40, 40]
 
 
 # Wide entries: products too wide for an 8-byte slot, which stay dot products,

@@ -20,18 +20,15 @@ The same table gives the integer form that every record holds from
 construction and the exact kernels read (the cleared rows of B, of
 M = (lam | A) and of C; see :class:`qpmaps.maps.QPMap`), which the parser
 hands with the parsed entries to the record's one internal constructor
-(``_of_rows``). A row's denominator d is the lcm of its distinct strings'
-denominators, and its numerators are looked up in a table, one per distinct
-d, of the numerator over d of each string met in a row with that d; so the
-work stays linear in the document however many entries and denominators
-differ. A row of JSON integers alone is its integers over 1; a row that
-mixes them with strings is cleared from the Fractions its parse just gave.
+(``_of_rows``). One dict maps each whole-number entry, string or JSON
+integer, to its numerator, so a row of whole numbers is one lookup per entry,
+over 1. Any other row is cleared from the Fractions its parse just gave, by
+the constructors' own routine (:func:`qpmaps.linalg._cleared`).
 """
 
 import json
 from collections.abc import Iterator
 from fractions import Fraction
-from math import lcm
 
 from .errors import DocumentError, QPError
 from .linalg import _cleared, rational
@@ -126,28 +123,19 @@ def _parse_entries(raw: list, where: str, table: _Table) -> tuple:
 
 def _cleared_rows(raw_rows, rows, table: _Table) -> tuple:
     """The cleared rows (:func:`qpmaps.linalg.cleared_rows`) of raw rows already
-    parsed into ``table`` and into the Fraction rows ``rows``, looked up as the
-    module docstring says; a row of JSON integers is its entries over 1."""
-    denominators = {text: e.denominator for text, e in table.items()}
-    integers = set(denominators.values()) <= {1}  # then every row's lcm is 1
-    # d -> the numerator over d of each string met in a row of lcm d
-    over = {1: {text: e.numerator for text, e in table.items()}} if integers else {}
+    parsed into ``table`` and into the Fraction rows ``rows``: a row of whole
+    numbers is its numerators over 1, one lookup per entry, and any other row is
+    :func:`qpmaps.linalg._cleared` of its Fractions."""
+    # only strings and exact ints get here, as _parse_entries rejects booleans and
+    # floats first: True == 1 would otherwise find the numerator of 1
+    whole = {text: e.numerator for text, e in table.items() if e.denominator == 1}
+    whole.update({v: v for v in table.ints})
     out = []
     for raw, row in zip(raw_rows, rows):
         try:
-            if integers:
-                d, numerators = 1, over[1]
-            else:
-                texts = set(raw)
-                d = lcm(*map(denominators.__getitem__, texts))
-                numerators = over.setdefault(d, {})
-                missing = texts - numerators.keys()
-                if missing:
-                    numerators.update({text: table[text].numerator * (d // denominators[text])
-                                       for text in missing})
-            out.append((tuple(map(numerators.__getitem__, raw)), d))
+            out.append((tuple(map(whole.__getitem__, raw)), 1))
         except KeyError:
-            out.append((tuple(raw), 1) if set(map(type, raw)) == {int} else _cleared(row))
+            out.append(_cleared(row))
     return tuple(out)
 
 

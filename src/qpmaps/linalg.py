@@ -21,24 +21,26 @@ A product has one form: its numerators r_i.c_j over d_i*e_j, brought to
 canonical cleared rows (:func:`_reduced_rows`: one lcm of the column
 denominators, then one gcd per row), which ``mat_mul`` and ``class_invariant``
 read as Fractions and a transformed map holds as its integer form.
-``rank`` and ``inverse`` share one forward fraction-free pass (Bareiss, Math.
-Comp. 22, 1968), which touches a row only at pivots where its entry is nonzero;
-both divide exactly by pivots. ``inverse`` carries the rows of the identity
-through it as right-hand sides packed the same way, one int per row, and
+One forward fraction-free pass (Bareiss, Math. Comp. 22, 1968), :func:`_echelon`,
+serves the exact ranks and the inverse; it touches a row only at pivots where its
+entry is nonzero, and divides exactly by pivots. ``inverse`` carries the rows of
+the identity through it as right-hand sides packed the same way, one int per row, and
 finishes by back-substitution on whole packed rows (Nakos, Turner and Williams,
 1997): a multiply-add per pair of rows, not per entry. Its slots hold the
 entries of the adjugate, bounded by Hadamard's bound on the rows, so they are
 sized from the input and decoded once per row of the result, whatever the
 intermediates overflow. It takes the rows narrowest first, so that one wide row
 meets the others only at the last pivot.
-The rank bounds of a map eliminate modulo the Mersenne prime P = 2**31 - 1 first
-(:func:`_mod_pivots`), on rows packed into 64-bit slots: a pivot step is one
-multiply-add and one Mersenne fold per row, which keeps every slot below
-2**32 + 2, so the next step stays below 2**64, whatever the size of the entries.
+There is one rank routine, :func:`_ranks`, behind both ``rank`` and the rank bounds
+of a map (``symplectic.rank_bounds``); the library gives ranks, not pivot columns.
+It eliminates modulo the Mersenne prime P = 2**31 - 1 first (:func:`_mod_pivots`),
+on rows packed into 64-bit slots: a pivot step is one multiply-add and one Mersenne
+fold per row, which keeps every slot below 2**32 + 2, so the next step stays below
+2**64, whatever the size of the entries.
 A rank mod P is never above the rank over Q; :func:`_certified` proves it equal
 when it is min(rows, columns), or when the product of the rank + 1 largest squared
 row norms is below P**2 (Hadamard's bound). Only a rank not certified takes the
-Bareiss pass. Past the entry points that take
+Bareiss pass, on the rows narrowest first. Past the entry points that take
 ``Fraction``s (``mat_mul``, ``rank``, ``inverse`` and the records' constructors),
 rows become ``Fraction``s and never the reverse: a ``Fraction`` matrix is a view of
 cleared rows (:func:`rational_rows`), one ``Fraction`` per distinct nonzero entry,
@@ -440,6 +442,11 @@ def _mod_pivots(rows) -> list[int]:
     return pivots
 
 
+def _norm(row) -> int:
+    """The squared Euclidean norm of an integer row."""
+    return sum(map(mul, row, row))
+
+
 def _certified(rows, rank: int, width: int | None = None) -> bool:
     """Whether ``rank``, the rank modulo P (:func:`_mod_pivots`) of integer rows cut
     to their first ``width`` columns (all of them by default), is their rank over Q.
@@ -450,20 +457,39 @@ def _certified(rows, rank: int, width: int | None = None) -> bool:
     width = width or len(rows[0])
     if rank == min(len(rows), width):
         return True
-    norms = [sum(map(mul, r[:width], r)) for r in rows]
+    norms = [_norm(r[:width]) for r in rows]
     norms.sort()
     return prod(norms[-rank - 1:]) < _P * _P
 
 
-def pivot_columns(m: RMatrix) -> tuple[int, ...]:
-    """Pivot columns of m, by one forward Bareiss pass (:func:`_echelon`) over
-    its cleared rows: scaling a row by its denominator lcm leaves them unchanged."""
-    return tuple(_echelon([_cleared(row)[0] for row in m])[0])
+def _ranks(rows, width: int) -> tuple[int, int]:
+    """The exact ranks of integer rows cut to their first ``width`` columns, and of
+    all their columns: the one rank routine of the library.
+
+    Both are the counts of pivot columns modulo P (:func:`_mod_pivots`), before
+    ``width`` and in all, when :func:`_certified` proves them exact. The rank of the
+    first ``width`` columns has its own certificate; since the rank of all columns
+    exceeds it by at most the number of the other columns, a certified rank there
+    that falls short of the rank of all columns mod P by exactly that number
+    certifies both. Otherwise the pivots come from the exact fraction-free pass
+    (:func:`_echelon`) on the rows narrowest first, as :func:`inverse_rows` takes
+    them: the order changes no pivot column, and one wide row, such as a huge
+    denominator clears, is then a pivot row only where no narrower one is.
+    """
+    pivots = _mod_pivots(rows)
+    low = sum(c < width for c in pivots)
+    if not (_certified(rows, low, width)
+            and (len(pivots) - low == len(rows[0]) - width or _certified(rows, len(pivots)))):
+        pivots = _echelon(sorted(rows, key=_norm))[0]
+        low = sum(c < width for c in pivots)
+    return low, len(pivots)
 
 
 def rank(m: RMatrix) -> int:
-    """Exact rank: the number of pivot columns."""
-    return len(pivot_columns(m))
+    """Exact rank (:func:`_ranks` of m's cleared rows: scaling a row by its
+    denominator lcm leaves the rank unchanged)."""
+    rows = [_cleared(row)[0] for row in m]
+    return _ranks(rows, len(rows[0]))[1]
 
 
 def inverse(m: RMatrix) -> RMatrix:
@@ -496,7 +522,7 @@ def inverse_rows(rows) -> tuple[Cleared, ...]:
     the lcm of its reduced denominators.
     """
     n = len(rows)
-    norms = [sum(map(mul, r, r)) for r, _ in rows]
+    norms = [_norm(r) for r, _ in rows]
     h2 = prod(norms)  # H**2
     shifts, decode = _slots(n, ((h2.bit_length() + 1) // 2 + 8) // 8)  # |X[i][j]| < 2**(w-1)
     order = sorted(range(n), key=norms.__getitem__)

@@ -23,7 +23,7 @@ from operator import add, mul, ne, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NumericOverflow, OddDimension
-from .linalg import _certified, _echelon, _mod_pivots, format_rational as _fmt
+from .linalg import _ranks, format_rational as _fmt
 from .maps import QPMap, float_layer
 
 if TYPE_CHECKING:
@@ -336,41 +336,20 @@ def _jacobian_residual(L: np.ndarray) -> float:
     return r if r < np.inf else np.inf
 
 
-def _squared_norm(row) -> int:
-    return sum(map(mul, row, row))
-
-
 def rank_bounds(qp: QPMap) -> RankReport:
     """Exact ranks of B, A, M=(lam|A) and the rank <= s necessary condition.
 
-    One elimination of (A | lam), lam last, gives both rank(A) (the pivots
-    among A's m columns) and rank(M) (all pivots): column order does not
-    change a rank. Each matrix is eliminated modulo P = 2**31 - 1 first, on
-    packed rows (:func:`qpmaps.linalg._mod_pivots`), so the cost does not grow
-    with the size of the entries. A rank mod P is never above the rank over Q;
-    it is taken when it is certified exact, by reaching min(rows, columns) or
-    by Hadamard's bound on the rows (:func:`qpmaps.linalg._certified`), rank(A)
-    by its own certificate on A's rows. A rank that is not certified comes
-    from the exact fraction-free pass (:func:`qpmaps.linalg._echelon`) on the
-    rows narrowest first, as :func:`qpmaps.linalg.inverse_rows` takes them: the
-    order changes no pivot column, and one wide row, such as a huge denominator
-    clears, is then a pivot row only where no narrower one is.
+    One call of :func:`qpmaps.linalg._ranks` on (A | lam), lam last, gives both
+    rank(A) (the pivots among A's m columns) and rank(M) (all pivots): column
+    order does not change a rank. Another gives rank(B), from B^T when m > n, so
+    that fewer rows are updated. ``_ranks`` says when a rank modulo a prime is
+    taken as certified exact and when the exact pass runs instead.
     """
     b = [r for r, _ in qp.B_rows]
     if qp.m > qp.n:
-        b = list(zip(*b))  # the rank of B^T, with fewer rows to update
-    rank_b = len(_mod_pivots(b))
-    if not _certified(b, rank_b):
-        rank_b = len(_echelon(sorted(b, key=_squared_norm))[0])
-    m = [r[1:] + r[:1] for r, _ in qp.M_rows]
-    pivots = _mod_pivots(m)
-    rank_a = sum(c < qp.m for c in pivots)
-    # rank(M) <= rank(A) + 1, so a certified rank(A) below a rank(M) mod P certifies both
-    if not (_certified(m, rank_a, qp.m)
-            and (len(pivots) > rank_a or _certified(m, len(pivots)))):
-        pivots = _echelon(sorted(m, key=_squared_norm))[0]
-        rank_a = sum(c < qp.m for c in pivots)
-    rank_m = len(pivots)
+        b = list(zip(*b))
+    rank_b = _ranks(b, len(b[0]))[1]
+    rank_a, rank_m = _ranks([r[1:] + r[:1] for r, _ in qp.M_rows], qp.m)
     if qp.n % 2 == 0:
         s = qp.n // 2
         bound = rank_b <= s and rank_m <= s

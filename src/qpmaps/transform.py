@@ -29,7 +29,6 @@ from .linalg import (
     _product,
     cleared_rows,
     cleared_to_float_matrix,
-    identity,
     inverse_rows,
     rational_rows,
     rmatrix,
@@ -155,13 +154,16 @@ def class_invariant(qp: QPMap) -> RMatrix:
 def lv_canonical(qp: QPMap) -> QPMap:
     """The canonical Lotka-Volterra representative of qp's equivalence class.
 
-    Returns the m-variable map with M_c = B.M and B_c = I. When B.A has a
-    zero column the representative leaves the strict QP form (for symplectic
-    maps it is always the trivial identity map); DegenerateResult is raised
+    Returns the m-variable map with M_c = B.M and B_c = I, held as B.M's
+    product rows and the unit rows of I. When B.A has a zero column the
+    representative leaves the strict QP form (for symplectic maps it is
+    always the trivial identity map); DegenerateResult is raised
     carrying the relaxed map, whose (lam | A) is still B.M ("canonical
     Lotka-Volterra representative left the strict QP form (...)").
     """
-    return _strict(QPMap._of_rows(_product(qp.B_rows, qp.M_rows), cleared_rows(identity(qp.m))),
+    m = qp.m
+    unit_rows = tuple(((0,) * p + (1,) + (0,) * (m - p - 1), 1) for p in range(m))
+    return _strict(QPMap._of_rows(_product(qp.B_rows, qp.M_rows), unit_rows),
                    "canonical Lotka-Volterra representative")
 
 

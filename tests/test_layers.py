@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import qpmaps
-from qpmaps import QPMap, check_conditions, class_invariant, rank_bounds, symplectic
+from qpmaps import (QPMap, check_conditions, class_invariant, linalg, lv_canonical, rank_bounds,
+                    symplectic)
 from qpmaps.documents import map_from_document, map_to_document
+from qpmaps.errors import DegenerateResult
 from qpmaps.sampling import random_valid_map
 
 from helpers import dim4_map
@@ -128,6 +130,25 @@ def test_kernels_on_a_parsed_map_clear_no_row_again(monkeypatch):
         counts.append(len(calls))
     assert results == (check_conditions(parsed), rank_bounds(parsed), class_invariant(parsed))
     assert counts == [0, 0]
+
+
+@pytest.mark.parametrize("m", [1, 3, 50])
+def test_canonical_representative_clears_no_row(monkeypatch, m):
+    """lv_canonical holds B.M as its product rows and B_c = I as unit rows, so
+    linalg._cleared runs zero times, and B_rows are those that clearing the
+    Fraction identity gives."""
+    qp = random_valid_map(np.random.default_rng(m), 4, m)
+    calls = []
+    cleared = linalg._cleared
+    monkeypatch.setattr(linalg, "_cleared", lambda row: calls.append(1) or cleared(row))
+    try:
+        lv = lv_canonical(qp)
+    except DegenerateResult as exc:
+        lv = exc.result
+    assert calls == []
+    monkeypatch.undo()
+    assert lv.B_rows == linalg.cleared_rows(linalg.identity(m))
+    assert lv.B == linalg.identity(m)
 
 
 def test_residual_runs_no_import_after_its_first_call(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpmaps import QPMap, apply_qmt, linalg, new_qmt, rank_bounds, symplectic
+from qpmaps import QPMap, apply_qmt, linalg, new_qmt, rank_bounds
 from qpmaps.errors import DimensionMismatch, NumericOverflow, SingularMatrix
 from qpmaps.linalg import (
     augment_column,
@@ -16,7 +16,6 @@ from qpmaps.linalg import (
     inverse,
     is_zero,
     mat_mul,
-    pivot_columns,
     rank,
     rational,
     rmatrix,
@@ -295,11 +294,6 @@ def test_mat_mul_equals_fraction_loop(data, x, seed):
     assert seed is None or is_zero(got)
 
 
-@given(m=st.one_of(any_matrices, square_matrices()))
-def test_rank_equals_gauss_elimination(m):
-    assert rank(m) == rank_oracle(m)
-
-
 @given(m=any_matrices)
 def test_pivot_columns_are_where_the_prefix_rank_grows(m):
     cols = list(zip(*m))
@@ -307,8 +301,8 @@ def test_pivot_columns_are_where_the_prefix_rank_grows(m):
     def prefix_rank(k):
         return rank_oracle(tuple(zip(*cols[:k]))) if k else 0
 
-    expected = tuple(c for c in range(len(cols)) if prefix_rank(c + 1) > prefix_rank(c))
-    assert pivot_columns(m) == expected
+    expected = [c for c in range(len(cols)) if prefix_rank(c + 1) > prefix_rank(c)]
+    assert linalg._echelon(cleared(m))[0] == expected
     assert rank(m) == len(expected)
 
 
@@ -416,6 +410,11 @@ def test_rank_bounds_of_pair_patterned_maps_equal_gauss_elimination(qp):
 
 P = 2**31 - 1
 
+#: Cleared rows of any_matrices with every k-th row, k in 1..3, a multiple of P.
+multiple_of_p_rows = st.builds(
+    lambda m, k: [[x * P for x in r] if i % k == 0 else r for i, r in enumerate(cleared(m))],
+    any_matrices, st.integers(1, 3))
+
 
 @st.composite
 def rank_bound_maps(draw):
@@ -448,9 +447,14 @@ def test_rank_bounds_equal_the_exact_passes(qp):
     assert rank_bounds(qp) == rank_bounds_oracle(qp)
 
 
-@given(rows=st.one_of(echelon_inputs(), st.builds(
-    lambda m, k: [[x * P for x in r] if i % k == 0 else r for i, r in enumerate(cleared(m))],
-    any_matrices, st.integers(1, 3))))
+@given(m=st.one_of(any_matrices, square_matrices(), st.builds(rmatrix, multiple_of_p_rows)))
+def test_rank_equals_gauss_elimination(m):
+    """The public rank is the one rank routine, _ranks: rows that are multiples of
+    P take its exact fallback."""
+    assert rank(m) == rank_oracle(m)
+
+
+@given(rows=st.one_of(echelon_inputs(), multiple_of_p_rows))
 def test_mod_pivots_are_the_pivots_mod_p(rows):
     """The packed pass finds the pivot columns of plain elimination mod P, also where
     some rows are multiples of P; a rank mod P never exceeds the exact one, equals it
@@ -467,10 +471,11 @@ def test_mod_pivots_are_the_pivots_mod_p(rows):
 
 @pytest.fixture
 def exact_passes(monkeypatch):
-    """The number of rows of each matrix that rank_bounds hands to _echelon."""
+    """The number of rows of each matrix that linalg._ranks hands to _echelon."""
     calls = []
-    real = symplectic._echelon
-    monkeypatch.setattr(symplectic, "_echelon", lambda rows: calls.append(len(rows)) or real(rows))
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda rows, *rhs: calls.append(len(rows)) or real(rows, *rhs))
     return calls
 
 
@@ -531,6 +536,20 @@ def test_a_rank_deficient_wide_row_is_eliminated_last(exact_passes):
     assert tuple(rank_bounds(QPMap(lam, a, b))) == (39, 39, 39, False)
     assert time.perf_counter() - start < 1
     assert exact_passes == [40, 40]
+
+
+def test_rank_cost_does_not_grow_with_entry_size(exact_passes):
+    """linalg.rank is _ranks too: M = (lam | A) of random_valid_map(default_rng(1),
+    40, 40) with A[0][0] = 1/(10**3999 + 7) has full rank mod P, so no exact pass
+    runs (about 9 s on a 2-core Xeon virtual machine with a plain Bareiss pass)."""
+    qp = random_valid_map(np.random.default_rng(1), 40, 40)
+    a = [list(row) for row in qp.A]
+    a[0][0] = Fraction(1, 10**3999 + 7)
+    m = augment_column(qp.lam, rmatrix(a))
+    start = time.perf_counter()
+    assert rank(m) == 40
+    assert time.perf_counter() - start < 1
+    assert exact_passes == []
 
 
 # Wide entries: products too wide for an 8-byte slot, which stay dot products,
@@ -707,7 +726,7 @@ def test_negative_pivots():
     assert_identical(inverse(swap), swap)
     m = rmatrix([[1, 2, 0], [2, 4, 1], [0, "1/3", -1]])  # leading 2x2 minor is 0
     assert_identical(inverse(m), inverse_oracle(m))
-    assert pivot_columns(m) == (0, 1, 2)
+    assert linalg._echelon(cleared(m))[0] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("rows, message", [
